@@ -5,7 +5,7 @@ measures with a plugin registry and metric-axiom checker (`ifhv.distances`),
 exact and Monte Carlo hypervolume plus net-hypervolume scoring
 (`ifhv.hypervolume`), reference-point ranking with a non-robustness auditor
 (`ifhv.robustness`), the HVAS decision pipeline (`ifhv.hvas`), and the
-TOPSIS/VIKOR/CODAS comparators on the same pipeline (`ifhv.compare`).
+TOPSIS/VIKOR/CODAS comparators on the same pipeline (`ifhv.mcdm`).
 """
 
 from .distances import (

@@ -11,6 +11,7 @@ All commands are deterministic given their flags, including --seed.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -62,6 +63,12 @@ def _measure_option(_ctx, _param, value):
 def _alpha_option(_ctx, _param, value):
     if not -1.0 <= value <= 1.0:
         raise click.BadParameter("alpha must lie in [-1, 1]")
+    return value
+
+
+def _tie_tolerance_option(_ctx, _param, value):
+    if not (math.isfinite(value) and value >= 0.0):
+        raise click.BadParameter("tie tolerance must be a non-negative finite number")
     return value
 
 
@@ -125,7 +132,7 @@ def main() -> None:
 @click.option("--reference", default=None, callback=_nonpositive_reference,
               help="Reference point as comma-separated coordinates, all <= 0 [default: -1 per criterion].")
 @click.option("--tie-tolerance", type=float, default=1e-9, show_default=True,
-              help="Absolute tolerance for score ties.")
+              callback=_tie_tolerance_option, help="Absolute tolerance for score ties.")
 @format_option
 @output_option
 def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):

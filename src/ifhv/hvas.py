@@ -2,30 +2,42 @@
 
 A decision problem holds evaluations from q decision makers over n
 alternatives and m criteria, plus per-criterion importance values and DM
-expertise weights. The pipeline:
+expertise weights. Inside the pipeline it is three float arrays: evaluations
+E[q, m, n, 2], importance W[q, m, 2] and expertise X[q, m], where a last
+axis of 2 holds (mu, nu). The pipeline:
 
     1. aggregate DM evaluations per (criterion, alternative) with expertise
-       weights (aggregate_evaluations),
-    2. aggregate criterion importance the same way (aggregate_weights),
-    3. normalize by criterion kind: cost criteria swap mu and nu (normalize),
-    4. multiply each row by its aggregated importance (weight_matrix),
-    5. score each alternative's column of weighted values by net hypervolume
-       and rank descending (rank).
+       weights, in the operation order of `ifa_aggregate`: mu * x and nu * x
+       accumulate over the DMs in order, then divide by the expertise total,
+    2. aggregate criterion importance the same way,
+    3. normalize by criterion kind: cost criteria swap mu and nu,
+    4. multiply each row by its aggregated importance, in the operation
+       order of `multiply`: mu_a * mu_b and nu_b + nu_a * (1 - nu_b),
+    5. score each alternative's column of weighted values by net
+       hypervolume, a product over criteria in each of the mu, nu and pi
+       spaces, and rank descending.
 
-`build_weighted_matrix` runs steps 1-4; the comparator methods in
-`ifhv.compare` start from the same function, so all methods share one
-pipeline implementation.
+Steps 1, 2 and 4 apply IFN's simplex clamp to whole arrays. Steps 1-4 run
+once per problem: `DecisionProblem.weighted` keeps the resulting (m, n) mu
+and nu arrays, and HVAS here and the comparators in `ifhv.mcdm` all read
+them, so one command builds the weighted matrix once whatever methods it
+runs. The IFN-typed functions (`aggregate_evaluations`, `aggregate_weights`,
+`normalize`, `weight_matrix`, `build_weighted_matrix`) convert at the
+boundary and call the same array code.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DegenerateError, DomainError, MismatchError
-from .hypervolume import HVConfig, HVNetResult, hv_net
-from .ifs import IFN, IFS, ifa_aggregate, multiply
+from .hypervolume import HVConfig, HVNetResult
+from .ifs import IFN, IFS, clamp_to_simplex
 from .ranking import RankingResult, build_ranking
 
 
@@ -40,36 +52,40 @@ class CriterionSpec:
     kind: CriterionKind
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class DecisionProblem:
     """Evaluations, criterion importance, and expertise from q decision makers.
 
     Index order is [dm][criterion][alternative] for evaluations and
     [dm][criterion] for importance and expertise. Expertise values are
     ordinary fuzzy memberships in [0, 1].
+
+    The constructor takes nested IFN tuples; `from_arrays` takes validated
+    float arrays. Either way the problem is stored as the read-only arrays
+    `evaluation_array` (q, m, n, 2), `importance_array` (q, m, 2) and
+    `expertise_array` (q, m). The IFN-typed `evaluations` and `importance`
+    are built from them on first access.
     """
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[CriterionSpec, ...]
-    dms: tuple[str, ...]
-    evaluations: tuple[tuple[tuple[IFN, ...], ...], ...]
-    importance: tuple[tuple[IFN, ...], ...]
-    expertise: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        n, m, q = len(self.alternatives), len(self.criteria), len(self.dms)
-        if n < 1 or m < 1 or q < 1:
-            raise DomainError("a problem needs at least one alternative, criterion, and DM")
-        if len(set(self.alternatives)) != n:
-            raise DomainError("alternative ids must be unique")
-        if len(set(c.id for c in self.criteria)) != m:
-            raise DomainError("criterion ids must be unique")
-        if len(set(self.dms)) != q:
-            raise DomainError("DM ids must be unique")
+    def __init__(
+        self,
+        alternatives: Sequence[str],
+        criteria: Sequence[CriterionSpec],
+        dms: Sequence[str],
+        evaluations: Sequence[Sequence[Sequence[IFN]]],
+        importance: Sequence[Sequence[IFN]],
+        expertise: Sequence[Sequence[float]],
+    ) -> None:
+        self._set_ids(alternatives, criteria, dms)
+        q, m, n = self.n_dms, self.n_criteria, self.n_alternatives
         for tensor, name, width in (
-            (self.evaluations, "evaluations", n),
-            (self.importance, "importance", None),
-            (self.expertise, "expertise", None),
+            (evaluations, "evaluations", n),
+            (importance, "importance", None),
+            (expertise, "expertise", None),
         ):
             if len(tensor) != q:
                 raise MismatchError(f"{name} must have one entry per DM")
@@ -80,10 +96,69 @@ class DecisionProblem:
                     for row in per_dm:
                         if len(row) != width:
                             raise MismatchError(f"{name} rows must have one entry per alternative")
-        for per_dm in self.expertise:
-            for w in per_dm:
-                if not 0.0 <= float(w) <= 1.0:
-                    raise DomainError(f"expertise weights must lie in [0, 1], got {w}")
+        self._set_arrays(
+            np.array(
+                [[[(v.mu, v.nu) for v in row] for row in per_dm] for per_dm in evaluations],
+                dtype=float,
+            ).reshape(q, m, n, 2),
+            np.array([[(v.mu, v.nu) for v in per_dm] for per_dm in importance], dtype=float),
+            np.array(expertise, dtype=float),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        alternatives: Sequence[str],
+        criteria: Sequence[CriterionSpec],
+        dms: Sequence[str],
+        evaluations: np.ndarray,
+        importance: np.ndarray,
+        expertise: np.ndarray,
+    ) -> "DecisionProblem":
+        """Build a problem from float arrays of valid (mu, nu) pairs.
+
+        Shapes are (q, m, n, 2), (q, m, 2) and (q, m). The pairs are taken
+        as they are: validate them first, as the problem-file parser does.
+        """
+        problem = cls.__new__(cls)
+        problem._set_ids(alternatives, criteria, dms)
+        q, m, n = problem.n_dms, problem.n_criteria, problem.n_alternatives
+        for array, name, shape in (
+            (evaluations, "evaluations", (q, m, n, 2)),
+            (importance, "importance", (q, m, 2)),
+            (expertise, "expertise", (q, m)),
+        ):
+            if np.shape(array) != shape:
+                raise MismatchError(f"{name} must have shape {shape}, got {np.shape(array)}")
+        problem._set_arrays(
+            np.array(evaluations, dtype=float),
+            np.array(importance, dtype=float),
+            np.array(expertise, dtype=float),
+        )
+        return problem
+
+    def _set_ids(self, alternatives, criteria, dms) -> None:
+        self.alternatives = tuple(alternatives)
+        self.criteria = tuple(criteria)
+        self.dms = tuple(dms)
+        n, m, q = len(self.alternatives), len(self.criteria), len(self.dms)
+        if n < 1 or m < 1 or q < 1:
+            raise DomainError("a problem needs at least one alternative, criterion, and DM")
+        if len(set(self.alternatives)) != n:
+            raise DomainError("alternative ids must be unique")
+        if len(set(c.id for c in self.criteria)) != m:
+            raise DomainError("criterion ids must be unique")
+        if len(set(self.dms)) != q:
+            raise DomainError("DM ids must be unique")
+
+    def _set_arrays(self, evaluations, importance, expertise) -> None:
+        outside = ~((expertise >= 0.0) & (expertise <= 1.0))
+        if outside.any():
+            w = float(expertise.flat[int(np.argmax(outside))])
+            raise DomainError(f"expertise weights must lie in [0, 1], got {w}")
+        self.evaluation_array = _read_only(evaluations)
+        self.importance_array = _read_only(importance)
+        self.expertise_array = _read_only(expertise)
 
     @property
     def n_alternatives(self) -> int:
@@ -97,43 +172,130 @@ class DecisionProblem:
     def n_dms(self) -> int:
         return len(self.dms)
 
+    @cached_property
+    def evaluations(self) -> tuple[tuple[tuple[IFN, ...], ...], ...]:
+        return tuple(
+            tuple(tuple(IFN(mu, nu) for mu, nu in row) for row in per_dm)
+            for per_dm in self.evaluation_array.tolist()
+        )
+
+    @cached_property
+    def importance(self) -> tuple[tuple[IFN, ...], ...]:
+        return tuple(
+            tuple(IFN(mu, nu) for mu, nu in per_dm) for per_dm in self.importance_array.tolist()
+        )
+
+    @property
+    def expertise(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(per_dm) for per_dm in self.expertise_array.tolist())
+
+    @cached_property
+    def weighted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Steps 1-4 of the pipeline: the weighted (m, n) mu and nu arrays."""
+        mu, nu = _normalize(*_aggregate(self.evaluation_array, self), self.criteria)
+        w_mu, w_nu = _aggregate(self.importance_array, self)
+        mu, nu = _weight(mu, nu, w_mu, w_nu)
+        return _read_only(mu), _read_only(nu)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecisionProblem):
+            return NotImplemented
+        return (
+            self.alternatives == other.alternatives
+            and self.criteria == other.criteria
+            and self.dms == other.dms
+            and np.array_equal(self.evaluation_array, other.evaluation_array)
+            and np.array_equal(self.importance_array, other.importance_array)
+            and np.array_equal(self.expertise_array, other.expertise_array)
+        )
+
+    __hash__ = None  # equality compares arrays
+
+    def __repr__(self) -> str:
+        return (
+            f"DecisionProblem(alternatives={self.alternatives!r}, "
+            f"criteria={tuple(c.id for c in self.criteria)!r}, dms={self.dms!r})"
+        )
+
 
 Matrix = list[list[IFN]]  # criteria rows x alternative columns
 
 
+# -- the array core ----------------------------------------------------------
+
+def _aggregate(pairs: np.ndarray, problem: DecisionProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Expertise-weighted mean over the DM axis of (q, m, ..., 2) pairs.
+
+    Follows `ifa_aggregate`: the total and the weighted sums accumulate DM
+    by DM, then one division. Returns (mu, nu) of shape (m, ...).
+    """
+    expertise = problem.expertise_array
+    lead = (slice(None),) + (None,) * (pairs.ndim - 3)  # x[j] against pairs[l, j, ...]
+    total = np.zeros(expertise.shape[1])
+    mu_acc = np.zeros(pairs.shape[1:-1])
+    nu_acc = np.zeros(pairs.shape[1:-1])
+    for value, weight in zip(pairs, expertise):
+        total = total + weight
+        mu_acc = mu_acc + value[..., 0] * weight[lead]
+        nu_acc = nu_acc + value[..., 1] * weight[lead]
+    zero = np.flatnonzero(total == 0.0)
+    if zero.size:
+        raise DegenerateError(
+            f"expertise weights for criterion '{problem.criteria[zero[0]].id}' sum to zero"
+        )
+    mu = mu_acc / total[lead]
+    return mu, clamp_to_simplex(mu, nu_acc / total[lead])
+
+
+def _normalize(mu: np.ndarray, nu: np.ndarray, criteria: Sequence[CriterionSpec]):
+    """Swap mu and nu on the rows of cost criteria."""
+    cost = np.array([c.kind is CriterionKind.COST for c in criteria])[:, None]
+    return np.where(cost, nu, mu), np.where(cost, mu, nu)
+
+
+def _weight(mu: np.ndarray, nu: np.ndarray, w_mu: np.ndarray, w_nu: np.ndarray):
+    """Multiply each (m, n) row by its weight, in the operation order of `multiply`."""
+    w_mu, w_nu = w_mu[:, None], w_nu[:, None]
+    mu = mu * w_mu
+    return mu, clamp_to_simplex(mu, w_nu + nu * (1.0 - w_nu))
+
+
+def _hv_spaces(problem: DecisionProblem, cfg: HVConfig):
+    """Per-alternative (hv_mu, hv_nu, hv_pi, hv_net) arrays, as `hv_net` computes them."""
+    reference = np.array(cfg.reference_for(problem.n_criteria))[:, None]
+    mu, nu = problem.weighted
+    hv_mu = np.prod(mu - reference, axis=0)
+    hv_nu = np.prod(nu - reference, axis=0)
+    hv_pi = np.prod((1.0 - mu - nu) - reference, axis=0)
+    return hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi
+
+
+# -- IFN-typed views ------------------------------------------------------------
+
+def matrix_arrays(matrix: Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) mu and nu arrays of an IFN matrix."""
+    return (
+        np.array([[value.mu for value in row] for row in matrix], dtype=float),
+        np.array([[value.nu for value in row] for row in matrix], dtype=float),
+    )
+
+
+def _as_matrix(mu: np.ndarray, nu: np.ndarray) -> Matrix:
+    return [
+        [IFN(a, b) for a, b in zip(row_mu, row_nu)]
+        for row_mu, row_nu in zip(mu.tolist(), nu.tolist())
+    ]
+
+
 def aggregate_evaluations(problem: DecisionProblem) -> Matrix:
     """Expertise-weighted aggregation of DM evaluations, per (criterion, alternative)."""
-    matrix: Matrix = []
-    for j, criterion in enumerate(problem.criteria):
-        weights = [problem.expertise[l][j] for l in range(problem.n_dms)]
-        if sum(weights) == 0.0:
-            raise DegenerateError(
-                f"expertise weights for criterion '{criterion.id}' sum to zero"
-            )
-        matrix.append(
-            [
-                ifa_aggregate(
-                    [problem.evaluations[l][j][i] for l in range(problem.n_dms)], weights
-                )
-                for i in range(problem.n_alternatives)
-            ]
-        )
-    return matrix
+    return _as_matrix(*_aggregate(problem.evaluation_array, problem))
 
 
 def aggregate_weights(problem: DecisionProblem) -> list[IFN]:
     """Expertise-weighted aggregation of criterion importance, per criterion."""
-    aggregated: list[IFN] = []
-    for j, criterion in enumerate(problem.criteria):
-        weights = [problem.expertise[l][j] for l in range(problem.n_dms)]
-        if sum(weights) == 0.0:
-            raise DegenerateError(
-                f"expertise weights for criterion '{criterion.id}' sum to zero"
-            )
-        aggregated.append(
-            ifa_aggregate([problem.importance[l][j] for l in range(problem.n_dms)], weights)
-        )
-    return aggregated
+    mu, nu = _aggregate(problem.importance_array, problem)
+    return [IFN(a, b) for a, b in zip(mu.tolist(), nu.tolist())]
 
 
 def normalize(matrix: Matrix, criteria: Sequence[CriterionSpec]) -> Matrix:
@@ -142,13 +304,7 @@ def normalize(matrix: Matrix, criteria: Sequence[CriterionSpec]) -> Matrix:
         raise MismatchError(
             f"matrix has {len(matrix)} rows but there are {len(criteria)} criteria"
         )
-    out: Matrix = []
-    for row, criterion in zip(matrix, criteria):
-        if criterion.kind is CriterionKind.COST:
-            out.append([IFN(value.nu, value.mu) for value in row])
-        else:
-            out.append(list(row))
-    return out
+    return _as_matrix(*_normalize(*matrix_arrays(matrix), criteria))
 
 
 def weight_matrix(matrix: Matrix, weights: Sequence[IFN]) -> Matrix:
@@ -157,18 +313,14 @@ def weight_matrix(matrix: Matrix, weights: Sequence[IFN]) -> Matrix:
         raise MismatchError(
             f"matrix has {len(matrix)} rows but {len(weights)} weights were given"
         )
-    return [
-        [multiply(value, weight) for value in row]
-        for row, weight in zip(matrix, weights)
-    ]
+    w_mu = np.array([w.mu for w in weights], dtype=float)
+    w_nu = np.array([w.nu for w in weights], dtype=float)
+    return _as_matrix(*_weight(*matrix_arrays(matrix), w_mu, w_nu))
 
 
 def build_weighted_matrix(problem: DecisionProblem) -> Matrix:
     """Aggregate, normalize, and weight: the shared front half of every method."""
-    aggregated = aggregate_evaluations(problem)
-    weights = aggregate_weights(problem)
-    normalized = normalize(aggregated, problem.criteria)
-    return weight_matrix(normalized, weights)
+    return _as_matrix(*problem.weighted)
 
 
 def alternative_profiles(matrix: Matrix, problem: DecisionProblem) -> list[IFS]:
@@ -184,10 +336,9 @@ def score_details(
 ) -> dict[str, HVNetResult]:
     """Per-alternative space hypervolumes after the shared pipeline."""
     cfg = config if config is not None else HVConfig()
-    matrix = build_weighted_matrix(problem)
+    spaces = (values.tolist() for values in _hv_spaces(problem, cfg))
     return {
-        label: hv_net(profile, cfg)
-        for label, profile in zip(problem.alternatives, alternative_profiles(matrix, problem))
+        label: HVNetResult(*parts) for label, *parts in zip(problem.alternatives, *spaces)
     }
 
 
@@ -195,12 +346,10 @@ def rank(problem: DecisionProblem, config: HVConfig | None = None) -> RankingRes
     """Rank alternatives by net hypervolume of their weighted value profiles."""
     cfg = config if config is not None else HVConfig()
     reference = cfg.reference_for(problem.n_criteria)
-    details = score_details(problem, cfg)
-    scores = [details[label].hv_net for label in problem.alternatives]
     return build_ranking(
         method="hvas",
         labels=problem.alternatives,
-        scores=scores,
+        scores=_hv_spaces(problem, cfg)[3].tolist(),
         higher_is_better=True,
         tie_tolerance=cfg.tie_tolerance,
         config_echo={

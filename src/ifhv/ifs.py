@@ -68,6 +68,21 @@ class IFN:
         return f"IFN({self.mu:g}, {self.nu:g})"
 
 
+def clamp_to_simplex(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Array form of IFN's simplex rule; returns the clamped nu.
+
+    Pairs whose sum overshoots 1 by at most SUM_TOLERANCE get nu = 1 - mu;
+    the first pair beyond it raises DomainError with IFN's message.
+    """
+    total = mu + nu
+    beyond = total > 1.0 + SUM_TOLERANCE
+    if beyond.any():
+        k = int(np.argmax(beyond))
+        a, b = float(mu.flat[k]), float(nu.flat[k])
+        raise DomainError(f"IFN requires mu + nu <= 1, got {a} + {b} = {a + b}")
+    return np.where(total > 1.0, 1.0 - mu, nu)
+
+
 #: The greatest IFN, the positive ideal value.
 PIS = IFN(1.0, 0.0)
 #: The smallest IFN, the negative ideal value.

@@ -1,7 +1,8 @@
 """Distance-based comparator methods sharing the HVAS front pipeline.
 
-IF-TOPSIS, IF-VIKOR, and IF-CODAS all start from `build_weighted_matrix`
-(aggregation, normalization, weighting), then determine per-criterion
+IF-TOPSIS, IF-VIKOR, and IF-CODAS all start from the weighted matrix of the
+HVAS pipeline (aggregation, normalization, weighting), which a problem
+builds once (`DecisionProblem.weighted`), then determine per-criterion
 positive and negative solutions from the candidate values themselves via
 score/accuracy comparison. The extreme points (1, 0) and (0, 1) are not
 used here because the shared normalization works relative to the best and
@@ -19,27 +20,37 @@ profile PS and negative solution profile NS:
     CODAS   E = d_primary(A, NS), T = d_secondary(A, NS); pairwise assessment
             h_ik = (E_i - E_k) + (T_i - T_k when |E_i - E_k| < tau);
             ranked by H_i = sum_k h_ik descending.
+
+Each core works on whole arrays: distances go through the measures' batch
+entry points (`evaluate_many`, `pair_many`), so plugin measures keep their
+per-pair fallback. CODAS sums its pairwise assessments over blocks of rows
+of at most `CODAS_BLOCK` elements, so memory stays O(n), not O(n^2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .distances import DistanceMeasure, euclidean2, hamming
 from .errors import DegenerateError, DomainError
-from .hvas import (
+from .hvas import (  # noqa: F401  build_weighted_matrix: the one pipeline, re-exported
     DecisionProblem,
     Matrix,
-    alternative_profiles,
     build_weighted_matrix,
+    matrix_arrays,
     rank as hvas_rank,
 )
-from .ifs import IFN, IFS, select_extremes
+from .ifs import IFS
 from .ranking import RankingResult, build_ranking
 
 DEFAULT_TAU = 0.02
 DEFAULT_V = 0.5
+# Elements of one block of CODAS's pairwise (rows, n) assessment arrays.
+CODAS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,8 @@ class CompareConfig:
             raise DomainError(f"tau must lie in [0, 1], got {self.tau}")
         if not 0.0 <= float(self.v) <= 1.0:
             raise DomainError(f"v must lie in [0, 1], got {self.v}")
+        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0.0):
+            raise DomainError("tie_tolerance must be a non-negative finite number")
 
     def echo(self) -> dict:
         return {
@@ -73,45 +86,85 @@ class CompareConfig:
         }
 
 
+def _extremes(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column of the greatest and of the smallest value in each row of (m, n) arrays.
+
+    Compares by (score, accuracy) like `select_extremes`; on exact ties the
+    first column wins.
+    """
+
+    def first_max(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
+        top = primary == primary.max(axis=1, keepdims=True)
+        secondary = np.where(top, secondary, -np.inf)
+        return np.argmax(secondary == secondary.max(axis=1, keepdims=True), axis=1)
+
+    score, accuracy = mu - nu, mu + nu
+    return first_max(score, accuracy), first_max(-score, -accuracy)
+
+
 def column_extremes(matrix: Matrix) -> tuple[IFS, IFS]:
     """Per-criterion best and worst values over the candidate set."""
-    best: list[IFN] = []
-    worst: list[IFN] = []
-    for row in matrix:
-        ps, ns = select_extremes(row)
-        best.append(ps)
-        worst.append(ns)
-    return IFS(tuple(best)), IFS(tuple(worst))
+    best, worst = _extremes(*matrix_arrays(matrix))
+    return (
+        IFS(tuple(row[i] for row, i in zip(matrix, best.tolist()))),
+        IFS(tuple(row[i] for row, i in zip(matrix, worst.tolist()))),
+    )
 
 
-def _prepared(problem: DecisionProblem, cfg: CompareConfig):
-    matrix = build_weighted_matrix(problem)
-    profiles = alternative_profiles(matrix, problem)
-    ps_profile, ns_profile = column_extremes(matrix)
-    if ps_profile == ns_profile and problem.n_alternatives > 1:
+@dataclass(frozen=True)
+class _Prepared:
+    """The weighted matrix in both layouts, with its solution profiles."""
+
+    mu: np.ndarray  # (m, n): a row per criterion
+    nu: np.ndarray
+    # (n, m), a row per alternative, C-contiguous so that a kernel's mean
+    # over a row sums in the order `evaluate` uses on one IFS
+    profiles: tuple[np.ndarray, np.ndarray]
+    ps: tuple[np.ndarray, np.ndarray]  # (m,) mu and nu
+    ns: tuple[np.ndarray, np.ndarray]
+
+    def distances(self, measure: DistanceMeasure, solution) -> np.ndarray:
+        """measure(A_i, solution) for every alternative profile A_i."""
+        shape = self.profiles[0].shape
+        return measure.evaluate_many(
+            *self.profiles, *(np.broadcast_to(part, shape) for part in solution)
+        )
+
+
+def _prepared(problem: DecisionProblem) -> _Prepared:
+    mu, nu = problem.weighted
+    best, worst = _extremes(mu, nu)
+    rows = np.arange(problem.n_criteria)
+    ps = (mu[rows, best], nu[rows, best])
+    ns = (mu[rows, worst], nu[rows, worst])
+    if (
+        problem.n_alternatives > 1
+        and np.array_equal(ps[0], ns[0])
+        and np.array_equal(ps[1], ns[1])
+    ):
         raise DegenerateError(
             "all alternatives are identical after weighting; nothing to rank"
         )
-    return matrix, profiles, ps_profile, ns_profile
+    return _Prepared(mu, nu, (mu.T.copy(), nu.T.copy()), ps, ns)
 
 
 def topsis(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
     """Relative closeness to the negative solution, ranked descending."""
     cfg = cfg if cfg is not None else CompareConfig()
-    _, profiles, ps_profile, ns_profile = _prepared(problem, cfg)
-    scores = []
-    for label, profile in zip(problem.alternatives, profiles):
-        to_ps = cfg.measure_primary.evaluate(profile, ps_profile)
-        to_ns = cfg.measure_primary.evaluate(profile, ns_profile)
-        if to_ps + to_ns == 0.0:
-            raise DegenerateError(
-                f"alternative '{label}' is at zero distance from both solution profiles"
-            )
-        scores.append(to_ns / (to_ps + to_ns))
+    prepared = _prepared(problem)
+    to_ps = prepared.distances(cfg.measure_primary, prepared.ps)
+    to_ns = prepared.distances(cfg.measure_primary, prepared.ns)
+    total = to_ps + to_ns
+    zero = np.flatnonzero(total == 0.0)
+    if zero.size:
+        raise DegenerateError(
+            f"alternative '{problem.alternatives[zero[0]]}' is at zero distance "
+            "from both solution profiles"
+        )
     return build_ranking(
         method="topsis",
         labels=problem.alternatives,
-        scores=scores,
+        scores=(to_ns / total).tolist(),
         higher_is_better=True,
         tie_tolerance=cfg.tie_tolerance,
         config_echo=cfg.echo(),
@@ -121,45 +174,34 @@ def topsis(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Rankin
 def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
     """Compromise index Q from group utility and individual regret, ranked ascending."""
     cfg = cfg if cfg is not None else CompareConfig()
-    matrix, _, ps_profile, ns_profile = _prepared(problem, cfg)
-    m = problem.n_criteria
-    n = problem.n_alternatives
+    prepared = _prepared(problem)
+    measure = cfg.measure_primary
+    spans = measure.pair_many(*prepared.ps, *prepared.ns)[:, None]
+    shape = prepared.mu.shape
+    to_ps = measure.pair_many(
+        prepared.mu, prepared.nu, *(np.broadcast_to(part[:, None], shape) for part in prepared.ps)
+    )
+    # a criterion with a zero span cannot discriminate; its gaps are 0
+    gaps = np.divide(to_ps, spans, out=np.zeros(shape), where=spans != 0.0)
+    utilities = gaps.sum(axis=0)  # criterion by criterion, in order
+    regrets = gaps.max(axis=0)
 
-    def gap(value: IFN, ideal: IFN, span: float) -> float:
-        if span == 0.0:
-            return 0.0  # the criterion cannot discriminate; skip it
-        return cfg.measure_primary.evaluate(IFS((value,)), IFS((ideal,))) / span
-
-    spans = [
-        cfg.measure_primary.evaluate(IFS((ps_profile[j],)), IFS((ns_profile[j],)))
-        for j in range(m)
-    ]
-    utilities = []
-    regrets = []
-    for i in range(n):
-        gaps = [gap(matrix[j][i], ps_profile[j], spans[j]) for j in range(m)]
-        utilities.append(sum(gaps))
-        regrets.append(max(gaps))
-
-    s_best, s_worst = min(utilities), max(utilities)
-    r_best, r_worst = min(regrets), max(regrets)
+    s_best, s_worst = utilities.min(), utilities.max()
+    r_best, r_worst = regrets.min(), regrets.max()
     terms = []
     if s_worst > s_best:
-        terms.append((cfg.v, [(s - s_best) / (s_worst - s_best) for s in utilities]))
+        terms.append((cfg.v, (utilities - s_best) / (s_worst - s_best)))
     if r_worst > r_best:
-        terms.append((1.0 - cfg.v, [(r - r_best) / (r_worst - r_best) for r in regrets]))
+        terms.append((1.0 - cfg.v, (regrets - r_best) / (r_worst - r_best)))
     total_weight = sum(weight for weight, _ in terms)
     if total_weight == 0.0:
-        q_values = [0.0] * n  # nothing discriminates; everything ties
+        q_values = np.zeros(problem.n_alternatives)  # nothing discriminates; everything ties
     else:
-        q_values = [
-            sum(weight * values[i] for weight, values in terms) / total_weight
-            for i in range(n)
-        ]
+        q_values = sum(weight * values for weight, values in terms) / total_weight
     return build_ranking(
         method="vikor",
         labels=problem.alternatives,
-        scores=q_values,
+        scores=q_values.tolist(),
         higher_is_better=False,
         tie_tolerance=cfg.tie_tolerance,
         config_echo=cfg.echo(),
@@ -169,22 +211,23 @@ def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
 def codas(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
     """Combined distance assessment against the negative solution, ranked descending."""
     cfg = cfg if cfg is not None else CompareConfig()
-    _, profiles, _, ns_profile = _prepared(problem, cfg)
+    prepared = _prepared(problem)
+    primary = prepared.distances(cfg.measure_primary, prepared.ns)
+    secondary = prepared.distances(cfg.measure_secondary, prepared.ns)
     n = problem.n_alternatives
-    primary = [cfg.measure_primary.evaluate(p, ns_profile) for p in profiles]
-    secondary = [cfg.measure_secondary.evaluate(p, ns_profile) for p in profiles]
-    assessments = []
-    for i in range(n):
-        total = 0.0
-        for k in range(n):
-            total += primary[i] - primary[k]
-            if abs(primary[i] - primary[k]) < cfg.tau:
-                total += secondary[i] - secondary[k]
-        assessments.append(total)
+    assessments = np.empty(n)
+    step = max(1, CODAS_BLOCK // n)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        h = primary[block, None] - primary[None, :]
+        tie_break = secondary[block, None] - secondary[None, :]
+        tie_break *= np.abs(h) < cfg.tau
+        h += tie_break
+        assessments[block] = h.sum(axis=1)
     return build_ranking(
         method="codas",
         labels=problem.alternatives,
-        scores=assessments,
+        scores=assessments.tolist(),
         higher_is_better=True,
         tie_tolerance=cfg.tie_tolerance,
         config_echo=cfg.echo(),

@@ -59,6 +59,12 @@ class TestRankCommand:
         result = runner.invoke(main, ["rank", table1, "--alpha", "2.0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_tie_tolerance_must_be_nonnegative_finite(self, runner, table1, value):
+        result = runner.invoke(main, ["rank", table1, "--tie-tolerance", value])
+        assert result.exit_code == 2
+        assert "tie tolerance" in result.output
+
     def test_missing_file_is_data_error(self, runner):
         result = runner.invoke(main, ["rank", "does-not-exist.problem"])
         assert result.exit_code == 3

@@ -73,6 +73,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             CompareConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_tie_tolerance_validated(self, value):
+        with pytest.raises(DomainError, match="tie_tolerance"):
+            CompareConfig(tie_tolerance=value)
+
     def test_config_echo_reports_parameters(self, dominant_problem):
         cfg = CompareConfig(tau=0.05, v=0.3)
         for method in (topsis, vikor, codas):
@@ -207,6 +212,13 @@ class TestSharedPipeline:
         # the comparators import the pipeline from the hvas module; they do
         # not re-implement steps 2-5
         assert mcdm_mod.build_weighted_matrix is hvas_mod.build_weighted_matrix
+
+    def test_weighted_matrix_built_once_per_problem(self, dominant_problem, monkeypatch):
+        calls = []
+        original = hvas_mod._weight
+        monkeypatch.setattr(hvas_mod, "_weight", lambda *args: calls.append(1) or original(*args))
+        run_methods(dominant_problem, ["hvas", "topsis", "vikor", "codas"])
+        assert len(calls) == 1
 
     def test_methods_see_identical_matrices(self):
         rng = np.random.default_rng(62)

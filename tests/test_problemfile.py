@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ifhv import (
+    IFN,
     CriterionKind,
     ParseError,
     ValidationError,
@@ -81,6 +82,50 @@ class TestValidation:
         table1_doc["importance"]["dm1"]["c1"] = ["high", 0.0]
         with pytest.raises(ValidationError, match=r"importance\.dm1\.c1"):
             problem_from_dict(table1_doc)
+
+    def test_boolean_schema_version(self, table1_doc):
+        table1_doc["schema_version"] = True
+        with pytest.raises(ValidationError, match=r"^<problem>\.schema_version: expected int, got bool$"):
+            problem_from_dict(table1_doc)
+
+    @pytest.mark.parametrize("cell", [[True, 0.0], [0.5], [0.5, 0.2, 0.1], "0.5,0.2", None])
+    def test_malformed_cell_cites_cell(self, table1_doc, cell):
+        table1_doc["evaluations"]["dm1"]["c2"]["X3"] = cell
+        with pytest.raises(
+            ValidationError,
+            match=r"^<problem>\.evaluations\.dm1\.c2\.X3: expected a \[mu, nu\] pair of numbers$",
+        ):
+            problem_from_dict(table1_doc)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ([1.5, 0.0], r"IFN components must lie in \[0, 1\], got \(1\.5, 0\.0\)"),
+            ([float("nan"), 0.0], r"IFN components must be finite, got \(nan, 0\.0\)"),
+            ([0.7, 0.5], r"IFN requires mu \+ nu <= 1, got 0\.7 \+ 0\.5 = 1\.2"),
+        ],
+    )
+    def test_out_of_domain_cell_keeps_ifn_message(self, table1_doc, cell, message):
+        table1_doc["evaluations"]["dm1"]["c1"]["X2"] = cell
+        with pytest.raises(ValidationError, match=r"^<problem>\.evaluations\.dm1\.c1\.X2: " + message):
+            problem_from_dict(table1_doc)
+
+    def test_first_invalid_field_in_document_order(self, table1_doc):
+        # importance of c1 comes before the evaluations of c2 in the walk
+        table1_doc["evaluations"]["dm1"]["c2"]["X1"] = [0.9, 0.9]
+        table1_doc["importance"]["dm1"]["c1"] = [2.0, 0.0]
+        with pytest.raises(ValidationError, match=r"importance\.dm1\.c1:"):
+            problem_from_dict(table1_doc)
+        table1_doc["importance"]["dm1"]["c1"] = [1.0, 0.0]
+        del table1_doc["evaluations"]["dm1"]["c1"]["X3"]
+        with pytest.raises(ValidationError, match=r"evaluations\.dm1\.c1\.X3: missing alternative"):
+            problem_from_dict(table1_doc)
+
+    def test_overshoot_within_tolerance_is_clamped(self, table1_doc):
+        table1_doc["evaluations"]["dm1"]["c1"]["X1"] = [0.7, 0.3 + 1e-12]
+        problem = problem_from_dict(table1_doc)
+        assert problem.evaluations[0][0][0] == IFN(0.7, 0.3 + 1e-12)
+        assert problem.evaluation_array[0, 0, 0].tolist() == [0.7, 1.0 - 0.7]
 
 
 class TestRoundTrip:
