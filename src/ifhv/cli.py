@@ -83,8 +83,8 @@ def _unit_interval(name):
 
 def _positive(name):
     def check(_ctx, _param, value):
-        if value <= 0.0:
-            raise click.BadParameter(f"{name} must be positive")
+        if not (math.isfinite(value) and value > 0.0):
+            raise click.BadParameter(f"{name} must be a positive finite number")
         return value
 
     return check

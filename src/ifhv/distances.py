@@ -31,6 +31,10 @@ from .ifs import IFS
 
 AXIOM_TOLERANCE = 1e-9
 
+# Random rows drawn and checked at a time by `check_axioms` and the
+# robustness audit, so their memory stays flat in the sample count.
+SAMPLE_CHUNK = 2**14
+
 # A batch kernel maps per-element difference arrays (dmu, dnu) to distances,
 # reducing over `axis`; axis=() means elementwise (length-1 sets), axis=-1
 # reduces a trailing element dimension.
@@ -241,63 +245,62 @@ def check_axioms(
     Each triple (A, B, C) shares a random length drawn from `lengths`.
     Checks, to tolerance 1e-9: d(A, B) = d(B, A); d(A, A) = 0 with
     d(A, B) > 0 for distinct pairs; d(A, B) <= d(B, C) + d(A, C).
-    Deterministic for a fixed seed. Collects at most 10 witnesses.
+    Deterministic for a fixed seed. Collects at most 10 witnesses. Triples
+    are drawn and checked in chunks of `SAMPLE_CHUNK`, so memory is flat in
+    `samples`.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    drawn = rng.choice(np.asarray(lengths, dtype=int), size=samples)
+    choices = np.asarray(lengths, dtype=int)
 
     sym_ok = True
     ident_ok = True
     tri_ok = True
     witnesses: list[AxiomWitness] = []
 
-    def add_witness(axiom: str, arrays, row: int, values: tuple[float, ...]) -> None:
-        if len(witnesses) >= _MAX_WITNESSES:
-            return
-        sets = tuple(
-            tuple((float(mu[row, j]), float(nu[row, j])) for j in range(mu.shape[1]))
-            for mu, nu in arrays
-        )
-        witnesses.append(AxiomWitness(axiom, sets, values))
+    def add_witnesses(axiom: str, arrays, bad: np.ndarray, values) -> None:
+        for i in np.flatnonzero(bad)[: _MAX_WITNESSES - len(witnesses)]:
+            sets = tuple(
+                tuple((float(mu[i, j]), float(nu[i, j])) for j in range(mu.shape[1]))
+                for mu, nu in arrays
+            )
+            witnesses.append(AxiomWitness(axiom, sets, tuple(float(v[i]) for v in values)))
 
-    for n in sorted(set(int(x) for x in drawn)):
-        count = int(np.sum(drawn == n))
-        a_mu, a_nu = sample_simplex(rng, (count, n))
-        b_mu, b_nu = sample_simplex(rng, (count, n))
-        c_mu, c_nu = sample_simplex(rng, (count, n))
+    # Chunks draw their lengths, then each length group's triples, so one
+    # chunk draws exactly what a single batch of the same size would.
+    for start in range(0, samples, SAMPLE_CHUNK):
+        drawn = rng.choice(choices, size=min(SAMPLE_CHUNK, samples - start))
+        for n in np.unique(drawn):
+            count = int(np.sum(drawn == n))
+            a_mu, a_nu = sample_simplex(rng, (count, n))
+            b_mu, b_nu = sample_simplex(rng, (count, n))
+            c_mu, c_nu = sample_simplex(rng, (count, n))
 
-        d_ab = measure.evaluate_many(a_mu, a_nu, b_mu, b_nu)
-        d_ba = measure.evaluate_many(b_mu, b_nu, a_mu, a_nu)
-        d_aa = measure.evaluate_many(a_mu, a_nu, a_mu, a_nu)
-        d_bc = measure.evaluate_many(b_mu, b_nu, c_mu, c_nu)
-        d_ac = measure.evaluate_many(a_mu, a_nu, c_mu, c_nu)
+            d_ab = measure.evaluate_many(a_mu, a_nu, b_mu, b_nu)
+            d_ba = measure.evaluate_many(b_mu, b_nu, a_mu, a_nu)
+            d_aa = measure.evaluate_many(a_mu, a_nu, a_mu, a_nu)
+            d_bc = measure.evaluate_many(b_mu, b_nu, c_mu, c_nu)
+            d_ac = measure.evaluate_many(a_mu, a_nu, c_mu, c_nu)
 
-        pairs = ((a_mu, a_nu), (b_mu, b_nu))
-        triple = ((a_mu, a_nu), (b_mu, b_nu), (c_mu, c_nu))
+            pairs = ((a_mu, a_nu), (b_mu, b_nu))
+            triple = ((a_mu, a_nu), (b_mu, b_nu), (c_mu, c_nu))
 
-        sym_bad = np.abs(d_ab - d_ba) > AXIOM_TOLERANCE
-        if np.any(sym_bad):
-            sym_ok = False
-            for i in np.flatnonzero(sym_bad):
-                add_witness("symmetry", pairs, int(i), (float(d_ab[i]), float(d_ba[i])))
+            sym_bad = np.abs(d_ab - d_ba) > AXIOM_TOLERANCE
+            if np.any(sym_bad):
+                sym_ok = False
+                add_witnesses("symmetry", pairs, sym_bad, (d_ab, d_ba))
 
-        distinct = (np.abs(a_mu - b_mu) + np.abs(a_nu - b_nu)).max(axis=1) > 1e-6
-        ident_bad = (d_aa > AXIOM_TOLERANCE) | (distinct & (d_ab <= AXIOM_TOLERANCE))
-        if np.any(ident_bad):
-            ident_ok = False
-            for i in np.flatnonzero(ident_bad):
-                add_witness("identity", pairs, int(i), (float(d_aa[i]), float(d_ab[i])))
+            distinct = (np.abs(a_mu - b_mu) + np.abs(a_nu - b_nu)).max(axis=1) > 1e-6
+            ident_bad = (d_aa > AXIOM_TOLERANCE) | (distinct & (d_ab <= AXIOM_TOLERANCE))
+            if np.any(ident_bad):
+                ident_ok = False
+                add_witnesses("identity", pairs, ident_bad, (d_aa, d_ab))
 
-        tri_bad = d_ab > d_bc + d_ac + AXIOM_TOLERANCE
-        if np.any(tri_bad):
-            tri_ok = False
-            for i in np.flatnonzero(tri_bad):
-                add_witness(
-                    "triangle", triple, int(i),
-                    (float(d_ab[i]), float(d_bc[i]), float(d_ac[i])),
-                )
+            tri_bad = d_ab > d_bc + d_ac + AXIOM_TOLERANCE
+            if np.any(tri_bad):
+                tri_ok = False
+                add_witnesses("triangle", triple, tri_bad, (d_ab, d_bc, d_ac))
 
     return AxiomReport(
         measure=measure.name,

@@ -33,6 +33,10 @@ from .ifs import IFS
 DEFAULT_REFERENCE_COORD = -1.0
 DEFAULT_TIE_TOLERANCE = 1e-9
 
+# Element cap on mc_oracle's (chunk, k, m) comparison: chunks hold
+# max(1, MC_CHUNK_ELEMENTS // (k * m)) samples, so memory stays flat in k.
+MC_CHUNK_ELEMENTS = 2**22
+
 Point = Sequence[float]
 
 
@@ -149,7 +153,9 @@ def mc_oracle(
 
     Samples uniformly over the bounding box [r, componentwise max] and counts
     hits inside the union of boxes. Returns (estimate, stderr); deterministic
-    for a fixed seed. An empty point set yields (0.0, 0.0).
+    for a fixed seed. An empty point set yields (0.0, 0.0). Samples are drawn
+    and tested in chunks sized by `MC_CHUNK_ELEMENTS`; the chunk size does not
+    change the sample stream.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -164,7 +170,7 @@ def mc_oracle(
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
-    chunk = 250_000
+    chunk = max(1, MC_CHUNK_ELEMENTS // arr.size)
     while remaining > 0:
         take = min(chunk, remaining)
         q = ra + rng.random((take, ra.size)) * span

@@ -8,22 +8,34 @@ both choices yield the same order for every collection.
 
 `audit` searches a measure for witness pairs that break robustness: two
 single-element sets at (numerically) equal distance from the negative ideal
-whose distances to the positive ideal differ. Partners are constructed by
-bisecting along rays from the negative ideal through random valid points,
-because equal-distance pairs have measure zero and rejection sampling would
-never hit them. Every reported pair is re-verified from its own coordinates,
-so reports are self-checking.
+whose distances to the positive ideal differ. Equal-distance pairs have
+measure zero, so rejection sampling would never hit them; instead each
+random anchor gets a partner constructed on the ray from the negative ideal
+through a random direction point. Both coordinate differences to the
+negative ideal are linear along that ray, and every built-in kernel is
+absolutely homogeneous of degree 1, so the partner has a closed form: the
+ray parameter is the anchor's NIS-distance over the direction point's.
+Partners the closed form misses (plugin measures that are not homogeneous,
+ray ends at float precision) are found by bisection along the same ray,
+stopped at each row's float fixpoint.
+
+The audit scans its budget in chunks of `SAMPLE_CHUNK` attempts and stops
+after the chunk that holds the 10th witness, so memory is O(chunk) and a
+failing measure costs one chunk; `samples_used` is the attempt index of the
+10th witness plus one, or the whole budget. Every reported pair is
+re-verified from its own coordinates, so reports are self-checking.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .distances import DistanceMeasure, sample_simplex
+from .distances import SAMPLE_CHUNK, DistanceMeasure, sample_simplex
 from .errors import DomainError, MismatchError
 from .ifs import IFN, IFS
 from .ranking import RankingResult, build_ranking
@@ -157,50 +169,108 @@ class AuditReport:
         }
 
 
-def _iso_nis_partners(
-    measure: DistanceMeasure, rng: np.random.Generator, count: int
-) -> dict[str, np.ndarray]:
-    """For `count` random anchors, construct partners at equal NIS-distance.
-
-    Draws an anchor and a direction point per attempt, then bisects along the
-    ray from the negative ideal (0, 1) through the direction point until the
-    ray point matches the anchor's NIS-distance. Returns coordinate arrays,
-    the achieved distances, and a feasibility mask (rays too short to reach
-    the target distance are marked infeasible).
-    """
+def _draw_attempts(
+    rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Anchors, then ray directions, for `count` attempts."""
     a_mu, a_nu = sample_simplex(rng, count)
     dir_mu, dir_nu = sample_simplex(rng, count)
+    return a_mu, a_nu, dir_mu, dir_nu
 
-    zeros = np.zeros(count)
-    ones = np.ones(count)
-    target = measure.pair_many(a_mu, a_nu, zeros, ones)
 
-    # Ray p(s) = (s * dir_mu, 1 + s * (dir_nu - 1)) stays inside the valid
-    # region for s in [0, s_max], exiting where nu reaches 0.
-    drop = 1.0 - dir_nu
-    s_max = np.where(drop > 0.0, 1.0 / np.maximum(drop, 1e-300), 0.0)
-    end_mu = s_max * dir_mu
-    end_nu = 1.0 + s_max * (dir_nu - 1.0)
-    feasible = measure.pair_many(end_mu, end_nu, zeros, ones) >= target
+def _ray_point(
+    s: np.ndarray, dir_mu: np.ndarray, dir_nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """p(s) = (s * dir_mu, 1 + s * (dir_nu - 1)) on the ray from the negative
+    ideal (0, 1) through the direction point, which it reaches at s = 1."""
+    return s * dir_mu, 1.0 + s * (dir_nu - 1.0)
 
-    lo = np.zeros(count)
-    hi = np.where(feasible, s_max, 0.0)
+
+def _clean_ray_point(
+    s: np.ndarray, dir_mu: np.ndarray, dir_nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ray point with float dust cleaned off, pinned into the valid region,
+    so distances measured from it re-verify exactly."""
+    mu, nu = _ray_point(s, dir_mu, dir_nu)
+    b_mu = np.clip(mu, 0.0, 1.0)
+    b_nu = np.clip(nu, 0.0, 1.0)
+    over = b_mu + b_nu > 1.0
+    return b_mu, np.where(over, 1.0 - b_mu, b_nu)
+
+
+def _nis_distance(measure: DistanceMeasure, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    return measure.pair_many(mu, nu, np.zeros(mu.size), np.ones(mu.size))
+
+
+def _bisect(
+    measure: DistanceMeasure,
+    dir_mu: np.ndarray,
+    dir_nu: np.ndarray,
+    target: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Ray parameters in [0, hi] where the NIS-distance crosses `target`.
+
+    Each row stops at its float fixpoint, when its midpoint no longer lies
+    strictly inside its bracket; no row takes more than 100 steps. Only rows
+    still moving are evaluated.
+    """
+    lo = np.zeros_like(hi)
+    hi = hi.copy()
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        mid_mu = mid * dir_mu
-        mid_nu = 1.0 + mid * (dir_nu - 1.0)
-        below = measure.pair_many(mid_mu, mid_nu, zeros, ones) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    s = 0.5 * (lo + hi)
+        moving = np.flatnonzero((lo < mid) & (mid < hi))
+        if moving.size == 0:
+            break
+        m = mid[moving]
+        ray_mu, ray_nu = _ray_point(m, dir_mu[moving], dir_nu[moving])
+        below = _nis_distance(measure, ray_mu, ray_nu) < target[moving]
+        lo[moving] = np.where(below, m, lo[moving])
+        hi[moving] = np.where(below, hi[moving], m)
+    return 0.5 * (lo + hi)
 
-    # Clean float dust off the ray point, then measure from the cleaned
-    # coordinates so reported values re-verify exactly.
-    b_mu = np.clip(s * dir_mu, 0.0, 1.0)
-    b_nu = np.clip(1.0 + s * (dir_nu - 1.0), 0.0, 1.0)
-    over = b_mu + b_nu > 1.0
-    b_nu = np.where(over, 1.0 - b_mu, b_nu)
-    d_nis_b = measure.pair_many(b_mu, b_nu, zeros, ones)
+
+def _iso_nis_partners(
+    measure: DistanceMeasure,
+    a_mu: np.ndarray,
+    a_nu: np.ndarray,
+    dir_mu: np.ndarray,
+    dir_nu: np.ndarray,
+    tol: float,
+) -> dict[str, np.ndarray]:
+    """For each anchor, construct a partner at equal NIS-distance on its ray.
+
+    Along the ray both coordinate differences to NIS are linear in s, and
+    every built-in kernel is absolutely homogeneous of degree 1, so
+    d(p(s), NIS) = s * d(p(1), NIS) and the partner sits at
+    s = d(a, NIS) / d(p(1), NIS). A row is feasible when that s lies on the
+    valid part of the ray, which ends where nu reaches 0 at s_max. Rows the
+    closed form leaves infeasible or misses by more than `tol` (plugin
+    measures that are not homogeneous, or ray ends at float precision) are
+    solved again by bisection, feasible when d(p(s_max), NIS) reaches the
+    target. Returns coordinate arrays, the achieved distances and the
+    feasibility mask.
+    """
+    target = _nis_distance(measure, a_mu, a_nu)
+    drop = 1.0 - dir_nu
+    s_max = np.where(drop > 0.0, 1.0 / np.maximum(drop, 1e-300), 0.0)
+
+    unit = _nis_distance(measure, dir_mu, dir_nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = target / unit
+    feasible = (unit > 0.0) & (s <= s_max)
+    s = np.where(feasible, s, 0.0)
+    b_mu, b_nu = _clean_ray_point(s, dir_mu, dir_nu)
+    d_nis_b = _nis_distance(measure, b_mu, b_nu)
+
+    retry = np.flatnonzero(~feasible | (np.abs(target - d_nis_b) > tol))
+    end_mu, end_nu = _ray_point(s_max[retry], dir_mu[retry], dir_nu[retry])
+    reach = _nis_distance(measure, end_mu, end_nu) >= target[retry]
+    feasible[retry] = reach
+    rows = retry[reach]
+    s_rows = _bisect(measure, dir_mu[rows], dir_nu[rows], target[rows], s_max[rows])
+    b_mu[rows], b_nu[rows] = _clean_ray_point(s_rows, dir_mu[rows], dir_nu[rows])
+    d_nis_b[rows] = _nis_distance(measure, b_mu[rows], b_nu[rows])
 
     return {
         "a_mu": a_mu, "a_nu": a_nu,
@@ -221,7 +291,7 @@ def iso_nis_pairs(
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    built = _iso_nis_partners(measure, rng, count)
+    built = _iso_nis_partners(measure, *_draw_attempts(rng, count), tol)
     keep = built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= tol)
     return {key: value[keep] for key, value in built.items() if key != "feasible"}
 
@@ -237,43 +307,51 @@ def audit(
 
     Each budget unit spends one anchor/direction attempt. A counterexample is
     a constructed pair with NIS-distances within `eps` whose PIS-distances
-    differ by more than `delta`. The search stops (logically) at the first
-    10 counterexamples; `samples_used` reports the budget a sequential scan
-    would have consumed. Deterministic for a fixed seed. An empty report is
-    a valid outcome and yields is_robust_on_budget=True.
+    differ by more than `delta`. The budget is scanned in chunks of
+    `SAMPLE_CHUNK` attempts, each drawing its anchors and then its directions,
+    and the scan stops after the chunk that holds the 10th counterexample, so
+    memory is O(chunk) and a measure that fails early costs one chunk.
+    `samples_used` is the 1-based index of the 10th counterexample's attempt,
+    or the whole budget when fewer were found. Deterministic for a fixed seed;
+    budgets up to one chunk draw exactly what a single batch would. An empty
+    report is a valid outcome and yields is_robust_on_budget=True.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if eps <= 0.0 or delta <= 0.0:
-        raise ValueError("eps and delta must be positive")
+    if not (math.isfinite(eps) and eps > 0.0 and math.isfinite(delta) and delta > 0.0):
+        raise ValueError("eps and delta must be positive finite numbers")
     rng = np.random.default_rng(seed)
-    built = _iso_nis_partners(measure, rng, budget)
-
-    ok = built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= eps)
-    zeros = np.zeros(budget)
-    ones = np.ones(budget)
-    d_pis_a = measure.pair_many(built["a_mu"], built["a_nu"], ones, zeros)
-    d_pis_b = measure.pair_many(built["b_mu"], built["b_nu"], ones, zeros)
-    violating = ok & (np.abs(d_pis_a - d_pis_b) > delta)
-
-    hits = np.flatnonzero(violating)
-    if hits.size >= MAX_COUNTEREXAMPLES:
-        samples_used = int(hits[MAX_COUNTEREXAMPLES - 1]) + 1
-        hits = hits[:MAX_COUNTEREXAMPLES]
-    else:
-        samples_used = budget
-
-    counterexamples = tuple(
-        Counterexample(
-            a=IFN(float(built["a_mu"][i]), float(built["a_nu"][i])),
-            b=IFN(float(built["b_mu"][i]), float(built["b_nu"][i])),
-            d_nis_a=float(built["d_nis_a"][i]),
-            d_nis_b=float(built["d_nis_b"][i]),
-            d_pis_a=float(d_pis_a[i]),
-            d_pis_b=float(d_pis_b[i]),
+    counterexamples: list[Counterexample] = []
+    samples_used = budget
+    start = 0
+    while start < budget and len(counterexamples) < MAX_COUNTEREXAMPLES:
+        take = min(SAMPLE_CHUNK, budget - start)
+        built = _iso_nis_partners(measure, *_draw_attempts(rng, take), eps)
+        ok = np.flatnonzero(
+            built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= eps)
         )
-        for i in hits
-    )
+        a_mu, a_nu = built["a_mu"][ok], built["a_nu"][ok]
+        b_mu, b_nu = built["b_mu"][ok], built["b_nu"][ok]
+        ones, zeros = np.ones(ok.size), np.zeros(ok.size)
+        d_pis_a = measure.pair_many(a_mu, a_nu, ones, zeros)
+        d_pis_b = measure.pair_many(b_mu, b_nu, ones, zeros)
+        hits = np.flatnonzero(np.abs(d_pis_a - d_pis_b) > delta)
+        for j in hits[: MAX_COUNTEREXAMPLES - len(counterexamples)]:
+            i = ok[j]
+            counterexamples.append(
+                Counterexample(
+                    a=IFN(float(a_mu[j]), float(a_nu[j])),
+                    b=IFN(float(b_mu[j]), float(b_nu[j])),
+                    d_nis_a=float(built["d_nis_a"][i]),
+                    d_nis_b=float(built["d_nis_b"][i]),
+                    d_pis_a=float(d_pis_a[j]),
+                    d_pis_b=float(d_pis_b[j]),
+                )
+            )
+            if len(counterexamples) == MAX_COUNTEREXAMPLES:
+                samples_used = start + int(i) + 1
+        start += take
+
     return AuditReport(
         measure=measure.name,
         budget=budget,
@@ -281,6 +359,6 @@ def audit(
         delta=delta,
         seed=seed,
         is_robust_on_budget=len(counterexamples) == 0,
-        counterexamples=counterexamples,
+        counterexamples=tuple(counterexamples),
         samples_used=samples_used,
     )

@@ -170,6 +170,14 @@ class TestAuditCommand:
         result = runner.invoke(main, ["audit", "--measure", "euclidean2", "--budget", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_tolerances_must_be_positive_finite(self, runner, flag, value):
+        result = runner.invoke(main, ["audit", "--measure", "euclidean2", "--budget", "100",
+                                      flag, value, "--format", "json"])
+        assert result.exit_code == 2
+        assert "positive finite" in result.output
+
     def test_deterministic_given_seed(self, runner):
         args = ["audit", "--measure", "hausdorff", "--budget", "3000", "--seed", "5",
                 "--format", "json"]

@@ -1,8 +1,11 @@
 """Tests for the built-in distance measures, the registry, and check_axioms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ifhv.distances as distances
 from ifhv import (
     IFS,
     DistanceMeasure,
@@ -232,3 +235,36 @@ class TestCheckAxioms:
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
             check_axioms(hamming, samples=0)
+
+    def test_chunks_keep_verdicts_and_witness_cap(self, monkeypatch):
+        squared = DistanceMeasure(
+            "squared-chunk-test", MeasureKind.NONLINEAR, None,
+            lambda a, b: hamming(a, b) ** 2,
+        )
+        one_sided = DistanceMeasure(
+            "one-sided-chunk-test", MeasureKind.NONLINEAR, None,
+            lambda a, b: float(np.mean(a.mu_values())),
+        )
+        single = check_axioms(squared, samples=3000, seed=23)
+        small = check_axioms(one_sided, samples=64, seed=24)
+        monkeypatch.setattr(distances, "SAMPLE_CHUNK", 64)
+        chunked = check_axioms(squared, samples=3000, seed=23)
+        assert (chunked.symmetry_ok, chunked.identity_ok, chunked.triangle_ok) == (
+            single.symmetry_ok, single.identity_ok, single.triangle_ok
+        )
+        assert not chunked.triangle_ok
+        assert len(chunked.witnesses) == 10
+        # one chunk draws exactly what a single batch of its size would
+        assert small.witnesses
+        assert check_axioms(one_sided, samples=64, seed=24) == small
+
+    def test_memory_is_flat_in_samples(self):
+        check_axioms(hausdorff, samples=1_000)
+        tracemalloc.start()
+        try:
+            report = check_axioms(hausdorff, samples=300_000, seed=25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_ok
+        assert peak < 8 * 2**20

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ifhv.hypervolume as hypervolume
 from ifhv import (
     IFS,
     DomainError,
@@ -128,6 +129,14 @@ class TestMcOracle:
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
             mc_oracle([(1.0, 1.0)], (0, 0), samples=0)
+
+    @pytest.mark.parametrize("cap", (1, 50, 1001))
+    def test_chunk_cap_keeps_the_sample_stream(self, monkeypatch, cap):
+        rng = np.random.default_rng(4)
+        points = [tuple(p) for p in rng.random((9, 3))]
+        expected = mc_oracle(points, (0, 0, 0), samples=3001, seed=5)
+        monkeypatch.setattr(hypervolume, "MC_CHUNK_ELEMENTS", cap)
+        assert mc_oracle(points, (0, 0, 0), samples=3001, seed=5) == expected
 
 
 class TestHVConfig:

@@ -1,13 +1,17 @@
 """Tests for reference-point ranking, the robustness check, and the auditor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ifhv.robustness as robustness
 from ifhv import (
     IFS,
+    DistanceMeasure,
     DomainError,
+    MeasureKind,
     MismatchError,
     ReferenceKind,
     audit,
@@ -19,6 +23,7 @@ from ifhv import (
     rank_by_reference,
     robustness_check,
 )
+from ifhv.distances import SAMPLE_CHUNK, sample_simplex
 
 
 @pytest.fixture
@@ -128,6 +133,13 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit(euclidean2, budget=10, delta=-1.0)
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_tolerances_rejected(self, bad):
+        with pytest.raises(ValueError):
+            audit(euclidean2, budget=100, eps=bad)
+        with pytest.raises(ValueError):
+            audit(euclidean2, budget=100, delta=bad)
+
     def test_counterexamples_stay_in_valid_region(self):
         report = audit(hausdorff, budget=5000, seed=11)
         for c in report.counterexamples:
@@ -159,3 +171,176 @@ class TestIsoNisPairs:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             iso_nis_pairs(hamming, count=0)
+
+
+def _reference_partners(measure, a_mu, a_nu, dir_mu, dir_nu):
+    """Partners by a plain 100-step bisection on every ray, with no closed form."""
+    zeros, ones = np.zeros(a_mu.size), np.ones(a_mu.size)
+
+    def nis(s):
+        return measure.pair_many(s * dir_mu, 1.0 + s * (dir_nu - 1.0), zeros, ones)
+
+    target = measure.pair_many(a_mu, a_nu, zeros, ones)
+    drop = 1.0 - dir_nu
+    s_max = np.where(drop > 0.0, 1.0 / np.maximum(drop, 1e-300), 0.0)
+    feasible = nis(s_max) >= target
+    lo, hi = np.zeros(a_mu.size), np.where(feasible, s_max, 0.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = nis(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    s = 0.5 * (lo + hi)
+    b_mu = np.clip(s * dir_mu, 0.0, 1.0)
+    b_nu = np.clip(1.0 + s * (dir_nu - 1.0), 0.0, 1.0)
+    b_nu = np.where(b_mu + b_nu > 1.0, 1.0 - b_mu, b_nu)
+    return target, b_mu, b_nu, measure.pair_many(b_mu, b_nu, zeros, ones), feasible
+
+
+def _reference_violations(measure, budget, seed, chunk, eps=1e-9, delta=1e-3):
+    """The audit scan with reference partners and no early stop: every
+    (attempt index, a, b) that violates, drawing anchors and then directions
+    per chunk of `chunk` attempts."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for start in range(0, budget, chunk):
+        count = min(chunk, budget - start)
+        a_mu, a_nu = sample_simplex(rng, count)
+        dir_mu, dir_nu = sample_simplex(rng, count)
+        target, b_mu, b_nu, d_nis_b, feasible = _reference_partners(
+            measure, a_mu, a_nu, dir_mu, dir_nu
+        )
+        ones, zeros = np.ones(count), np.zeros(count)
+        gap = (measure.pair_many(a_mu, a_nu, ones, zeros)
+               - measure.pair_many(b_mu, b_nu, ones, zeros))
+        ok = feasible & (np.abs(target - d_nis_b) <= eps)
+        for i in np.flatnonzero(ok & (np.abs(gap) > delta)):
+            found.append((start + int(i), (a_mu[i], a_nu[i]), (b_mu[i], b_nu[i])))
+    return found
+
+
+def _squared_euclidean(a, b):
+    return sum((x.mu - y.mu) ** 2 + (x.nu - y.nu) ** 2 for x, y in zip(a, b)) / (2 * len(a))
+
+
+def _counting_sample_simplex(monkeypatch):
+    drawn = []
+
+    def counting(rng, shape):
+        out = sample_simplex(rng, shape)
+        drawn.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(robustness, "sample_simplex", counting)
+    return drawn
+
+
+class TestClosedFormScan:
+    @pytest.mark.parametrize("measure", (euclidean2, euclidean3, hausdorff), ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed,budget", ((0, 10_000), (3, 2_000), (4, SAMPLE_CHUNK)))
+    def test_matches_bisection_reference(self, measure, seed, budget):
+        report = audit(measure, budget=budget, seed=seed)
+        expected = _reference_violations(measure, budget, seed, chunk=budget)[:10]
+        assert len(report.counterexamples) == len(expected) == 10
+        assert report.samples_used == expected[-1][0] + 1
+        for c, (_, a, b) in zip(report.counterexamples, expected):
+            assert np.allclose((c.a.mu, c.a.nu), a, rtol=0.0, atol=1e-15)
+            assert np.allclose((c.b.mu, c.b.nu), b, rtol=0.0, atol=1e-15)
+            assert c.verify(measure, eps=1e-9, delta=1e-3)
+
+    def test_samples_used_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(robustness, "SAMPLE_CHUNK", 7)
+        drawn = _counting_sample_simplex(monkeypatch)
+        report = audit(euclidean2, budget=300, seed=2)
+        expected = _reference_violations(euclidean2, 300, seed=2, chunk=7)
+        assert report.samples_used == expected[9][0] + 1
+        # the scan stopped after the chunk holding the 10th witness
+        evaluated = sum(drawn) // 2
+        assert report.samples_used <= evaluated < report.samples_used + 7
+        anchors = [(c.a.mu, c.a.nu) for c in report.counterexamples]
+        assert anchors == [(float(a[0]), float(a[1])) for _, a, _ in expected[:10]]
+
+    def test_early_stop_evaluates_one_chunk(self, monkeypatch):
+        drawn = _counting_sample_simplex(monkeypatch)
+        report = audit(euclidean2, budget=200_000, seed=1)
+        assert report.samples_used <= SAMPLE_CHUNK
+        assert drawn == [SAMPLE_CHUNK, SAMPLE_CHUNK]
+
+    def test_robust_measure_scans_the_whole_budget(self, monkeypatch):
+        drawn = _counting_sample_simplex(monkeypatch)
+        report = audit(hamming, budget=3 * SAMPLE_CHUNK + 5, delta=1e-6, seed=3)
+        assert report.is_robust_on_budget
+        assert report.samples_used == report.budget
+        assert sum(drawn) == 2 * report.budget
+
+    def test_non_homogeneous_plugin_uses_the_fallback(self, monkeypatch):
+        bisected, calls = [], []
+
+        def spy(measure, dir_mu, dir_nu, target, hi):
+            bisected.append(target.size)
+            return bisect(measure, dir_mu, dir_nu, target, hi)
+
+        def counted(a, b):
+            calls.append(1)
+            return _squared_euclidean(a, b)
+
+        bisect = robustness._bisect
+        monkeypatch.setattr(robustness, "_bisect", spy)
+        squared = DistanceMeasure("squared-euclidean-test", MeasureKind.NONLINEAR, None, counted)
+        report = audit(squared, budget=300, seed=5)
+        assert sum(bisected) > 0
+        # bisection stops at each row's float fixpoint, well before 100 steps
+        assert len(calls) < 6 * 300 + 64 * sum(bisected)
+        assert len(report.counterexamples) == 10
+        for c in report.counterexamples:
+            assert c.verify(squared, eps=1e-9, delta=1e-3)
+
+    def test_fallback_solves_rows_the_closed_form_calls_infeasible(self):
+        # squared Euclidean from anchor (0, 0) along the ray through (0.1, 0.8):
+        # the closed form asks for s = 20 beyond the ray end s_max = 5, but the
+        # distance grows with s^2 and reaches the target at s = sqrt(20)
+        squared = DistanceMeasure("squared-euclidean-ray-test", MeasureKind.NONLINEAR, None,
+                                  _squared_euclidean)
+        one = np.array([0.1]), np.array([0.8])
+        built = robustness._iso_nis_partners(squared, np.zeros(1), np.zeros(1), *one, 1e-12)
+        assert built["feasible"][0]
+        assert built["b_mu"][0] == pytest.approx(0.1 * math.sqrt(20), abs=1e-12)
+        assert abs(built["d_nis_b"][0] - 0.5) <= 1e-12
+
+    def test_non_homogeneous_plugin_keeps_every_reference_pair(self):
+        squared = DistanceMeasure("squared-euclidean-pairs-test", MeasureKind.NONLINEAR, None,
+                                  _squared_euclidean)
+        built = iso_nis_pairs(squared, count=400, seed=14, tol=1e-12)
+        rng = np.random.default_rng(14)
+        draws = (*sample_simplex(rng, 400), *sample_simplex(rng, 400))
+        target, b_mu, b_nu, d_nis_b, feasible = _reference_partners(squared, *draws)
+        keep = feasible & (np.abs(target - d_nis_b) <= 1e-12)
+        assert np.array_equal(built["a_mu"], draws[0][keep])
+        assert np.allclose(built["b_mu"], b_mu[keep], rtol=0.0, atol=1e-15)
+        assert np.allclose(built["b_nu"], b_nu[keep], rtol=0.0, atol=1e-15)
+
+    def test_homogeneous_plugin_skips_bisection(self):
+        calls = []
+
+        def plain_euclidean2(a, b):
+            calls.append(1)
+            return euclidean2(a, b)
+
+        plugin = DistanceMeasure("plain-euclidean2-test", MeasureKind.NONLINEAR, None,
+                                 plain_euclidean2)
+        report = audit(plugin, budget=500, seed=6)
+        builtin = audit(euclidean2, budget=500, seed=6)
+        assert report.counterexamples == builtin.counterexamples
+        # target, unit, partner and the two PIS distances, plus ray ends of
+        # infeasible rows: far below the 100 evaluations per row of bisection
+        assert len(calls) < 6 * 500
+
+    def test_memory_is_flat_in_budget(self):
+        audit(hamming, budget=1_000)
+        tracemalloc.start()
+        try:
+            report = audit(hamming, budget=2_000_000, delta=1e-6, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.is_robust_on_budget
+        assert peak < 8 * 2**20
