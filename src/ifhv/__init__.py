@@ -35,13 +35,8 @@ from .hvas import (
     CriterionKind,
     CriterionSpec,
     DecisionProblem,
-    aggregate_evaluations,
-    aggregate_weights,
-    build_weighted_matrix,
-    normalize,
     rank,
     score_details,
-    weight_matrix,
 )
 from .hypervolume import (
     HVConfig,

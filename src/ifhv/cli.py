@@ -39,6 +39,8 @@ def _parse_reference(_ctx, _param, value):
         raise click.BadParameter("expected comma-separated numbers, e.g. '-1,-1'")
     if not coords:
         raise click.BadParameter("reference needs at least one coordinate")
+    if not all(math.isfinite(c) for c in coords):
+        raise click.BadParameter("reference coordinates must be finite")
     return coords
 
 

@@ -21,6 +21,7 @@ of indiscernibles, triangle inequality) on seeded random triples.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,10 +36,9 @@ AXIOM_TOLERANCE = 1e-9
 # robustness audit, so their memory stays flat in the sample count.
 SAMPLE_CHUNK = 2**14
 
-# A batch kernel maps per-element difference arrays (dmu, dnu) to distances,
-# reducing over `axis`; axis=() means elementwise (length-1 sets), axis=-1
-# reduces a trailing element dimension.
-BatchKernel = Callable[[np.ndarray, np.ndarray, object], np.ndarray]
+# A batch kernel maps per-element difference arrays (dmu, dnu) of shape
+# (..., n) to the distances of shape (...), reducing the last axis.
+BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class MeasureKind(enum.Enum):
@@ -51,8 +51,8 @@ class DistanceMeasure:
     """A named distance over equal-length IFS pairs.
 
     Built-in measures carry a vectorized batch kernel; plugin measures wrap a
-    plain (IFS, IFS) -> float callable and fall back to per-pair evaluation
-    in the batch entry points.
+    plain (IFS, IFS) -> float callable, which `evaluate_many` calls once per
+    pair.
     """
 
     name: str
@@ -73,67 +73,54 @@ class DistanceMeasure:
             raise MismatchError(
                 f"{self.name}: IFS lengths differ ({len(a)} vs {len(b)})"
             )
-        if self._kernel is not None:
-            dmu = a.mu_values() - b.mu_values()
-            dnu = a.nu_values() - b.nu_values()
-            return float(self._kernel(dmu, dnu, -1))
-        return float(self._func(a, b))
+        return float(
+            self.evaluate_many(a.mu_values(), a.nu_values(), b.mu_values(), b.nu_values())
+        )
 
-    def pair_many(
-        self,
-        a_mu: np.ndarray,
-        a_nu: np.ndarray,
-        b_mu: np.ndarray,
-        b_nu: np.ndarray,
-    ) -> np.ndarray:
-        """Distances between corresponding single-element sets, vectorized."""
+    def pair_many(self, a_mu, a_nu, b_mu, b_nu) -> np.ndarray:
+        """Distances between corresponding single-element sets: `evaluate_many`
+        on a trailing element axis of length 1."""
+        return self.evaluate_many(
+            *(np.asarray(x, float)[..., None] for x in (a_mu, a_nu, b_mu, b_nu))
+        )
+
+    def evaluate_many(self, a_mu, a_nu, b_mu, b_nu) -> np.ndarray:
+        """Distances between IFS pairs given as (..., n) arrays.
+
+        The last axis holds the n elements of a set; the other axes
+        broadcast, and the result has their broadcast shape.
+        """
         a_mu, a_nu = np.asarray(a_mu, float), np.asarray(a_nu, float)
         b_mu, b_nu = np.asarray(b_mu, float), np.asarray(b_nu, float)
         if self._kernel is not None:
-            return np.asarray(self._kernel(a_mu - b_mu, a_nu - b_nu, ()))
-        flat = [
-            self._func(IFS.from_pairs([(am, an)]), IFS.from_pairs([(bm, bn)]))
-            for am, an, bm, bn in zip(a_mu.ravel(), a_nu.ravel(), b_mu.ravel(), b_nu.ravel())
-        ]
-        return np.array(flat, float).reshape(a_mu.shape)
-
-    def evaluate_many(
-        self,
-        a_mu: np.ndarray,
-        a_nu: np.ndarray,
-        b_mu: np.ndarray,
-        b_nu: np.ndarray,
-    ) -> np.ndarray:
-        """Distances between row-wise IFS pairs given as (k, n) arrays."""
-        a_mu, a_nu = np.asarray(a_mu, float), np.asarray(a_nu, float)
-        b_mu, b_nu = np.asarray(b_mu, float), np.asarray(b_nu, float)
-        if self._kernel is not None:
-            return np.asarray(self._kernel(a_mu - b_mu, a_nu - b_nu, -1))
+            return np.asarray(self._kernel(a_mu - b_mu, a_nu - b_nu))
+        shape = np.broadcast_shapes(a_mu.shape, a_nu.shape, b_mu.shape, b_nu.shape)
+        rows = (
+            np.broadcast_to(x, shape).reshape(math.prod(shape[:-1]), shape[-1]).tolist()
+            for x in (a_mu, a_nu, b_mu, b_nu)
+        )
         out = [
-            self._func(
-                IFS.from_pairs(zip(a_mu[i], a_nu[i])),
-                IFS.from_pairs(zip(b_mu[i], b_nu[i])),
-            )
-            for i in range(a_mu.shape[0])
+            self._func(IFS.from_pairs(zip(am, an)), IFS.from_pairs(zip(bm, bn)))
+            for am, an, bm, bn in zip(*rows)
         ]
-        return np.array(out, float)
+        return np.array(out, float).reshape(shape[:-1])
 
 
-def _hamming_kernel(dmu: np.ndarray, dnu: np.ndarray, axis) -> np.ndarray:
-    return np.mean(0.5 * (np.abs(dmu) + np.abs(dnu)), axis=axis)
+def _hamming_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
+    return np.mean(0.5 * (np.abs(dmu) + np.abs(dnu)), axis=-1)
 
 
-def _euclidean2_kernel(dmu: np.ndarray, dnu: np.ndarray, axis) -> np.ndarray:
-    return np.sqrt(np.mean(0.5 * (dmu * dmu + dnu * dnu), axis=axis))
+def _euclidean2_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(0.5 * (dmu * dmu + dnu * dnu), axis=-1))
 
 
-def _euclidean3_kernel(dmu: np.ndarray, dnu: np.ndarray, axis) -> np.ndarray:
+def _euclidean3_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
     dpi = -(dmu + dnu)  # hesitancy difference is determined by the other two
-    return np.sqrt(np.mean(0.5 * (dmu * dmu + dnu * dnu + dpi * dpi), axis=axis))
+    return np.sqrt(np.mean(0.5 * (dmu * dmu + dnu * dnu + dpi * dpi), axis=-1))
 
 
-def _hausdorff_kernel(dmu: np.ndarray, dnu: np.ndarray, axis) -> np.ndarray:
-    return np.mean(np.maximum(np.abs(dmu), np.abs(dnu)), axis=axis)
+def _hausdorff_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
+    return np.mean(np.maximum(np.abs(dmu), np.abs(dnu)), axis=-1)
 
 
 hamming = DistanceMeasure("hamming", MeasureKind.LINEAR, _hamming_kernel)

@@ -18,12 +18,11 @@ axis of 2 holds (mu, nu). The pipeline:
        spaces, and rank descending.
 
 Steps 1, 2 and 4 apply IFN's simplex clamp to whole arrays. Steps 1-4 run
-once per problem: `DecisionProblem.weighted` keeps the resulting (m, n) mu
-and nu arrays, and HVAS here and the comparators in `ifhv.mcdm` all read
-them, so one command builds the weighted matrix once whatever methods it
-runs. The IFN-typed functions (`aggregate_evaluations`, `aggregate_weights`,
-`normalize`, `weight_matrix`, `build_weighted_matrix`) convert at the
-boundary and call the same array code.
+once per problem: `DecisionProblem.weighted` is the weighted matrix, a pair
+of read-only (m, n) mu and nu arrays with one row per criterion. HVAS here
+and the comparators in `ifhv.mcdm` all read it, so a command builds it once
+whatever methods it runs. IFN and IFS appear only at the API boundary: the
+nested-IFN constructor and the `evaluations` and `importance` views.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, MismatchError
 from .hypervolume import HVConfig, HVNetResult
-from .ifs import IFN, IFS, clamp_to_simplex
+from .ifs import IFN, clamp_to_simplex
 from .ranking import RankingResult, build_ranking
 
 
@@ -218,11 +217,6 @@ class DecisionProblem:
         )
 
 
-Matrix = list[list[IFN]]  # criteria rows x alternative columns
-
-
-# -- the array core ----------------------------------------------------------
-
 def _aggregate(pairs: np.ndarray, problem: DecisionProblem) -> tuple[np.ndarray, np.ndarray]:
     """Expertise-weighted mean over the DM axis of (q, m, ..., 2) pairs.
 
@@ -268,67 +262,6 @@ def _hv_spaces(problem: DecisionProblem, cfg: HVConfig):
     hv_nu = np.prod(nu - reference, axis=0)
     hv_pi = np.prod((1.0 - mu - nu) - reference, axis=0)
     return hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi
-
-
-# -- IFN-typed views ------------------------------------------------------------
-
-def matrix_arrays(matrix: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, n) mu and nu arrays of an IFN matrix."""
-    return (
-        np.array([[value.mu for value in row] for row in matrix], dtype=float),
-        np.array([[value.nu for value in row] for row in matrix], dtype=float),
-    )
-
-
-def _as_matrix(mu: np.ndarray, nu: np.ndarray) -> Matrix:
-    return [
-        [IFN(a, b) for a, b in zip(row_mu, row_nu)]
-        for row_mu, row_nu in zip(mu.tolist(), nu.tolist())
-    ]
-
-
-def aggregate_evaluations(problem: DecisionProblem) -> Matrix:
-    """Expertise-weighted aggregation of DM evaluations, per (criterion, alternative)."""
-    return _as_matrix(*_aggregate(problem.evaluation_array, problem))
-
-
-def aggregate_weights(problem: DecisionProblem) -> list[IFN]:
-    """Expertise-weighted aggregation of criterion importance, per criterion."""
-    mu, nu = _aggregate(problem.importance_array, problem)
-    return [IFN(a, b) for a, b in zip(mu.tolist(), nu.tolist())]
-
-
-def normalize(matrix: Matrix, criteria: Sequence[CriterionSpec]) -> Matrix:
-    """Swap mu and nu on cost-criterion rows; benefit rows pass through."""
-    if len(matrix) != len(criteria):
-        raise MismatchError(
-            f"matrix has {len(matrix)} rows but there are {len(criteria)} criteria"
-        )
-    return _as_matrix(*_normalize(*matrix_arrays(matrix), criteria))
-
-
-def weight_matrix(matrix: Matrix, weights: Sequence[IFN]) -> Matrix:
-    """Multiply each row by its criterion's aggregated importance value."""
-    if len(matrix) != len(weights):
-        raise MismatchError(
-            f"matrix has {len(matrix)} rows but {len(weights)} weights were given"
-        )
-    w_mu = np.array([w.mu for w in weights], dtype=float)
-    w_nu = np.array([w.nu for w in weights], dtype=float)
-    return _as_matrix(*_weight(*matrix_arrays(matrix), w_mu, w_nu))
-
-
-def build_weighted_matrix(problem: DecisionProblem) -> Matrix:
-    """Aggregate, normalize, and weight: the shared front half of every method."""
-    return _as_matrix(*problem.weighted)
-
-
-def alternative_profiles(matrix: Matrix, problem: DecisionProblem) -> list[IFS]:
-    """Column view of a weighted matrix: one IFS of m values per alternative."""
-    return [
-        IFS(tuple(matrix[j][i] for j in range(problem.n_criteria)))
-        for i in range(problem.n_alternatives)
-    ]
 
 
 def score_details(

@@ -65,16 +65,14 @@ def hv_point(p: Point, r: Point) -> float:
 
 
 def _pareto_max(v: np.ndarray) -> np.ndarray:
-    """Drop rows dominated by another row (componentwise <=, duplicates deduped)."""
-    k = v.shape[0]
-    if k <= 1:
+    """Drop rows dominated by another row (componentwise <=), and repeats of an
+    equal row after its first occurrence."""
+    if v.shape[0] <= 1:
         return v
     ge = np.all(v[:, None, :] <= v[None, :, :], axis=-1)  # ge[i, j]: row j >= row i
-    gt = np.any(v[:, None, :] < v[None, :, :], axis=-1)   # gt[i, j]: row j > row i somewhere
-    strictly_dominated = np.any(ge & gt, axis=1)
     equal = ge & ge.T
-    duplicate = np.array([bool(np.any(equal[i, :i])) for i in range(k)])
-    return v[~(strictly_dominated | duplicate)]
+    drop = (ge & ~equal).any(axis=1) | np.tril(equal, -1).any(axis=1)
+    return v[~drop]
 
 
 def _union_volume(v: np.ndarray) -> float:

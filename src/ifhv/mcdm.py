@@ -22,9 +22,10 @@ profile PS and negative solution profile NS:
             ranked by H_i = sum_k h_ik descending.
 
 Each core works on whole arrays: distances go through the measures' batch
-entry points (`evaluate_many`, `pair_many`), so plugin measures keep their
-per-pair fallback. CODAS sums its pairwise assessments over blocks of rows
-of at most `CODAS_BLOCK` elements, so memory stays O(n), not O(n^2).
+entry point `evaluate_many`, which broadcasts the solution profiles against
+the alternatives and calls a plugin measure once per pair. CODAS sums its
+pairwise assessments over blocks of rows of at most `CODAS_BLOCK` elements,
+so memory stays O(n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ import numpy as np
 
 from .distances import DistanceMeasure, euclidean2, hamming
 from .errors import DegenerateError, DomainError
-from .hvas import (  # noqa: F401  build_weighted_matrix: the one pipeline, re-exported
-    DecisionProblem,
-    Matrix,
-    build_weighted_matrix,
-    matrix_arrays,
-    rank as hvas_rank,
-)
-from .ifs import IFS
+from .hvas import DecisionProblem, rank as hvas_rank
 from .ranking import RankingResult, build_ranking
 
 DEFAULT_TAU = 0.02
@@ -102,15 +96,6 @@ def _extremes(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first_max(score, accuracy), first_max(-score, -accuracy)
 
 
-def column_extremes(matrix: Matrix) -> tuple[IFS, IFS]:
-    """Per-criterion best and worst values over the candidate set."""
-    best, worst = _extremes(*matrix_arrays(matrix))
-    return (
-        IFS(tuple(row[i] for row, i in zip(matrix, best.tolist()))),
-        IFS(tuple(row[i] for row, i in zip(matrix, worst.tolist()))),
-    )
-
-
 @dataclass(frozen=True)
 class _Prepared:
     """The weighted matrix in both layouts, with its solution profiles."""
@@ -125,10 +110,7 @@ class _Prepared:
 
     def distances(self, measure: DistanceMeasure, solution) -> np.ndarray:
         """measure(A_i, solution) for every alternative profile A_i."""
-        shape = self.profiles[0].shape
-        return measure.evaluate_many(
-            *self.profiles, *(np.broadcast_to(part, shape) for part in solution)
-        )
+        return measure.evaluate_many(*self.profiles, *solution)
 
 
 def _prepared(problem: DecisionProblem) -> _Prepared:
@@ -177,12 +159,9 @@ def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
     prepared = _prepared(problem)
     measure = cfg.measure_primary
     spans = measure.pair_many(*prepared.ps, *prepared.ns)[:, None]
-    shape = prepared.mu.shape
-    to_ps = measure.pair_many(
-        prepared.mu, prepared.nu, *(np.broadcast_to(part[:, None], shape) for part in prepared.ps)
-    )
+    to_ps = measure.pair_many(prepared.mu, prepared.nu, *(part[:, None] for part in prepared.ps))
     # a criterion with a zero span cannot discriminate; its gaps are 0
-    gaps = np.divide(to_ps, spans, out=np.zeros(shape), where=spans != 0.0)
+    gaps = np.divide(to_ps, spans, out=np.zeros(to_ps.shape), where=spans != 0.0)
     utilities = gaps.sum(axis=0)  # criterion by criterion, in order
     regrets = gaps.max(axis=0)
 

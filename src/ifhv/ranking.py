@@ -35,13 +35,7 @@ class RankingResult:
 
     def ranks(self) -> dict[str, int]:
         """1-based rank per alternative; tied alternatives share a rank."""
-        out: dict[str, int] = {}
-        position = 1
-        for group in self.order:
-            for label in group:
-                out[label] = position
-            position += len(group)
-        return out
+        return ranks_from_order(self.order)
 
     def to_dict(self) -> dict:
         return {
@@ -52,6 +46,20 @@ class RankingResult:
             "higher_is_better": self.higher_is_better,
             "config": dict(self.config_echo),
         }
+
+
+def ranks_from_order(order: Sequence[Sequence[str]]) -> dict[str, int]:
+    """1-based rank per label of tie groups listed best first.
+
+    Tied labels share a rank, and the next group's rank skips past them.
+    """
+    out: dict[str, int] = {}
+    position = 1
+    for group in order:
+        for label in group:
+            out[label] = position
+        position += len(group)
+    return out
 
 
 def build_ranking(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from .errors import DomainError
+from .ranking import ranks_from_order
 
 FORMATS = ("md", "json", "csv")
 
@@ -51,12 +52,7 @@ def _render_rank_md(machine: dict) -> str:
     if components:
         headers += ["hv_mu", "hv_nu", "hv_pi"]
     headers.append("score")
-    ranks = {}
-    position = 1
-    for group in result["order"]:
-        for label in group:
-            ranks[label] = position
-        position += len(group)
+    ranks = ranks_from_order(result["order"])
     rows = []
     for label in machine["alternatives"]:
         row = [label, str(ranks[label])]
@@ -187,12 +183,7 @@ def _render_csv(report: Report) -> str:
     machine = report.machine
     if report.kind == "rank":
         result = machine["result"]
-        ranks = {}
-        position = 1
-        for group in result["order"]:
-            for label in group:
-                ranks[label] = position
-            position += len(group)
+        ranks = ranks_from_order(result["order"])
         rows = [
             [label, ranks[label], repr(result["scores"][label])]
             for label in machine["alternatives"]
@@ -202,12 +193,7 @@ def _render_csv(report: Report) -> str:
         rows = []
         for name in machine["methods"]:
             result = machine["results"][name]
-            ranks = {}
-            position = 1
-            for group in result["order"]:
-                for label in group:
-                    ranks[label] = position
-                position += len(group)
+            ranks = ranks_from_order(result["order"])
             for alt in machine["alternatives"]:
                 rows.append([name, alt, ranks[alt], repr(result["scores"][alt])])
         return _csv_text(["method", "alternative", "rank", "score"], rows)

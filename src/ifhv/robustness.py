@@ -199,7 +199,7 @@ def _clean_ray_point(
 
 
 def _nis_distance(measure: DistanceMeasure, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    return measure.pair_many(mu, nu, np.zeros(mu.size), np.ones(mu.size))
+    return measure.pair_many(mu, nu, 0.0, 1.0)
 
 
 def _bisect(
@@ -332,9 +332,8 @@ def audit(
         )
         a_mu, a_nu = built["a_mu"][ok], built["a_nu"][ok]
         b_mu, b_nu = built["b_mu"][ok], built["b_nu"][ok]
-        ones, zeros = np.ones(ok.size), np.zeros(ok.size)
-        d_pis_a = measure.pair_many(a_mu, a_nu, ones, zeros)
-        d_pis_b = measure.pair_many(b_mu, b_nu, ones, zeros)
+        d_pis_a = measure.pair_many(a_mu, a_nu, 1.0, 0.0)
+        d_pis_b = measure.pair_many(b_mu, b_nu, 1.0, 0.0)
         hits = np.flatnonzero(np.abs(d_pis_a - d_pis_b) > delta)
         for j in hits[: MAX_COUNTEREXAMPLES - len(counterexamples)]:
             i = ok[j]

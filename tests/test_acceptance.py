@@ -14,7 +14,6 @@ from ifhv import (
     IFS,
     HVConfig,
     audit,
-    build_weighted_matrix,
     check_axioms,
     euclidean2,
     euclidean3,
@@ -32,7 +31,6 @@ from ifhv import (
     ReferenceKind,
 )
 from ifhv.distances import sample_simplex
-from ifhv.hvas import alternative_profiles
 from gen import (
     problem_with_dominated_pair,
     random_ifn,
@@ -179,11 +177,12 @@ def test_criterion_6_property_suites():
     # keeps the property non-vacuous in every problem)
     for _ in range(10_000):
         problem, better, worse = problem_with_dominated_pair(rng)
-        matrix = build_weighted_matrix(problem)
-        profiles = dict(zip(problem.alternatives, alternative_profiles(matrix, problem)))
+        mu, nu = problem.weighted
+        b_col, w_col = (
+            IFS.from_pairs(zip(mu[:, i], nu[:, i]))
+            for i in map(problem.alternatives.index, (better, worse))
+        )
         jm = range(problem.n_criteria)
-        b_col = profiles[better]
-        w_col = profiles[worse]
         assert all(b_col[j].mu >= w_col[j].mu and b_col[j].nu <= w_col[j].nu for j in jm)
         assert hv_net(b_col).hv_net >= hv_net(w_col).hv_net - 1e-12
 

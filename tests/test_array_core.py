@@ -22,27 +22,22 @@ from ifhv import (
     DecisionProblem,
     DegenerateError,
     HVConfig,
-    aggregate_evaluations,
-    aggregate_weights,
     available_measures,
     build_ranking,
-    build_weighted_matrix,
     codas,
     euclidean3,
     hausdorff,
     hv_net,
     ifa_aggregate,
     multiply,
-    normalize,
     parse_problem,
     register_function,
     run_methods,
     score_details,
     select_extremes,
-    weight_matrix,
 )
 from ifhv.fixtures import table1_path
-from ifhv.mcdm import column_extremes
+from ifhv.mcdm import _extremes
 from gen import random_problem
 
 METHODS = ("hvas", "topsis", "vikor", "codas")
@@ -209,19 +204,17 @@ class TestAgainstReferenceChain:
             cfg = CompareConfig(measure_primary=measure, measure_secondary=measure)
             assert_matches(problem, cfg, HVConfig())
 
-    def test_weighted_matrix_views(self):
+    def test_weighted_matrix_and_extremes(self):
         rng = np.random.default_rng(2026)
         problems = [parse_problem(table1_path())] + [random_problem(rng) for _ in range(50)]
         for problem in problems:
             expected = reference_matrix(problem)
-            assert build_weighted_matrix(problem) == expected
-            aggregated = aggregate_evaluations(problem)
-            weights = aggregate_weights(problem)
-            assert weight_matrix(normalize(aggregated, problem.criteria), weights) == expected
-            assert column_extremes(expected) == (
-                IFS(tuple(select_extremes(row)[0] for row in expected)),
-                IFS(tuple(select_extremes(row)[1] for row in expected)),
-            )
+            mu, nu = problem.weighted
+            assert mu.tolist() == [[value.mu for value in row] for row in expected]
+            assert nu.tolist() == [[value.nu for value in row] for row in expected]
+            # the first column holding the value `select_extremes` picks
+            for row, *picks in zip(expected, *_extremes(mu, nu)):
+                assert picks == [row.index(value) for value in select_extremes(row)]
 
     def test_score_details_match_hv_net(self):
         rng = np.random.default_rng(2027)
@@ -241,10 +234,11 @@ class TestAgainstReferenceChain:
             IFN(0.375, 0.125), IFN(0.5, 0.25), IFN(0.5, 0.25),
             IFN(0.25, 0.5), IFN(0.125, 0.375), IFN(0.125, 0.375),
         ]
-        best, worst = column_extremes([row])
-        assert best[0] is row[1]
-        assert worst[0] is row[4]
-        assert (best[0], worst[0]) == select_extremes(row)
+        mu = np.array([[value.mu for value in row]])
+        nu = np.array([[value.nu for value in row]])
+        best, worst = _extremes(mu, nu)
+        assert (best.tolist(), worst.tolist()) == ([1], [4])
+        assert (row[1], row[4]) == select_extremes(row)
 
 
 def test_codas_memory_stays_linear():

@@ -55,6 +55,13 @@ class TestRankCommand:
         result = runner.invoke(main, ["rank", table1, "--reference", "1,1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["rank", "compare"])
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf", "-1,nan"])
+    def test_reference_flag_rejects_non_finite(self, runner, table1, command, value):
+        result = runner.invoke(main, [command, table1, f"--reference={value}"])
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
+
     def test_alpha_out_of_range(self, runner, table1):
         result = runner.invoke(main, ["rank", table1, "--alpha", "2.0"])
         assert result.exit_code == 2
@@ -203,6 +210,12 @@ class TestHvCommand:
         result = runner.invoke(main, ["hv", points_file, "--format", "json"])
         machine = json.loads(result.output)
         assert machine["reference"] == [-1.0, -1.0]
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf", "-1,nan"])
+    def test_non_finite_reference_is_usage_error(self, runner, points_file, value):
+        result = runner.invoke(main, ["hv", points_file, f"--reference={value}"])
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
 
     def test_bad_point_line(self, runner, tmp_path):
         path = tmp_path / "points.txt"

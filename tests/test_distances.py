@@ -19,6 +19,7 @@ from ifhv import (
     get_measure,
     hamming,
     hausdorff,
+    register_function,
 )
 from ifhv.distances import register, sample_simplex
 
@@ -33,6 +34,21 @@ def reference_sets():
 
 PIS2 = IFS.positive_ideal(2)
 NIS2 = IFS.negative_ideal(2)
+PLUGIN = "plugin-minkowski3"
+
+
+def minkowski3(a: IFS, b: IFS) -> float:
+    total = 0.0
+    for x, y in zip(a, b):
+        total += abs(x.mu - y.mu) ** 3 + abs(x.nu - y.nu) ** 3
+    return (total / (2 * len(a))) ** (1.0 / 3.0)
+
+
+def plugin() -> DistanceMeasure:
+    """A per-pair plugin measure, registered on first use."""
+    if PLUGIN not in available_measures():
+        register_function(PLUGIN, minkowski3)
+    return get_measure(PLUGIN)
 
 
 class TestHamming:
@@ -135,21 +151,36 @@ class TestCommonBehavior:
             b_p = IFS(tuple(b[int(i)] for i in perm))
             assert measure(a_p, b_p) == pytest.approx(d, abs=1e-12)
 
-    @pytest.mark.parametrize("measure", ALL_BUILTINS, ids=lambda m: m.name)
-    def test_batch_entry_points_match_evaluate(self, measure):
+    @pytest.mark.parametrize("name", [m.name for m in ALL_BUILTINS] + [PLUGIN])
+    def test_batch_entry_points_match_evaluate(self, name):
+        # evaluate, pair_many and evaluate_many are one path: bit-equal on
+        # 1-D, 2-D and 3-D inputs, for kernels and per-pair plugins alike
+        measure = get_measure(name) if name != PLUGIN else plugin()
         rng = np.random.default_rng(13)
-        a_mu, a_nu = sample_simplex(rng, (50, 3))
-        b_mu, b_nu = sample_simplex(rng, (50, 3))
+        a_mu, a_nu = sample_simplex(rng, (5, 10, 3))
+        b_mu, b_nu = sample_simplex(rng, (5, 10, 3))
         batch = measure.evaluate_many(a_mu, a_nu, b_mu, b_nu)
-        for i in range(50):
-            a = IFS.from_pairs(zip(a_mu[i], a_nu[i]))
-            b = IFS.from_pairs(zip(b_mu[i], b_nu[i]))
-            assert batch[i] == measure(a, b)
-        single = measure.pair_many(a_mu[:, 0], a_nu[:, 0], b_mu[:, 0], b_nu[:, 0])
-        for i in range(50):
-            a = IFS.from_pairs([(a_mu[i, 0], a_nu[i, 0])])
-            b = IFS.from_pairs([(b_mu[i, 0], b_nu[i, 0])])
-            assert single[i] == measure(a, b)
+        assert batch.shape == (5, 10)
+        single = measure.pair_many(a_mu[..., 0], a_nu[..., 0], b_mu[..., 0], b_nu[..., 0])
+        assert single.shape == (5, 10)
+        for i in range(5):
+            slab = (a_mu[i], a_nu[i], b_mu[i], b_nu[i])
+            assert np.array_equal(measure.evaluate_many(*slab), batch[i])
+            assert np.array_equal(measure.pair_many(*(x[:, 0] for x in slab)), single[i])
+            for k in range(10):
+                row = tuple(x[k] for x in slab)
+                a = IFS.from_pairs(zip(row[0], row[1]))
+                b = IFS.from_pairs(zip(row[2], row[3]))
+                assert measure.evaluate_many(*row) == batch[i, k] == measure(a, b)
+                assert measure.pair_many(*(x[0] for x in row)) == single[i, k]
+                assert single[i, k] == measure(IFS((a[0],)), IFS((b[0],)))
+        # one set broadcast against many equals its explicit copies
+        solution = (b_mu[0, 0], b_nu[0, 0])
+        explicit = (np.broadcast_to(part, a_mu.shape) for part in solution)
+        assert np.array_equal(
+            measure.evaluate_many(a_mu, a_nu, *solution),
+            measure.evaluate_many(a_mu, a_nu, *explicit),
+        )
 
     def test_kinds(self):
         assert hamming.kind is MeasureKind.LINEAR

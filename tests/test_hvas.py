@@ -1,4 +1,7 @@
-"""Tests for the HVAS pipeline: aggregation, normalization, weighting, ranking."""
+"""Tests for the HVAS pipeline: aggregation, normalization, weighting, ranking.
+
+Steps 1-4 are checked through their one output, `DecisionProblem.weighted`.
+"""
 
 import numpy as np
 import pytest
@@ -11,13 +14,9 @@ from ifhv import (
     DegenerateError,
     DomainError,
     MismatchError,
-    aggregate_evaluations,
-    aggregate_weights,
-    build_weighted_matrix,
-    normalize,
     rank,
-    weight_matrix,
 )
+import ifhv.hvas as hvas_mod
 from gen import random_ifn, random_problem
 
 B = CriterionKind.BENEFIT
@@ -87,11 +86,17 @@ class TestProblemValidation:
             )
 
 
+def weighted_pairs(problem):
+    """The weighted matrix as nested (mu, nu) tuples, one row per criterion."""
+    mu, nu = problem.weighted
+    return [list(zip(row_mu, row_nu)) for row_mu, row_nu in zip(mu.tolist(), nu.tolist())]
+
+
 class TestAggregation:
     def test_single_dm_identity(self, three_set_problem):
-        matrix = aggregate_evaluations(three_set_problem)
-        assert matrix[0][0] == IFN(0.2, 0.4)
-        assert matrix[1][2] == IFN(0.6, 0.3)
+        matrix = weighted_pairs(three_set_problem)
+        assert matrix[0][0] == (0.2, 0.4)
+        assert matrix[1][2] == (0.6, 0.3)
 
     def test_two_dm_average(self):
         problem = DecisionProblem(
@@ -102,9 +107,8 @@ class TestAggregation:
             importance=((IFN(1, 0),), (IFN(1, 0),)),
             expertise=((0.5,), (0.5,)),
         )
-        matrix = aggregate_evaluations(problem)
-        assert matrix[0][0].mu == pytest.approx(0.6)
-        assert matrix[0][0].nu == pytest.approx(0.1)
+        [[value]] = weighted_pairs(problem)
+        assert value == pytest.approx((0.6, 0.1))
 
     def test_zero_expertise_column_names_criterion(self):
         problem = DecisionProblem(
@@ -116,64 +120,79 @@ class TestAggregation:
             expertise=((1.0, 0.0),),
         )
         with pytest.raises(DegenerateError, match="c2"):
-            aggregate_evaluations(problem)
+            problem.weighted
+        # the importance values aggregate under the same expertise weights
         with pytest.raises(DegenerateError, match="c2"):
-            aggregate_weights(problem)
+            hvas_mod._aggregate(problem.importance_array, problem)
 
     def test_weight_aggregation_average(self):
+        # an evaluation of (1, 0) times the weight is the weight itself
         problem = DecisionProblem(
             alternatives=("A1",),
             criteria=(CriterionSpec("c1", B),),
             dms=("dm1", "dm2"),
-            evaluations=(((IFN(0.4, 0.2),),), ((IFN(0.4, 0.2),),)),
+            evaluations=(((IFN(1, 0),),), ((IFN(1, 0),),)),
             importance=((IFN(1, 0),), (IFN(0, 1),)),
             expertise=((0.5,), (0.5,)),
         )
-        weights = aggregate_weights(problem)
-        assert weights[0].mu == pytest.approx(0.5)
-        assert weights[0].nu == pytest.approx(0.5)
+        [[value]] = weighted_pairs(problem)
+        assert value == pytest.approx((0.5, 0.5))
 
 
 class TestNormalize:
     def test_benefit_row_unchanged(self):
-        row = [IFN(0.7, 0.2)]
-        out = normalize([row], [CriterionSpec("c1", B)])
-        assert out[0][0] == IFN(0.7, 0.2)
+        assert weighted_pairs(single_dm_problem([[(0.7, 0.2)]], [B])) == [[(0.7, 0.2)]]
 
     def test_cost_row_swapped(self):
-        out = normalize([[IFN(0.7, 0.2)]], [CriterionSpec("c1", C)])
-        assert out[0][0] == IFN(0.2, 0.7)
+        assert weighted_pairs(single_dm_problem([[(0.7, 0.2)]], [C])) == [[(0.2, 0.7)]]
 
     def test_cost_swap_is_involution(self):
         rng = np.random.default_rng(50)
-        spec = [CriterionSpec("c1", C)]
         for _ in range(200):
-            row = [[random_ifn(rng) for _ in range(3)]]
-            assert normalize(normalize(row, spec), spec) == row
+            row = [random_ifn(rng).as_pair() for _ in range(3)]
+            swapped = weighted_pairs(single_dm_problem([row], [C]))
+            assert weighted_pairs(single_dm_problem(swapped, [C])) == [row]
 
     def test_row_count_check(self):
+        # one evaluation row, two criteria
         with pytest.raises(MismatchError):
-            normalize([[IFN(0.5, 0.2)]], [CriterionSpec("c1", B), CriterionSpec("c2", B)])
+            DecisionProblem(
+                alternatives=("A1",),
+                criteria=(CriterionSpec("c1", B), CriterionSpec("c2", B)),
+                dms=("dm1",),
+                evaluations=(((IFN(0.5, 0.2),),),),
+                importance=((IFN(1, 0), IFN(1, 0)),),
+                expertise=((1.0, 1.0),),
+            )
+        with pytest.raises(MismatchError):
+            DecisionProblem.from_arrays(
+                ("A1",), (CriterionSpec("c1", B), CriterionSpec("c2", B)), ("dm1",),
+                np.full((1, 1, 1, 2), 0.25), np.full((1, 2, 2), 0.25), np.ones((1, 2)),
+            )
 
 
 class TestWeightMatrix:
     def test_identity_weights(self):
-        matrix = [[IFN(0.5, 0.3)], [IFN(0.2, 0.6)]]
-        out = weight_matrix(matrix, [IFN(1, 0), IFN(1, 0)])
-        assert out == matrix
+        rows = [[(0.5, 0.3)], [(0.2, 0.6)]]
+        assert weighted_pairs(single_dm_problem(rows, importance=[(1, 0), (1, 0)])) == rows
 
     def test_absorbing_weights(self):
-        out = weight_matrix([[IFN(0.5, 0.3)]], [IFN(0, 1)])
-        assert out[0][0] == IFN(0, 1)
+        problem = single_dm_problem([[(0.5, 0.3)]], importance=[(0, 1)])
+        assert weighted_pairs(problem) == [[(0.0, 1.0)]]
 
     def test_componentwise_product(self):
-        out = weight_matrix([[IFN(0.5, 0.3)]], [IFN(0.4, 0.2)])
-        assert out[0][0].mu == pytest.approx(0.2)
-        assert out[0][0].nu == pytest.approx(0.44)
+        [[value]] = weighted_pairs(single_dm_problem([[(0.5, 0.3)]], importance=[(0.4, 0.2)]))
+        assert value == pytest.approx((0.2, 0.44))
 
     def test_length_check(self):
+        # one criterion, two importance values
         with pytest.raises(MismatchError):
-            weight_matrix([[IFN(0.5, 0.3)]], [IFN(1, 0), IFN(1, 0)])
+            single_dm_problem([[(0.5, 0.3)]], importance=[(1, 0), (1, 0)])
+        with pytest.raises(MismatchError):
+            DecisionProblem.from_arrays(
+                ("A1",), (CriterionSpec("c1", B),), ("dm1",),
+                np.full((1, 1, 1, 2), 0.25), np.full((1, 2, 2), 0.25), np.ones((1, 1)),
+            )
 
 
 class TestRank:
@@ -294,17 +313,14 @@ class TestPipelineInvariances:
         checked = 0
         for _ in range(300):
             problem = random_problem(rng)
-            matrix = build_weighted_matrix(problem)
+            mu, nu = problem.weighted
             result = rank(problem)
             n = problem.n_alternatives
             for a in range(n):
                 for b in range(n):
                     if a == b:
                         continue
-                    if all(
-                        matrix[j][a].mu >= matrix[j][b].mu and matrix[j][a].nu <= matrix[j][b].nu
-                        for j in range(problem.n_criteria)
-                    ):
+                    if np.all((mu[:, a] >= mu[:, b]) & (nu[:, a] <= nu[:, b])):
                         checked += 1
                         label_a = problem.alternatives[a]
                         label_b = problem.alternatives[b]

@@ -88,6 +88,19 @@ class TestHvSet:
             assert hv_set(points, r) == pytest.approx(
                 hv_inclusion_exclusion(points, r), abs=1e-9
             )
+        # coordinates on a coarse grid: duplicate rows and ties on some axes
+        for _ in range(200):
+            m = int(rng.integers(1, 5))
+            points = [rng.integers(0, 3, m) / 2.0 for _ in range(int(rng.integers(2, 9)))]
+            points += [points[int(i)] for i in rng.integers(0, len(points), 2)]
+            r = np.zeros(m)
+            assert hv_set(points, r) == pytest.approx(
+                hv_inclusion_exclusion(points, r), abs=1e-9
+            )
+
+    def test_pareto_max_keeps_first_of_equal_rows(self):
+        v = np.array([[1.0, 1.0], [0.5, 2.0], [1.0, 1.0], [0.5, 1.0], [0.5, 2.0], [2.0, 0.5]])
+        assert hypervolume._pareto_max(v).tolist() == [[1.0, 1.0], [0.5, 2.0], [2.0, 0.5]]
 
     def test_reference_validation(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import pytest
 
 from ifhv import (
     IFN,
+    IFS,
     CompareConfig,
     CriterionKind,
     CriterionSpec,
@@ -18,12 +19,20 @@ from ifhv import (
     topsis,
     vikor,
 )
-from ifhv.mcdm import column_extremes
+from ifhv.mcdm import _extremes
 import ifhv.hvas as hvas_mod
-import ifhv.mcdm as mcdm_mod
 from gen import random_problem, spread_problem
 
 B = CriterionKind.BENEFIT
+
+
+def solution_profiles(problem):
+    """Positive and negative solution profiles picked by `_extremes`, as IFS."""
+    mu, nu = problem.weighted
+    rows = np.arange(problem.n_criteria)
+    return tuple(
+        IFS.from_pairs(zip(mu[rows, pick], nu[rows, pick])) for pick in _extremes(mu, nu)
+    )
 
 
 def single_dm_problem(rows, alternatives=None):
@@ -90,8 +99,7 @@ class TestConfig:
 
 class TestColumnExtremes:
     def test_profiles_from_candidates(self, dominant_problem):
-        matrix = hvas_mod.build_weighted_matrix(dominant_problem)
-        ps, ns = column_extremes(matrix)
+        ps, ns = solution_profiles(dominant_problem)
         assert tuple(ps) == (IFN(0.8, 0.1), IFN(0.7, 0.2))
         assert tuple(ns) == (IFN(0.2, 0.6), IFN(0.1, 0.7))
 
@@ -177,9 +185,9 @@ class TestCodas:
                 result = codas(problem, CompareConfig(tau=0.0))
             except DegenerateError:
                 continue
-            matrix = hvas_mod.build_weighted_matrix(problem)
-            profiles = hvas_mod.alternative_profiles(matrix, problem)
-            _, ns = column_extremes(matrix)
+            mu, nu = problem.weighted
+            profiles = [IFS.from_pairs(zip(mu[:, i], nu[:, i])) for i in range(mu.shape[1])]
+            _, ns = solution_profiles(problem)
             n = problem.n_alternatives
             primary = [euclidean2(p, ns) for p in profiles]
             for i, label in enumerate(problem.alternatives):
@@ -208,11 +216,6 @@ class TestCodas:
 
 
 class TestSharedPipeline:
-    def test_single_pipeline_implementation(self):
-        # the comparators import the pipeline from the hvas module; they do
-        # not re-implement steps 2-5
-        assert mcdm_mod.build_weighted_matrix is hvas_mod.build_weighted_matrix
-
     def test_weighted_matrix_built_once_per_problem(self, dominant_problem, monkeypatch):
         calls = []
         original = hvas_mod._weight
@@ -224,9 +227,13 @@ class TestSharedPipeline:
         rng = np.random.default_rng(62)
         for _ in range(20):
             problem = random_problem(rng)
-            first = hvas_mod.build_weighted_matrix(problem)
-            second = hvas_mod.build_weighted_matrix(problem)
-            assert first == second
+            first = problem.weighted
+            assert problem.weighted is first
+            second = DecisionProblem.from_arrays(
+                problem.alternatives, problem.criteria, problem.dms,
+                problem.evaluation_array, problem.importance_array, problem.expertise_array,
+            ).weighted
+            assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestRunMethods:
