@@ -16,12 +16,13 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import mcdm as mcdm_mod
 from . import hvas as hvas_mod
 from . import robustness as robustness_mod
 from .distances import available_measures, check_axioms, get_measure
-from .errors import DegenerateError, IfhvError, ParseError
+from .errors import DegenerateError, IfhvError, MismatchError, ParseError, ValidationError
 from .hypervolume import DEFAULT_REFERENCE_COORD, HVConfig, hv_set, mc_oracle
 from .problemfile import parse_problem
 from .report import FORMATS, Report, emit_report
@@ -237,21 +238,46 @@ def audit(measure, budget, eps, delta, seed, fmt, output):
     _run(build, fmt, output)
 
 
-def _parse_points(path: Path) -> list[tuple[float, ...]]:
+def _read_points(
+    path: Path, reference: tuple[float, ...] | None
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The points of a points file as a (k, m) array, and the reference
+    (default -1 per dimension). A bad row is reported as file:line."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    points = []
+    rows, lines = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            points.append(tuple(float(part) for part in stripped.split(",")))
+            row = tuple(float(part) for part in stripped.split(","))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected comma-separated numbers") from None
-    return points
+        if rows and len(row) != len(rows[0]):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
+            )
+        rows.append(row)
+        lines.append(lineno)
+    if not rows:
+        raise ParseError(f"{path}: no points found")
+    points = np.array(rows)
+    ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * len(rows[0])
+    if len(ref) != points.shape[1]:
+        raise MismatchError(
+            f"reference has {len(ref)} coordinates but the points have {points.shape[1]}"
+        )
+    # nan compares false with the reference, so the finiteness check goes first
+    for bad, problem in (
+        (~np.isfinite(points).all(axis=1), "coordinates must be finite"),
+        ((points < ref).any(axis=1), "point does not dominate the reference"),
+    ):
+        if bad.any():
+            raise ValidationError(f"{path}:{lines[int(np.argmax(bad))]}: {problem}")
+    return points, ref
 
 
 @main.command()
@@ -267,11 +293,8 @@ def hv(points_file, reference, samples, seed, fmt, output):
     """Exact hypervolume of the points in POINTS_FILE (one per line, comma-separated)."""
 
     def build() -> Report:
-        points = _parse_points(points_file)
-        if not points:
-            raise ParseError(f"{points_file}: no points found")
-        dimension = len(points[0])
-        ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * dimension
+        points, ref = _read_points(points_file, reference)
+        k, dimension = points.shape
         value = hv_set(points, ref)
         estimate, stderr = mc_oracle(points, ref, samples=samples, seed=seed)
         return Report(
@@ -279,7 +302,7 @@ def hv(points_file, reference, samples, seed, fmt, output):
             machine={
                 "command": "hv",
                 "points_file": str(points_file),
-                "points": len(points),
+                "points": k,
                 "dimension": dimension,
                 "reference": list(ref),
                 "hypervolume": value,

@@ -15,13 +15,19 @@ to hesitancy; alpha = 0 ignores the hesitancy space. The default reference
 puts -1 in every coordinate so a value of 0 contributes a factor of exactly
 1 and every factor lies in [1, 2].
 
-`hv_set` is exact (recursive sweep over the last coordinate); `hv_inclusion_exclusion`
-and `mc_oracle` are independent cross-checks for it.
+`hv_set` is exact: the HV3D dimension sweep, O(k log k) in the number of
+points, in up to 3 dimensions, and above that a slab sweep over the last
+coordinate that recurses down to HV3D. `hv_inclusion_exclusion` and
+`mc_oracle` are independent cross-checks for it. `mc_oracle` tests samples
+against blocks of points, largest boxes first, and retires each sample at
+its first hit; its memory is bounded by `MC_CHUNK_ELEMENTS` whatever the
+point or sample count.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,9 +39,18 @@ from .ifs import IFS
 DEFAULT_REFERENCE_COORD = -1.0
 DEFAULT_TIE_TOLERANCE = 1e-9
 
-# Element cap on mc_oracle's (chunk, k, m) comparison: chunks hold
-# max(1, MC_CHUNK_ELEMENTS // (k * m)) samples, so memory stays flat in k.
+# Cap on the coordinate comparisons of one mc_oracle chunk against one
+# point block, (chunk, block, m): chunks hold
+# max(1, MC_CHUNK_ELEMENTS // (MC_POINT_BLOCK * m)) samples, so memory stays
+# flat in k and in the sample count.
 MC_CHUNK_ELEMENTS = 2**22
+
+# Points mc_oracle tests a chunk against at a time; samples that hit a block
+# are counted and leave the chunk before the next block.
+MC_POINT_BLOCK = 64
+
+# Element cap on _pareto_max's (rows, k) comparison arrays.
+PARETO_BLOCK_ELEMENTS = 2**20
 
 Point = Sequence[float]
 
@@ -64,27 +79,93 @@ def hv_point(p: Point, r: Point) -> float:
     return float(np.prod(pa - ra))
 
 
+def _covered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) booleans: row a[i] <= row b[j] in every coordinate.
+
+    Tested one coordinate at a time, which is much faster than reducing a
+    (len(a), len(b), m) comparison over its short last axis.
+    """
+    out = a[:, :1] <= b[:, 0]
+    for j in range(1, a.shape[1]):
+        out &= a[:, j : j + 1] <= b[:, j]
+    return out
+
+
 def _pareto_max(v: np.ndarray) -> np.ndarray:
     """Drop rows dominated by another row (componentwise <=), and repeats of an
-    equal row after its first occurrence."""
-    if v.shape[0] <= 1:
+    equal row after its first occurrence.
+
+    Rows are compared with all k rows a block at a time, so each (rows, k)
+    boolean array holds at most `PARETO_BLOCK_ELEMENTS` elements.
+    """
+    k = v.shape[0]
+    if k <= 1:
         return v
-    ge = np.all(v[:, None, :] <= v[None, :, :], axis=-1)  # ge[i, j]: row j >= row i
-    equal = ge & ge.T
-    drop = (ge & ~equal).any(axis=1) | np.tril(equal, -1).any(axis=1)
+    drop = np.empty(k, dtype=bool)
+    step = max(1, PARETO_BLOCK_ELEMENTS // k)
+    for start in range(0, k, step):
+        block = v[start : start + step]
+        ge = _covered(block, v)  # ge[i, j]: row j >= block row i
+        equal = ge & _covered(v, block).T
+        earlier = np.arange(k) < np.arange(start, start + block.shape[0])[:, None]
+        drop[start : start + block.shape[0]] = (ge & ~equal).any(axis=1) | (
+            equal & earlier
+        ).any(axis=1)
     return v[~drop]
+
+
+def _hv3d(v: np.ndarray) -> float:
+    """Measure of the union of boxes [0, row] for non-negative rows of 2 or 3
+    columns, by the HV3D dimension sweep in O(k log k).
+
+    Rows are swept by descending last coordinate. The (x, y) staircase of the
+    rows seen so far is kept in two lists, x ascending and y descending, with
+    its area updated on each insertion; every gap down to the next z level
+    adds a slab of that area. A 2-column set is the slab z in [0, 1].
+    """
+    if v.shape[1] == 2:
+        v = np.column_stack((v, np.ones(v.shape[0])))
+    rows = v[np.argsort(-v[:, 2], kind="stable")].tolist()
+    xs: list[float] = []
+    ys: list[float] = []
+    area = 0.0
+    total = 0.0
+    for index, (px, py, pz) in enumerate(rows):
+        j = bisect_left(xs, px)
+        if j == len(xs) or ys[j] < py:  # not dominated in (x, y) by a higher row
+            hi = bisect_right(xs, px)
+            # The gain is the area under py that the staircase left uncovered:
+            # walk left over the steps py covers, summing non-negative strips.
+            right, height = px, ys[hi] if hi < len(ys) else 0.0
+            i = hi - 1
+            gain = 0.0
+            while i >= 0 and ys[i] <= py:
+                gain += (right - xs[i]) * (py - height)
+                right, height = xs[i], ys[i]
+                i -= 1
+            gain += (right - (xs[i] if i >= 0 else 0.0)) * (py - height)
+            area += gain
+            xs[i + 1 : hi] = [px]
+            ys[i + 1 : hi] = [py]
+        z_next = rows[index + 1][2] if index + 1 < len(rows) else 0.0
+        if z_next < pz:
+            total += (pz - z_next) * area
+    return total
 
 
 def _union_volume(v: np.ndarray) -> float:
     """Measure of the union of boxes [0, row] for non-negative rows.
 
-    Sweeps slabs of the last coordinate and recurses one dimension down;
-    dominated rows are filtered at every level to keep the recursion small.
+    Up to 3 columns this is the HV3D sweep. Above, it sweeps slabs of the
+    last coordinate and recurses one dimension down, filtering dominated rows
+    at every level to keep the recursion small, until it reaches HV3D.
     """
     if v.shape[0] == 0:
         return 0.0
     if v.shape[1] == 1:
         return float(v.max())
+    if v.shape[1] <= 3:
+        return _hv3d(v)
     v = _pareto_max(v)
     levels = np.unique(v[:, -1])[::-1]
     total = 0.0
@@ -101,11 +182,16 @@ def _points_array(points: Sequence[Point], r: Point) -> tuple[np.ndarray, np.nda
     ra = _as_point(r, "reference")
     if len(points) == 0:
         return np.empty((0, ra.size)), ra
-    rows = [_as_point(p) for p in points]
-    dims = {row.size for row in rows}
-    if len(dims) != 1 or rows[0].size != ra.size:
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or values that are not numbers
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] == 0 or not np.isfinite(arr).all():
+        # walk the rows only to name the first bad one
+        rows = [_as_point(p) for p in points]
+        arr = np.vstack(rows) if len({row.size for row in rows}) == 1 else None
+    if arr is None or arr.shape[1] != ra.size:
         raise MismatchError("all points and the reference must share one dimension")
-    arr = np.vstack(rows)
     if np.any(arr < ra):
         bad = int(np.argmax(np.any(arr < ra, axis=1)))
         raise DomainError(f"point {bad} does not dominate the reference")
@@ -113,11 +199,18 @@ def _points_array(points: Sequence[Point], r: Point) -> tuple[np.ndarray, np.nda
 
 
 def hv_set(points: Sequence[Point], r: Point) -> float:
-    """Exact hypervolume of a point set: measure of the union of boxes [r, p]."""
+    """Exact hypervolume of a point set: measure of the union of boxes [r, p].
+
+    In up to 3 dimensions this is the HV3D sweep (Beume, Fonseca,
+    Lopez-Ibanez, Paquete and Vahrenhold, IEEE TEC 2009), O(k log k) in the
+    number of points. In m >= 4 dimensions it sweeps slabs of the last
+    coordinate, recursing one dimension down until HV3D takes over, so the
+    cost grows by a factor of about k per dimension above 3.
+    """
     arr, ra = _points_array(points, r)
     if arr.shape[0] == 0:
         return 0.0
-    return _union_volume(arr - ra)
+    return float(_union_volume(arr - ra))
 
 
 def hv_inclusion_exclusion(points: Sequence[Point], r: Point) -> float:
@@ -151,9 +244,16 @@ def mc_oracle(
 
     Samples uniformly over the bounding box [r, componentwise max] and counts
     hits inside the union of boxes. Returns (estimate, stderr); deterministic
-    for a fixed seed. An empty point set yields (0.0, 0.0). Samples are drawn
-    and tested in chunks sized by `MC_CHUNK_ELEMENTS`; the chunk size does not
-    change the sample stream.
+    for a fixed seed. An empty point set yields (0.0, 0.0).
+
+    Samples are drawn in chunks and tested against blocks of `MC_POINT_BLOCK`
+    points, largest box first; a sample that hits is counted and dropped, and
+    a chunk ends when no sample is left or the blocks run out. Chunks hold
+    max(1, `MC_CHUNK_ELEMENTS` // (`MC_POINT_BLOCK` * m)) samples, so memory
+    is O(`MC_CHUNK_ELEMENTS` + k * m) whatever k and `samples` are. Neither the
+    chunk size nor the point order changes the sample stream or the hit
+    count, so the result is the same as testing every sample against every
+    point.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -165,15 +265,25 @@ def mc_oracle(
     box_volume = float(np.prod(span))
     if box_volume == 0.0:
         return 0.0, 0.0
+    # Largest boxes first, so most samples that hit are retired by the first block.
+    order = np.argsort(-np.prod(arr - ra, axis=1), kind="stable")
+    blocks = [
+        arr[order[start : start + MC_POINT_BLOCK]]
+        for start in range(0, arr.shape[0], MC_POINT_BLOCK)
+    ]
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
-    chunk = max(1, MC_CHUNK_ELEMENTS // arr.size)
+    chunk = max(1, MC_CHUNK_ELEMENTS // (MC_POINT_BLOCK * ra.size))
     while remaining > 0:
         take = min(chunk, remaining)
         q = ra + rng.random((take, ra.size)) * span
-        inside = np.any(np.all(q[:, None, :] <= arr[None, :, :], axis=-1), axis=-1)
-        hits += int(np.count_nonzero(inside))
+        for block in blocks:
+            inside = _covered(q, block).any(axis=1)
+            hits += int(np.count_nonzero(inside))
+            q = q[~inside]
+            if q.shape[0] == 0:
+                break
         remaining -= take
     fraction = hits / samples
     estimate = fraction * box_volume

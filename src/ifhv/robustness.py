@@ -67,7 +67,8 @@ def rank_by_reference(
 
     Scores are the raw distances. Against PIS ascending distance is better;
     against NIS descending distance is better. Distances within
-    `tie_tolerance` form tie groups.
+    `tie_tolerance` form tie groups. The sets are stacked into (sets, n)
+    mu/nu arrays and measured in one `evaluate_many` call.
     """
     if len(sets) == 0:
         raise DomainError("cannot rank an empty collection of sets")
@@ -77,7 +78,9 @@ def rank_by_reference(
     if labels is None:
         labels = [f"X{i + 1}" for i in range(len(sets))]
     ideal = ref.expand(n)
-    distances = [measure.evaluate(s, ideal) for s in sets]
+    mu = np.array([[e.mu for e in s] for s in sets], dtype=float)
+    nu = np.array([[e.nu for e in s] for s in sets], dtype=float)
+    distances = measure.evaluate_many(mu, nu, ideal.mu_values(), ideal.nu_values()).tolist()
     return build_ranking(
         method=f"{measure.name}/{ref.value}",
         labels=labels,

@@ -206,6 +206,15 @@ class TestHvCommand:
         assert result.exit_code == 0
         assert "0.16" in result.output
 
+    @pytest.mark.parametrize("text", ["0.5,0.2\n0.2,0.5\n", "0.5,0.2,0.1,0.3\n0.2,0.5,0.3,0.1\n"])
+    def test_csv_hypervolume_is_a_number(self, runner, tmp_path, text):
+        path = tmp_path / "points.txt"
+        path.write_text(text)
+        result = runner.invoke(main, ["hv", str(path), "--format", "csv"])
+        assert result.exit_code == 0
+        row = next(csv.DictReader(io.StringIO(result.output)))
+        assert float(row["hypervolume"]) > 0.0
+
     def test_default_reference_is_minus_one(self, runner, points_file):
         result = runner.invoke(main, ["hv", points_file, "--format", "json"])
         machine = json.loads(result.output)
@@ -229,6 +238,28 @@ class TestHvCommand:
         path.write_text("-0.5,0.2\n")
         result = runner.invoke(main, ["hv", str(path), "--reference", "0,0"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,0.2\n\n0.1,0.2,0.3\n", ":3: expected 2 coordinates, got 3"),
+            ("0.5,0.2\n0.1,nan\n", ":2: coordinates must be finite"),
+            ("0.5,0.2\n0.1,inf\n", ":2: coordinates must be finite"),
+            ("0.5,0.2\n\n-0.5,0.2\n", ":3: point does not dominate the reference"),
+        ],
+        ids=["ragged", "nan", "inf", "below-reference"],
+    )
+    def test_bad_point_names_file_and_line(self, runner, tmp_path, text, message):
+        path = tmp_path / "points.txt"
+        path.write_text(text)
+        result = runner.invoke(main, ["hv", str(path), "--reference", "0,0"])
+        assert result.exit_code == 3
+        assert f"{path}{message}" in result.output
+
+    def test_reference_dimension_mismatch_is_data_error(self, runner, points_file):
+        result = runner.invoke(main, ["hv", points_file, "--reference", "0,0,0"])
+        assert result.exit_code == 3
+        assert "reference has 3 coordinates" in result.output
 
 
 class TestAxiomsCommand:

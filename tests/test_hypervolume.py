@@ -1,5 +1,9 @@
 """Tests for exact hypervolume, the cross-check oracles, and net-HV scoring."""
 
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,42 @@ from ifhv import (
     hv_set,
     mc_oracle,
 )
+
+
+def mc_reference(points, r, samples, seed, chunk=997):
+    """mc_oracle's result by testing every sample against every point."""
+    arr, ra = np.asarray(points, dtype=float), np.asarray(r, dtype=float)
+    span = arr.max(axis=0) - ra
+    box_volume = float(np.prod(span))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for start in range(0, samples, chunk):
+        q = ra + rng.random((min(chunk, samples - start), ra.size)) * span
+        hits += int(np.count_nonzero(np.any(np.all(q[:, None, :] <= arr[None], axis=-1), axis=-1)))
+    fraction = hits / samples
+    return fraction * box_volume, box_volume * math.sqrt(fraction * (1.0 - fraction) / samples)
+
+
+def pareto_reference(v):
+    """_pareto_max as one unblocked (k, k, m) expression."""
+    ge = np.all(v[:, None, :] <= v[None, :, :], axis=-1)
+    equal = ge & ge.T
+    drop = (ge & ~equal).any(axis=1) | np.tril(equal, -1).any(axis=1)
+    return v[~drop]
+
+
+def front(rng, k, m):
+    g = np.abs(rng.standard_normal((k, m))) + 1e-3
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def peak_bytes(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestHvPoint:
@@ -98,6 +138,55 @@ class TestHvSet:
                 hv_inclusion_exclusion(points, r), abs=1e-9
             )
 
+    @pytest.mark.parametrize("m", (3, 4, 5, 6))
+    def test_matches_inclusion_exclusion_up_to_six_dimensions(self, m):
+        rng = np.random.default_rng(37 + m)
+        for trial in range(60):
+            k = int(rng.integers(1, 11))
+            r = -rng.random(m) if trial % 2 else np.zeros(m)
+            if trial % 3 == 0:  # a coarse grid: ties on every axis, duplicate rows
+                points = r + rng.integers(0, 3, (k, m)) / 2.0
+                points = np.vstack([points, points[rng.integers(0, k, 2)]])
+            else:
+                points = r + rng.random((k, m))
+            # some coordinates on the reference, which makes flat boxes
+            on_reference = rng.random(points.shape) < 0.1
+            points[on_reference] = np.broadcast_to(r, points.shape)[on_reference]
+            assert hv_set(points, r) == pytest.approx(
+                hv_inclusion_exclusion(points, r), rel=1e-9, abs=1e-9
+            )
+
+    def test_front_stress_agrees_with_monte_carlo(self):
+        # k = 20 000 mutually non-dominated points in 3-D, where the HV3D
+        # sweep is O(k log k)
+        points = front(np.random.default_rng(38), 20_000, 3)
+        r = np.zeros(3)
+        start = time.perf_counter()
+        value = hv_set(points, r)
+        assert time.perf_counter() - start < 5.0
+        samples = 20_000
+        estimate, _ = mc_oracle(points, r, samples=samples, seed=39)
+        box = float(np.prod(points.max(axis=0) - r))
+        fraction = value / box
+        assert 0.0 < fraction < 1.0
+        stderr = box * math.sqrt(fraction * (1.0 - fraction) / samples)
+        assert abs(value - estimate) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("cap", (1, 7, 100, None))
+    def test_pareto_max_matches_unblocked(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(hypervolume, "PARETO_BLOCK_ELEMENTS", cap)
+        rng = np.random.default_rng(40)
+        for _ in range(100):
+            m = int(rng.integers(1, 6))
+            k = int(rng.integers(1, 40))
+            v = rng.integers(0, 3, (k, m)) / 2.0 if rng.random() < 0.5 else rng.random((k, m))
+            assert np.array_equal(hypervolume._pareto_max(v), pareto_reference(v))
+
+    def test_pareto_max_memory_is_bounded(self):
+        v = np.random.default_rng(41).random((4000, 4))
+        assert peak_bytes(hypervolume._pareto_max, v) < 16 * 2**20
+
     def test_pareto_max_keeps_first_of_equal_rows(self):
         v = np.array([[1.0, 1.0], [0.5, 2.0], [1.0, 1.0], [0.5, 1.0], [0.5, 2.0], [2.0, 0.5]])
         assert hypervolume._pareto_max(v).tolist() == [[1.0, 1.0], [0.5, 2.0], [2.0, 0.5]]
@@ -142,6 +231,25 @@ class TestMcOracle:
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
             mc_oracle([(1.0, 1.0)], (0, 0), samples=0)
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("k", (1, 7, 64, 65, 2000))
+    def test_bit_equal_to_all_points_reference(self, monkeypatch, k, m):
+        rng = np.random.default_rng(k * 10 + m)
+        # odd k on a grid: ties in box volume and duplicate rows
+        points = rng.integers(0, 4, (k, m)) / 3.0 if k % 2 else rng.random((k, m))
+        samples = 601
+        for r in (np.zeros(m), -rng.random(m)):
+            expected = mc_reference(points, r, samples, seed=m)
+            for cap in (None, 1, 50, 1001):
+                if cap is not None:
+                    monkeypatch.setattr(hypervolume, "MC_CHUNK_ELEMENTS", cap)
+                assert mc_oracle(points, r, samples=samples, seed=m) == expected
+                monkeypatch.undo()
+
+    def test_memory_is_bounded_on_a_large_cloud(self):
+        points = np.random.default_rng(42).random((20_000, 3))
+        assert peak_bytes(mc_oracle, points, (0.0, 0.0, 0.0), 50_000, 1) < 8 * 2**20
 
     @pytest.mark.parametrize("cap", (1, 50, 1001))
     def test_chunk_cap_keeps_the_sample_stream(self, monkeypatch, cap):

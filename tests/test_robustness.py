@@ -20,10 +20,14 @@ from ifhv import (
     hamming,
     hausdorff,
     iso_nis_pairs,
+    parse_problem,
     rank_by_reference,
+    register_function,
     robustness_check,
 )
-from ifhv.distances import SAMPLE_CHUNK, sample_simplex
+from ifhv.distances import SAMPLE_CHUNK, available_measures, get_measure, sample_simplex
+from ifhv.fixtures import table1_path
+from ifhv.ranking import build_ranking
 
 
 @pytest.fixture
@@ -75,6 +79,71 @@ class TestRankByReference:
     def test_empty_collection(self):
         with pytest.raises(DomainError):
             rank_by_reference([], hamming, ReferenceKind.PIS)
+
+
+LOOP_PLUGIN = "plugin-scaled-hausdorff"
+
+
+def loop_plugin() -> DistanceMeasure:
+    """A per-pair plugin measure, registered on first use."""
+    if LOOP_PLUGIN not in available_measures():
+        register_function(LOOP_PLUGIN, lambda a, b: 0.5 * hausdorff(a, b))
+    return get_measure(LOOP_PLUGIN)
+
+
+def looped_ranking(sets, measure, ref):
+    """rank_by_reference as it was: one `evaluate` call per set."""
+    ideal = ref.expand(len(sets[0]))
+    labels = [f"X{i + 1}" for i in range(len(sets))]
+    scores = [measure.evaluate(s, ideal) for s in sets]
+    return build_ranking("loop", labels, scores, higher_is_better=ref is ReferenceKind.NIS)
+
+
+class TestOneBatchCall:
+    @pytest.mark.parametrize("name", ["hamming", "euclidean2", "euclidean3", "hausdorff", LOOP_PLUGIN])
+    def test_bit_equal_to_per_set_loop(self, name):
+        measure = loop_plugin() if name == LOOP_PLUGIN else get_measure(name)
+        rng = np.random.default_rng(43)
+        for n in (1, 5, 13, 40):
+            count = 30 if name == LOOP_PLUGIN else 400
+            sets = [IFS.from_pairs(zip(*sample_simplex(rng, n))) for _ in range(count)]
+            sets += sets[:3]  # exact repeats tie
+            for ref in ReferenceKind:
+                expected = looped_ranking(sets, measure, ref)
+                result = rank_by_reference(sets, measure, ref)
+                assert [result.scores[label] for label in expected.scores] == list(
+                    expected.scores.values()
+                )
+                assert result.order == expected.order
+            looped = looped_ranking(sets, measure, ReferenceKind.PIS).order == looped_ranking(
+                sets, measure, ReferenceKind.NIS
+            ).order
+            assert robustness_check(sets, measure) is looped
+
+    def test_one_evaluate_many_call(self, monkeypatch, reference_sets):
+        calls = []
+        original = DistanceMeasure.evaluate_many
+        monkeypatch.setattr(
+            DistanceMeasure,
+            "evaluate_many",
+            lambda self, *args: calls.append(args[0].shape) or original(self, *args),
+        )
+        rank_by_reference(reference_sets * 100, hamming, ReferenceKind.PIS)
+        assert calls == [(300, 2)]
+
+    def test_table1_hamming_tie(self):
+        problem = parse_problem(table1_path())
+        sets = [
+            IFS(tuple(row[i] for row in problem.evaluations[0]))
+            for i in range(problem.n_alternatives)
+        ]
+        for ref in ReferenceKind:
+            result = rank_by_reference(sets, hamming, ref, labels=problem.alternatives)
+            assert result.order == (("X3",), ("X1", "X2"))
+            assert list(result.scores.values()) == list(
+                looped_ranking(sets, hamming, ref).scores.values()
+            )
+        assert robustness_check(sets, hamming, labels=problem.alternatives) is True
 
 
 class TestRobustnessCheck:
