@@ -22,8 +22,8 @@ from . import mcdm as mcdm_mod
 from . import hvas as hvas_mod
 from . import robustness as robustness_mod
 from .distances import available_measures, check_axioms, get_measure
-from .errors import DegenerateError, IfhvError, MismatchError, ParseError, ValidationError
-from .hypervolume import DEFAULT_REFERENCE_COORD, HVConfig, hv_set, mc_oracle
+from .errors import DegenerateError, IfhvError, ParseError, ValidationError
+from .hypervolume import DEFAULT_REFERENCE_COORD, HVConfig, _points_array, hv_set, mc_oracle
 from .problemfile import parse_problem
 from .report import FORMATS, Report, emit_report
 
@@ -144,8 +144,8 @@ def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):
     def build() -> Report:
         problem = parse_problem(problem_file)
         cfg = HVConfig(reference=reference, alpha=alpha, tie_tolerance=tie_tolerance)
-        result = hvas_mod.rank(problem, cfg)
         details = hvas_mod.score_details(problem, cfg)
+        result = hvas_mod._ranking(problem, cfg, [part.hv_net for part in details.values()])
         return Report(
             kind="rank",
             machine={
@@ -264,19 +264,8 @@ def _read_points(
         lines.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no points found")
-    points = np.array(rows)
     ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * len(rows[0])
-    if len(ref) != points.shape[1]:
-        raise MismatchError(
-            f"reference has {len(ref)} coordinates but the points have {points.shape[1]}"
-        )
-    # nan compares false with the reference, so the finiteness check goes first
-    for bad, problem in (
-        (~np.isfinite(points).all(axis=1), "coordinates must be finite"),
-        ((points < ref).any(axis=1), "point does not dominate the reference"),
-    ):
-        if bad.any():
-            raise ValidationError(f"{path}:{lines[int(np.argmax(bad))]}: {problem}")
+    points, _ = _points_array(rows, ref, lambda i: f"{path}:{lines[i]}")
     return points, ref
 
 

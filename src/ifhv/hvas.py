@@ -15,7 +15,8 @@ axis of 2 holds (mu, nu). The pipeline:
        order of `multiply`: mu_a * mu_b and nu_b + nu_a * (1 - nu_b),
     5. score each alternative's column of weighted values by net
        hypervolume, a product over criteria in each of the mu, nu and pi
-       spaces, and rank descending.
+       spaces, and rank descending. The formula is `hypervolume._hv_spaces`,
+       the one that `hv_net` applies to a single IFS.
 
 Steps 1, 2 and 4 apply IFN's simplex clamp to whole arrays. Steps 1-4 run
 once per problem: `DecisionProblem.weighted` is the weighted matrix, a pair
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateError, DomainError, MismatchError
-from .hypervolume import HVConfig, HVNetResult
+from .hypervolume import HVConfig, HVNetResult, _hv_spaces
 from .ifs import IFN, clamp_to_simplex
 from .ranking import RankingResult, build_ranking
 
@@ -254,14 +255,10 @@ def _weight(mu: np.ndarray, nu: np.ndarray, w_mu: np.ndarray, w_nu: np.ndarray):
     return mu, clamp_to_simplex(mu, w_nu + nu * (1.0 - w_nu))
 
 
-def _hv_spaces(problem: DecisionProblem, cfg: HVConfig):
-    """Per-alternative (hv_mu, hv_nu, hv_pi, hv_net) arrays, as `hv_net` computes them."""
-    reference = np.array(cfg.reference_for(problem.n_criteria))[:, None]
-    mu, nu = problem.weighted
-    hv_mu = np.prod(mu - reference, axis=0)
-    hv_nu = np.prod(nu - reference, axis=0)
-    hv_pi = np.prod((1.0 - mu - nu) - reference, axis=0)
-    return hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi
+def _weighted_spaces(problem: DecisionProblem, cfg: HVConfig):
+    """`_hv_spaces` of the weighted matrix; a wrong reference is reported first."""
+    cfg.reference_for(problem.n_criteria)
+    return _hv_spaces(*problem.weighted, cfg)
 
 
 def score_details(
@@ -269,7 +266,7 @@ def score_details(
 ) -> dict[str, HVNetResult]:
     """Per-alternative space hypervolumes after the shared pipeline."""
     cfg = config if config is not None else HVConfig()
-    spaces = (values.tolist() for values in _hv_spaces(problem, cfg))
+    spaces = (values.tolist() for values in _weighted_spaces(problem, cfg))
     return {
         label: HVNetResult(*parts) for label, *parts in zip(problem.alternatives, *spaces)
     }
@@ -278,15 +275,20 @@ def score_details(
 def rank(problem: DecisionProblem, config: HVConfig | None = None) -> RankingResult:
     """Rank alternatives by net hypervolume of their weighted value profiles."""
     cfg = config if config is not None else HVConfig()
-    reference = cfg.reference_for(problem.n_criteria)
+    return _ranking(problem, cfg, _weighted_spaces(problem, cfg)[3])
+
+
+def _ranking(problem: DecisionProblem, cfg: HVConfig, scores) -> RankingResult:
+    """The HVAS ranking from net-hypervolume scores, which the `rank` command
+    takes from `score_details` so that it evaluates the formula once."""
     return build_ranking(
         method="hvas",
         labels=problem.alternatives,
-        scores=_hv_spaces(problem, cfg)[3].tolist(),
+        scores=scores,
         higher_is_better=True,
         tie_tolerance=cfg.tie_tolerance,
         config_echo={
-            "reference": list(reference),
+            "reference": list(cfg.reference_for(problem.n_criteria)),
             "alpha": cfg.alpha,
             "tie_tolerance": cfg.tie_tolerance,
         },

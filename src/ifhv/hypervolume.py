@@ -15,6 +15,10 @@ to hesitancy; alpha = 0 ignores the hesitancy space. The default reference
 puts -1 in every coordinate so a value of 0 contributes a factor of exactly
 1 and every factor lies in [1, 2].
 
+`_hv_spaces` is the one implementation of this formula, over the columns of
+(m, n) mu and nu arrays: `hv_net` is its one-column call, and `ifhv.hvas`
+calls it on the weighted decision matrix.
+
 `hv_set` is exact: the HV3D dimension sweep, O(k log k) in the number of
 points, in up to 3 dimensions, and above that a slab sweep over the last
 coordinate that recurses down to HV3D. `hv_inclusion_exclusion` and
@@ -55,28 +59,10 @@ PARETO_BLOCK_ELEMENTS = 2**20
 Point = Sequence[float]
 
 
-def _as_point(p: Point, name: str = "point") -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a non-empty 1-D coordinate sequence")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} has non-finite coordinates: {p}")
-    return arr
-
-
 def hv_point(p: Point, r: Point) -> float:
     """Volume of the box spanned between a reference r and one point p >= r."""
-    pa = _as_point(p)
-    ra = _as_point(r, "reference")
-    if pa.shape != ra.shape:
-        raise MismatchError(f"point has {pa.size} dimensions, reference has {ra.size}")
-    if np.any(pa < ra):
-        bad = int(np.argmax(pa < ra))
-        raise DomainError(
-            f"point does not dominate the reference: coordinate {bad} is "
-            f"{pa[bad]} < {ra[bad]}"
-        )
-    return float(np.prod(pa - ra))
+    arr, ra = _points_array([p], r)
+    return float(np.prod(arr[0] - ra))
 
 
 def _covered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,23 +164,33 @@ def _union_volume(v: np.ndarray) -> float:
     return total
 
 
-def _points_array(points: Sequence[Point], r: Point) -> tuple[np.ndarray, np.ndarray]:
-    ra = _as_point(r, "reference")
+def _points_array(
+    points: Sequence[Point], r: Point, row_name=lambda i: f"point {i}"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points as a (k, m) array, and the reference as an array. An error
+    names the first bad row i as `row_name(i)`, which the CLI makes file:line."""
+    ra = np.asarray(r, dtype=float)
+    if ra.ndim != 1 or ra.size == 0 or not np.isfinite(ra).all():
+        raise DomainError(f"reference must be a non-empty sequence of finite numbers: {r}")
     if len(points) == 0:
         return np.empty((0, ra.size)), ra
     try:
         arr = np.asarray(points, dtype=float)
     except (TypeError, ValueError):  # ragged rows, or values that are not numbers
         arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] == 0 or not np.isfinite(arr).all():
-        # walk the rows only to name the first bad one
-        rows = [_as_point(p) for p in points]
-        arr = np.vstack(rows) if len({row.size for row in rows}) == 1 else None
-    if arr is None or arr.shape[1] != ra.size:
+    if arr is None or arr.ndim != 2:
         raise MismatchError("all points and the reference must share one dimension")
-    if np.any(arr < ra):
-        bad = int(np.argmax(np.any(arr < ra, axis=1)))
-        raise DomainError(f"point {bad} does not dominate the reference")
+    if arr.shape[1] != ra.size:
+        raise MismatchError(
+            f"reference has {ra.size} coordinates but the points have {arr.shape[1]}"
+        )
+    # nan compares false with the reference, so the finiteness check goes first
+    for bad, problem in (
+        (~np.isfinite(arr).all(axis=1), "coordinates must be finite"),
+        ((arr < ra).any(axis=1), "point does not dominate the reference"),
+    ):
+        if bad.any():
+            raise DomainError(f"{row_name(int(np.argmax(bad)))}: {problem}")
     return arr, ra
 
 
@@ -351,6 +347,16 @@ class HVNetResult:
         }
 
 
+def _hv_spaces(mu: np.ndarray, nu: np.ndarray, cfg: HVConfig):
+    """(hv_mu, hv_nu, hv_pi, hv_net) arrays over the columns of (m, n) mu and
+    nu arrays, each column an IFS of length m."""
+    reference = np.array(cfg.reference_for(mu.shape[0]))[:, None]
+    hv_mu = np.prod(mu - reference, axis=0)
+    hv_nu = np.prod(nu - reference, axis=0)
+    hv_pi = np.prod((1.0 - mu - nu) - reference, axis=0)
+    return hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi
+
+
 def hv_net(x: IFS, config: HVConfig | None = None) -> HVNetResult:
     """Net hypervolume of one IFS: hv_mu - hv_nu - alpha * hv_pi.
 
@@ -358,13 +364,5 @@ def hv_net(x: IFS, config: HVConfig | None = None) -> HVNetResult:
     against the configured reference.
     """
     cfg = config if config is not None else HVConfig()
-    reference = cfg.reference_for(len(x))
-    volume_mu = hv_point(x.mu_values(), reference)
-    volume_nu = hv_point(x.nu_values(), reference)
-    volume_pi = hv_point(x.pi_values(), reference)
-    return HVNetResult(
-        hv_mu=volume_mu,
-        hv_nu=volume_nu,
-        hv_pi=volume_pi,
-        hv_net=volume_mu - volume_nu - cfg.alpha * volume_pi,
-    )
+    spaces = _hv_spaces(x.mu_values()[:, None], x.nu_values()[:, None], cfg)
+    return HVNetResult(*(float(values[0]) for values in spaces))

@@ -146,7 +146,7 @@ def topsis(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Rankin
     return build_ranking(
         method="topsis",
         labels=problem.alternatives,
-        scores=(to_ns / total).tolist(),
+        scores=to_ns / total,
         higher_is_better=True,
         tie_tolerance=cfg.tie_tolerance,
         config_echo=cfg.echo(),
@@ -180,7 +180,7 @@ def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
     return build_ranking(
         method="vikor",
         labels=problem.alternatives,
-        scores=q_values.tolist(),
+        scores=q_values,
         higher_is_better=False,
         tie_tolerance=cfg.tie_tolerance,
         config_echo=cfg.echo(),
@@ -206,7 +206,7 @@ def codas(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
     return build_ranking(
         method="codas",
         labels=problem.alternatives,
-        scores=assessments.tolist(),
+        scores=assessments,
         higher_is_better=True,
         tie_tolerance=cfg.tie_tolerance,
         config_echo=cfg.echo(),

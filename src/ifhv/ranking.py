@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError, MismatchError
 
 
@@ -26,7 +28,7 @@ class RankingResult:
 
     def __post_init__(self) -> None:
         listed = [label for group in self.order for label in group]
-        if sorted(listed) != sorted(self.scores):
+        if len(listed) != len(self.scores) or set(listed) != self.scores.keys():
             raise DomainError("order groups must partition the scored alternatives")
 
     def order_string(self) -> str:
@@ -65,7 +67,7 @@ def ranks_from_order(order: Sequence[Sequence[str]]) -> dict[str, int]:
 def build_ranking(
     method: str,
     labels: Sequence[str],
-    scores: Sequence[float],
+    scores: Sequence[float] | np.ndarray,
     higher_is_better: bool = True,
     tie_tolerance: float = 1e-9,
     config_echo: Mapping[str, object] | None = None,
@@ -74,33 +76,36 @@ def build_ranking(
 
     Scores within `tie_tolerance` (absolute) of a group's first member join
     that group. Within a group, labels keep their original input order, so
-    the result is invariant under relabeling of the inputs.
+    the result is invariant under relabeling of the inputs. Every score must
+    be finite.
     """
-    if len(labels) != len(scores):
-        raise MismatchError(f"got {len(labels)} labels but {len(scores)} scores")
+    values = np.asarray(scores, dtype=float)
+    if values.shape != (len(labels),):
+        raise MismatchError(f"got {len(labels)} labels but {values.size} scores")
     if len(labels) == 0:
         raise DomainError("cannot rank an empty collection")
     if len(set(labels)) != len(labels):
         raise DomainError("alternative labels must be unique")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DomainError(f"score of '{labels[bad]}' is not finite: {values[bad]}")
 
-    sign = -1.0 if higher_is_better else 1.0
-    indices = sorted(range(len(labels)), key=lambda i: (sign * float(scores[i]), i))
-
-    groups: list[list[int]] = []
-    head_score = None
-    for i in indices:
-        value = float(scores[i])
-        if head_score is not None and abs(value - head_score) <= tie_tolerance:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-            head_score = value
-
-    order = tuple(tuple(labels[i] for i in sorted(group)) for group in groups)
+    order = np.argsort(-values if higher_is_better else values, kind="stable")
+    ranked = values[order]
+    # A gap above the tolerance starts a group, since the group's first member
+    # is at least as far; inside runs of smaller gaps, compare with that member.
+    starts = np.append(True, np.abs(np.diff(ranked)) > tie_tolerance)
+    for i in np.flatnonzero(~starts).tolist():
+        if starts[i - 1]:
+            head = ranked[i - 1]
+        starts[i] = not abs(ranked[i] - head) <= tie_tolerance
+    ordered = [labels[i] for i in order[np.lexsort((order, np.cumsum(starts)))].tolist()]
+    bounds = np.append(np.flatnonzero(starts), len(labels)).tolist()
     return RankingResult(
         method=method,
-        scores={label: float(value) for label, value in zip(labels, scores)},
-        order=order,
+        scores=dict(zip(labels, values.tolist())),
+        order=tuple([tuple(ordered[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]),
         higher_is_better=higher_is_better,
         config_echo=dict(config_echo or {}),
     )

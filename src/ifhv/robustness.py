@@ -80,7 +80,7 @@ def rank_by_reference(
     ideal = ref.expand(n)
     mu = np.array([[e.mu for e in s] for s in sets], dtype=float)
     nu = np.array([[e.nu for e in s] for s in sets], dtype=float)
-    distances = measure.evaluate_many(mu, nu, ideal.mu_values(), ideal.nu_values()).tolist()
+    distances = measure.evaluate_many(mu, nu, ideal.mu_values(), ideal.nu_values())
     return build_ranking(
         method=f"{measure.name}/{ref.value}",
         labels=labels,

@@ -1,0 +1,142 @@
+"""The golden corpus: fixed CLI commands and the bytes they print.
+
+Each case runs one `ifhv` command in-process from the directory of its
+input, so the path the report echoes is the bare file name. A case that
+succeeds is recorded as its stdout bytes; a case that fails as its exit code
+and its stderr. `tests/test_golden.py` compares every case with its file.
+
+Run `python tests/golden/regen.py` to rewrite the expected files after an
+intended output change, and review the diff. The inputs under `inputs/` are
+written only when they are missing, so a regeneration never changes what the
+commands read.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+INPUTS = HERE / "inputs"
+EXPECTED = HERE / "expected"
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
+
+import numpy as np
+from click.testing import CliRunner
+
+from ifhv.cli import main
+from ifhv.fixtures import table1_path
+
+TABLE1 = table1_path()
+
+# In the seeded problem every third alternative copies the one before it, so
+# every method sees exact tie pairs among many distinct scores.
+SEEDED = INPUTS / "seeded240.problem"
+
+POINT_FILES = {
+    # ties in x, in y, and a repeated row
+    "tied2d.txt": "0.5,0.2\n0.2,0.5\n0.5,0.1\n0.2,0.5\n0.35,0.35\n0.1,0.5\n0.5,0.2\n",
+    "nan.txt": "0.5,0.2\n\n0.1,nan\n",
+    "below.txt": "0.5,0.2\n0.3,0.3\n\n-1.5,0.2\n",
+    "ragged.txt": "0.5,0.2\n\n0.1,0.2,0.3\n",
+    "words.txt": "0.5,0.2\nx,0.3\n",
+    "empty.txt": "\n\n",
+}
+
+
+def _front4d() -> str:
+    rng = np.random.default_rng(44)
+    rows = np.round(rng.random((30, 4)), 3)
+    rows[5] = rows[4]  # a duplicate
+    rows[6] = rows[4] * 0.5  # a dominated point
+    return "".join(",".join(repr(float(c)) for c in row) + "\n" for row in rows)
+
+
+def _seeded_problem():
+    from gen import random_problem  # tests/gen.py
+
+    from ifhv.hvas import DecisionProblem
+
+    base = random_problem(np.random.default_rng(20240), n_alternatives=240, n_criteria=3, n_dms=1)
+    evaluations = base.evaluation_array.copy()
+    evaluations[:, :, 1::3] = evaluations[:, :, 0::3]
+    return DecisionProblem.from_arrays(
+        base.alternatives, base.criteria, base.dms,
+        evaluations, base.importance_array, base.expertise_array,
+    )
+
+
+def write_inputs() -> None:
+    """Create the seeded and hand-written inputs that do not exist yet."""
+    from ifhv.problemfile import write_problem
+
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    texts = dict(POINT_FILES, **{"front4d.txt": _front4d()})
+    for name, text in texts.items():
+        path = INPUTS / name
+        if not path.exists():
+            path.write_text(text, encoding="utf-8")
+    if not SEEDED.exists():
+        write_problem(_seeded_problem(), SEEDED)
+
+
+def _cases() -> dict[str, tuple[Path, list[str]]]:
+    """name -> (input file, arguments after the command's input file)."""
+    cases: dict[str, tuple[Path, list[str]]] = {}
+    for fmt in ("md", "json", "csv"):
+        cases[f"rank_table1.{fmt}"] = (TABLE1, ["rank", "--format", fmt])
+        cases[f"compare_table1.{fmt}"] = (
+            TABLE1, ["compare", "--methods", "hvas,topsis,vikor,codas", "--format", fmt]
+        )
+        for points in ("tied2d.txt", "front4d.txt"):
+            stem = points.removesuffix(".txt")
+            cases[f"hv_{stem}.{fmt}"] = (INPUTS / points, ["hv", "--format", fmt])
+    cases["rank_table1_alpha_tol0.json"] = (
+        TABLE1, ["rank", "--alpha", "0.5", "--tie-tolerance", "0", "--format", "json"]
+    )
+    cases["rank_table1_reference.json"] = (
+        TABLE1, ["rank", "--reference=-0.5,-0.25", "--alpha=-0.3", "--format", "json"]
+    )
+    cases["rank_seeded240.json"] = (SEEDED, ["rank", "--format", "json"])
+    cases["compare_seeded240.json"] = (SEEDED, ["compare", "--format", "json"])
+    cases["hv_tied2d_reference0.json"] = (
+        INPUTS / "tied2d.txt", ["hv", "--reference", "0,0", "--format", "json"]
+    )
+    for points in ("nan.txt", "below.txt", "ragged.txt", "words.txt", "empty.txt"):
+        cases[f"hv_{points.removesuffix('.txt')}.err"] = (INPUTS / points, ["hv"])
+    cases["hv_tied2d_reference3.err"] = (INPUTS / "tied2d.txt", ["hv", "--reference", "0,0,0"])
+    cases["rank_table1_reference3.err"] = (TABLE1, ["rank", "--reference=-1,-1,-1"])
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(name: str) -> bytes:
+    """The recorded bytes of one case, run from the current directory."""
+    source, args = CASES[name]
+    command, *options = args
+    result = CliRunner().invoke(main, [command, source.name, *options])
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    if name.endswith(".err"):
+        return f"exit {result.exit_code}\n".encode() + result.stderr_bytes
+    assert result.exit_code == 0 and not result.stderr_bytes, result.output
+    return result.stdout_bytes
+
+
+def main_regen() -> None:
+    write_inputs()
+    EXPECTED.mkdir(exist_ok=True)
+    for name, (source, _args) in CASES.items():
+        with contextlib.chdir(source.parent):
+            data = run_case(name)
+        (EXPECTED / name).write_bytes(data)
+    print(f"wrote {len(CASES)} cases to {EXPECTED}")
+
+
+if __name__ == "__main__":
+    main_regen()

@@ -7,6 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import ifhv.hvas as hvas_mod
 from ifhv.cli import main
 from ifhv.fixtures import table1_path
 
@@ -50,6 +51,19 @@ class TestRankCommand:
         machine = json.loads(result.output)
         # 1.32 - 1.68 - 2.38
         assert machine["result"]["scores"]["X1"] == pytest.approx(-2.74)
+
+    def test_one_evaluation_of_the_formula(self, runner, table1, monkeypatch):
+        calls = []
+        evaluate = hvas_mod._hv_spaces
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(hvas_mod, "_hv_spaces", counted)
+        result = runner.invoke(main, ["rank", table1, "--format", "json"])
+        assert result.exit_code == 0
+        assert len(calls) == 1
 
     def test_reference_flag_rejects_positive(self, runner, table1):
         result = runner.invoke(main, ["rank", table1, "--reference", "1,1"])

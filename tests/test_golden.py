@@ -1,0 +1,20 @@
+"""The golden corpus: every recorded CLI command still prints the same bytes.
+
+After an intended output change, rewrite the corpus with
+`python tests/golden/regen.py` and review the diff.
+"""
+
+import pytest
+
+from golden.regen import CASES, EXPECTED, run_case
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name, monkeypatch):
+    source, _args = CASES[name]
+    monkeypatch.chdir(source.parent)
+    assert run_case(name) == (EXPECTED / name).read_bytes()
+
+
+def test_every_expected_file_has_a_case():
+    assert sorted(path.name for path in EXPECTED.iterdir()) == sorted(CASES)

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -192,10 +193,19 @@ class TestHvSet:
         assert hypervolume._pareto_max(v).tolist() == [[1.0, 1.0], [0.5, 2.0], [2.0, 0.5]]
 
     def test_reference_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^point 1: point does not dominate the reference$"):
             hv_set([(0.5, 0.2), (-0.5, 0.2)], (0, 0))
+        with pytest.raises(DomainError, match="^point 2: coordinates must be finite$"):
+            hv_set([(0.5, 0.2), (0.5, 0.2), (math.nan, -0.5)], (0, 0))
         with pytest.raises(MismatchError):
             hv_set([(0.5, 0.2), (0.5, 0.2, 0.1)], (0, 0))
+        with pytest.raises(MismatchError, match="reference has 3 coordinates but the points have 2"):
+            hv_set([(0.5, 0.2)], (0, 0, 0))
+
+    @pytest.mark.parametrize("check", (hv_set, hv_inclusion_exclusion, mc_oracle))
+    def test_every_entry_point_shares_the_validator(self, check):
+        with pytest.raises(DomainError, match="^point 0: coordinates must be finite$"):
+            check([(math.inf, 0.2)], (0, 0))
 
 
 class TestInclusionExclusion:
@@ -348,6 +358,24 @@ class TestHvNet:
             worse_nu[over] = 1.0 - worse_mu[over]
             worse = IFS.from_pairs(zip(worse_mu, worse_nu))
             assert hv_net(better).hv_net >= hv_net(worse).hv_net - 1e-12
+
+    def test_bit_equal_to_three_single_point_volumes(self):
+        """The array formula gives what hv_point gives on each space's vector."""
+        rng = np.random.default_rng(37)
+        from ifhv.distances import sample_simplex
+
+        for _ in range(600):
+            m = int(rng.integers(1, 25))
+            mu, nu = sample_simplex(rng, m)
+            x = IFS.from_pairs(zip(mu, nu))
+            reference = tuple(-rng.random(m)) if rng.random() < 0.5 else None
+            cfg = HVConfig(reference=reference, alpha=float(rng.choice([0.0, 0.5, -1.0])))
+            r = cfg.reference_for(m)
+            hv_mu = hv_point(x.mu_values(), r)
+            hv_nu = hv_point(x.nu_values(), r)
+            hv_pi = hv_point(x.pi_values(), r)
+            expected = (hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi)
+            assert astuple(hv_net(x, cfg)) == expected
 
     def test_dimension_mismatch(self, reference_sets):
         x1, _, _ = reference_sets
