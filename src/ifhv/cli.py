@@ -21,7 +21,7 @@ import numpy as np
 from . import mcdm as mcdm_mod
 from . import hvas as hvas_mod
 from . import robustness as robustness_mod
-from .distances import available_measures, check_axioms, get_measure
+from .distances import check_axioms, get_measure
 from .errors import DegenerateError, IfhvError, ParseError, ValidationError
 from .hypervolume import DEFAULT_REFERENCE_COORD, HVConfig, _points_array, hv_set, mc_oracle
 from .problemfile import parse_problem
@@ -38,17 +38,8 @@ def _parse_reference(_ctx, _param, value):
         coords = tuple(float(part) for part in value.split(","))
     except ValueError:
         raise click.BadParameter("expected comma-separated numbers, e.g. '-1,-1'")
-    if not coords:
-        raise click.BadParameter("reference needs at least one coordinate")
     if not all(math.isfinite(c) for c in coords):
         raise click.BadParameter("reference coordinates must be finite")
-    return coords
-
-
-def _nonpositive_reference(_ctx, _param, value):
-    coords = _parse_reference(_ctx, _param, value)
-    if coords is not None and any(c > 0.0 for c in coords):
-        raise click.BadParameter("reference coordinates must be <= 0")
     return coords
 
 
@@ -57,31 +48,8 @@ def _measure_option(_ctx, _param, value):
         return None
     try:
         return get_measure(value)
-    except IfhvError:
-        raise click.BadParameter(
-            f"unknown measure '{value}'; available: {', '.join(available_measures())}"
-        )
-
-
-def _alpha_option(_ctx, _param, value):
-    if not -1.0 <= value <= 1.0:
-        raise click.BadParameter("alpha must lie in [-1, 1]")
-    return value
-
-
-def _tie_tolerance_option(_ctx, _param, value):
-    if not (math.isfinite(value) and value >= 0.0):
-        raise click.BadParameter("tie tolerance must be a non-negative finite number")
-    return value
-
-
-def _unit_interval(name):
-    def check(_ctx, _param, value):
-        if not 0.0 <= value <= 1.0:
-            raise click.BadParameter(f"{name} must lie in [0, 1]")
-        return value
-
-    return check
+    except IfhvError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _positive(name):
@@ -101,6 +69,15 @@ output_option = click.option(
     "--output", type=click.Path(dir_okay=False, writable=True, path_type=Path),
     default=None, help="Write the report to a file instead of stdout.",
 )
+
+
+def _config(config_type, **values):
+    """A config built from flag values; a value that breaks one of the
+    config's rules is a usage error carrying the library's message."""
+    try:
+        return config_type(**values)
+    except IfhvError as exc:
+        raise click.UsageError(str(exc), ctx=click.get_current_context()) from None
 
 
 def _emit(report: Report, fmt: str, output: Path | None) -> None:
@@ -131,19 +108,19 @@ def main() -> None:
 @main.command()
 @click.argument("problem_file", type=click.Path(path_type=Path))
 @click.option("--alpha", type=float, default=0.0, show_default=True,
-              callback=_alpha_option, help="Hesitancy perception factor in [-1, 1].")
-@click.option("--reference", default=None, callback=_nonpositive_reference,
+              help="Hesitancy perception factor in [-1, 1].")
+@click.option("--reference", default=None, callback=_parse_reference,
               help="Reference point as comma-separated coordinates, all <= 0 [default: -1 per criterion].")
 @click.option("--tie-tolerance", type=float, default=1e-9, show_default=True,
-              callback=_tie_tolerance_option, help="Absolute tolerance for score ties.")
+              help="Absolute tolerance for score ties.")
 @format_option
 @output_option
 def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):
     """Rank the alternatives of PROBLEM_FILE by net hypervolume."""
+    cfg = _config(HVConfig, reference=reference, alpha=alpha, tie_tolerance=tie_tolerance)
 
     def build() -> Report:
         problem = parse_problem(problem_file)
-        cfg = HVConfig(reference=reference, alpha=alpha, tie_tolerance=tie_tolerance)
         details = hvas_mod.score_details(problem, cfg)
         result = hvas_mod._ranking(problem, cfg, [part.hv_net for part in details.values()])
         return Report(
@@ -165,16 +142,16 @@ def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):
 @click.option("--methods", default=",".join(mcdm_mod.METHOD_NAMES), show_default=True,
               help="Comma-separated subset of the available methods.")
 @click.option("--tau", type=float, default=mcdm_mod.DEFAULT_TAU, show_default=True,
-              callback=_unit_interval("tau"), help="CODAS secondary-distance threshold.")
+              help="CODAS secondary-distance threshold in [0, 1].")
 @click.option("--v", type=float, default=mcdm_mod.DEFAULT_V, show_default=True,
-              callback=_unit_interval("v"), help="VIKOR strategy weight.")
+              help="VIKOR strategy weight in [0, 1].")
 @click.option("--measure", "measure_primary", default="euclidean2", show_default=True,
               callback=_measure_option, help="Primary distance measure.")
 @click.option("--measure-secondary", default="hamming", show_default=True,
               callback=_measure_option, help="Secondary distance measure (CODAS).")
 @click.option("--alpha", type=float, default=0.0, show_default=True,
-              callback=_alpha_option, help="Hesitancy perception factor for the hvas method.")
-@click.option("--reference", default=None, callback=_nonpositive_reference,
+              help="Hesitancy perception factor for the hvas method.")
+@click.option("--reference", default=None, callback=_parse_reference,
               help="Reference point for the hvas method [default: -1 per criterion].")
 @format_option
 @output_option
@@ -191,14 +168,14 @@ def compare(problem_file, methods, tau, v, measure_primary, measure_secondary,
             f"available: {', '.join(mcdm_mod.METHOD_NAMES)}",
             param_hint="--methods",
         )
+    cfg = _config(
+        mcdm_mod.CompareConfig,
+        tau=tau, v=v, measure_primary=measure_primary, measure_secondary=measure_secondary,
+    )
+    hv_cfg = _config(HVConfig, reference=reference, alpha=alpha)
 
     def build() -> Report:
         problem = parse_problem(problem_file)
-        cfg = mcdm_mod.CompareConfig(
-            tau=tau, v=v,
-            measure_primary=measure_primary, measure_secondary=measure_secondary,
-        )
-        hv_cfg = HVConfig(reference=reference, alpha=alpha)
         results = mcdm_mod.run_methods(problem, names, cfg, hv_cfg)
         return Report(
             kind="compare",

@@ -237,7 +237,7 @@ def check_axioms(
     `samples`.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     choices = np.asarray(lengths, dtype=int)
 

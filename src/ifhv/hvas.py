@@ -81,28 +81,10 @@ class DecisionProblem:
         expertise: Sequence[Sequence[float]],
     ) -> None:
         self._set_ids(alternatives, criteria, dms)
-        q, m, n = self.n_dms, self.n_criteria, self.n_alternatives
-        for tensor, name, width in (
-            (evaluations, "evaluations", n),
-            (importance, "importance", None),
-            (expertise, "expertise", None),
-        ):
-            if len(tensor) != q:
-                raise MismatchError(f"{name} must have one entry per DM")
-            for per_dm in tensor:
-                if len(per_dm) != m:
-                    raise MismatchError(f"{name} must have one entry per criterion")
-                if width is not None:
-                    for row in per_dm:
-                        if len(row) != width:
-                            raise MismatchError(f"{name} rows must have one entry per alternative")
         self._set_arrays(
-            np.array(
-                [[[(v.mu, v.nu) for v in row] for row in per_dm] for per_dm in evaluations],
-                dtype=float,
-            ).reshape(q, m, n, 2),
-            np.array([[(v.mu, v.nu) for v in per_dm] for per_dm in importance], dtype=float),
-            np.array(expertise, dtype=float),
+            [[[(v.mu, v.nu) for v in row] for row in per_dm] for per_dm in evaluations],
+            [[(v.mu, v.nu) for v in per_dm] for per_dm in importance],
+            expertise,
         )
 
     @classmethod
@@ -122,19 +104,7 @@ class DecisionProblem:
         """
         problem = cls.__new__(cls)
         problem._set_ids(alternatives, criteria, dms)
-        q, m, n = problem.n_dms, problem.n_criteria, problem.n_alternatives
-        for array, name, shape in (
-            (evaluations, "evaluations", (q, m, n, 2)),
-            (importance, "importance", (q, m, 2)),
-            (expertise, "expertise", (q, m)),
-        ):
-            if np.shape(array) != shape:
-                raise MismatchError(f"{name} must have shape {shape}, got {np.shape(array)}")
-        problem._set_arrays(
-            np.array(evaluations, dtype=float),
-            np.array(importance, dtype=float),
-            np.array(expertise, dtype=float),
-        )
+        problem._set_arrays(evaluations, importance, expertise)
         return problem
 
     def _set_ids(self, alternatives, criteria, dms) -> None:
@@ -152,6 +122,21 @@ class DecisionProblem:
             raise DomainError("DM ids must be unique")
 
     def _set_arrays(self, evaluations, importance, expertise) -> None:
+        try:
+            arrays = [np.array(a, dtype=float) for a in (evaluations, importance, expertise)]
+        except ValueError as exc:
+            raise MismatchError(
+                f"evaluations, importance and expertise must nest [dm][criterion]: {exc}"
+            ) from None
+        q, m, n = self.n_dms, self.n_criteria, self.n_alternatives
+        for array, name, shape in zip(
+            arrays,
+            ("evaluations", "importance", "expertise"),
+            ((q, m, n, 2), (q, m, 2), (q, m)),
+        ):
+            if array.shape != shape:
+                raise MismatchError(f"{name} must have shape {shape}, got {array.shape}")
+        evaluations, importance, expertise = arrays
         outside = ~((expertise >= 0.0) & (expertise <= 1.0))
         if outside.any():
             w = float(expertise.flat[int(np.argmax(outside))])

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import DomainError, MismatchError
 from .ifs import IFS
+from .ranking import check_tie_tolerance
 
 DEFAULT_REFERENCE_COORD = -1.0
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -252,7 +253,7 @@ def mc_oracle(
     point.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise DomainError("samples must be >= 1")
     arr, ra = _points_array(points, r)
     if arr.shape[0] == 0:
         return 0.0, 0.0
@@ -315,8 +316,7 @@ class HVConfig:
         if not -1.0 <= alpha <= 1.0:
             raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
         object.__setattr__(self, "alpha", alpha)
-        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0.0):
-            raise DomainError("tie_tolerance must be a non-negative finite number")
+        check_tie_tolerance(self.tie_tolerance)
 
     def reference_for(self, m: int) -> tuple[float, ...]:
         """Concrete reference coordinates for an m-dimensional space."""

@@ -30,7 +30,6 @@ so memory stays O(n), not O(n^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,7 +38,7 @@ import numpy as np
 from .distances import DistanceMeasure, euclidean2, hamming
 from .errors import DegenerateError, DomainError
 from .hvas import DecisionProblem, rank as hvas_rank
-from .ranking import RankingResult, build_ranking
+from .ranking import RankingResult, build_ranking, check_tie_tolerance
 
 DEFAULT_TAU = 0.02
 DEFAULT_V = 0.5
@@ -67,8 +66,7 @@ class CompareConfig:
             raise DomainError(f"tau must lie in [0, 1], got {self.tau}")
         if not 0.0 <= float(self.v) <= 1.0:
             raise DomainError(f"v must lie in [0, 1], got {self.v}")
-        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0.0):
-            raise DomainError("tie_tolerance must be a non-negative finite number")
+        check_tie_tolerance(self.tie_tolerance)
 
     def echo(self) -> dict:
         return {
@@ -228,16 +226,17 @@ def run_methods(
     cfg: CompareConfig | None = None,
     hv_config=None,
 ) -> list[RankingResult]:
-    """Run a subset of {hvas, topsis, vikor, codas} on one problem."""
+    """Run a subset of {hvas, topsis, vikor, codas} on one problem.
+
+    Every name is checked before any method runs.
+    """
+    unknown = [name for name in methods if name not in METHOD_NAMES]
+    if unknown:
+        raise DomainError(
+            f"unknown method(s) {', '.join(unknown)}; available: {', '.join(METHOD_NAMES)}"
+        )
     cfg = cfg if cfg is not None else CompareConfig()
-    results = []
-    for name in methods:
-        if name == "hvas":
-            results.append(hvas_rank(problem, hv_config))
-        elif name in _COMPARATORS:
-            results.append(_COMPARATORS[name](problem, cfg))
-        else:
-            raise DomainError(
-                f"unknown method '{name}'; available: {', '.join(METHOD_NAMES)}"
-            )
-    return results
+    return [
+        hvas_rank(problem, hv_config) if name == "hvas" else _COMPARATORS[name](problem, cfg)
+        for name in methods
+    ]

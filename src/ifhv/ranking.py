@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -64,6 +65,15 @@ def ranks_from_order(order: Sequence[Sequence[str]]) -> dict[str, int]:
     return out
 
 
+def check_tie_tolerance(tie_tolerance: float) -> None:
+    """Raise DomainError unless `tie_tolerance` is a non-negative finite number."""
+    if not (math.isfinite(tie_tolerance) and tie_tolerance >= 0.0):
+        raise DomainError(
+            "tie_tolerance: a tie tolerance must be a non-negative finite number, "
+            f"got {tie_tolerance}"
+        )
+
+
 def build_ranking(
     method: str,
     labels: Sequence[str],
@@ -77,8 +87,9 @@ def build_ranking(
     Scores within `tie_tolerance` (absolute) of a group's first member join
     that group. Within a group, labels keep their original input order, so
     the result is invariant under relabeling of the inputs. Every score must
-    be finite.
+    be finite, and so must the non-negative `tie_tolerance`.
     """
+    check_tie_tolerance(tie_tolerance)
     values = np.asarray(scores, dtype=float)
     if values.shape != (len(labels),):
         raise MismatchError(f"got {len(labels)} labels but {values.size} scores")

@@ -47,25 +47,19 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 def _render_rank_md(machine: dict) -> str:
     result = machine["result"]
-    headers = ["alternative", "rank"]
-    components = machine.get("components", {})
-    if components:
-        headers += ["hv_mu", "hv_nu", "hv_pi"]
-    headers.append("score")
+    spaces = ["hv_mu", "hv_nu", "hv_pi"]
     ranks = ranks_from_order(result["order"])
-    rows = []
-    for label in machine["alternatives"]:
-        row = [label, str(ranks[label])]
-        if components:
-            parts = components[label]
-            row += [_fmt(parts["hv_mu"]), _fmt(parts["hv_nu"]), _fmt(parts["hv_pi"])]
-        row.append(_fmt(result["scores"][label]))
-        rows.append(row)
+    rows = [
+        [label, str(ranks[label])]
+        + [_fmt(machine["components"][label][key]) for key in spaces]
+        + [_fmt(result["scores"][label])]
+        for label in machine["alternatives"]
+    ]
     return "\n".join(
         [
             f"# {result['method']} ranking",
             "",
-            _table(headers, rows),
+            _table(["alternative", "rank", *spaces, "score"], rows),
             "",
             f"Ranking order: {result['order_string']}",
             "",

@@ -292,7 +292,7 @@ def iso_nis_pairs(
     for property checks over large sample counts.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DomainError("count must be >= 1")
     rng = np.random.default_rng(seed)
     built = _iso_nis_partners(measure, *_draw_attempts(rng, count), tol)
     keep = built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= tol)
@@ -320,9 +320,9 @@ def audit(
     report is a valid outcome and yields is_robust_on_budget=True.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise DomainError("budget must be >= 1")
     if not (math.isfinite(eps) and eps > 0.0 and math.isfinite(delta) and delta > 0.0):
-        raise ValueError("eps and delta must be positive finite numbers")
+        raise DomainError("eps and delta must be positive finite numbers")
     rng = np.random.default_rng(seed)
     counterexamples: list[Counterexample] = []
     samples_used = budget

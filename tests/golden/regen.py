@@ -1,7 +1,9 @@
 """The golden corpus: fixed CLI commands and the bytes they print.
 
 Each case runs one `ifhv` command in-process from the directory of its
-input, so the path the report echoes is the bare file name. A case that
+input, so the path the report echoes is the bare file name. `audit` and
+`axioms` read no file: their cases name the corpus directory in place of an
+input and pass no file argument. A case that
 succeeds is recorded as its stdout bytes; a case that fails as its exit code
 and its stderr. `tests/test_golden.py` compares every case with its file.
 
@@ -84,7 +86,7 @@ def write_inputs() -> None:
 
 
 def _cases() -> dict[str, tuple[Path, list[str]]]:
-    """name -> (input file, arguments after the command's input file)."""
+    """name -> (input file or `HERE`, arguments after the command's input file)."""
     cases: dict[str, tuple[Path, list[str]]] = {}
     for fmt in ("md", "json", "csv"):
         cases[f"rank_table1.{fmt}"] = (TABLE1, ["rank", "--format", fmt])
@@ -109,6 +111,28 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
         cases[f"hv_{points.removesuffix('.txt')}.err"] = (INPUTS / points, ["hv"])
     cases["hv_tied2d_reference3.err"] = (INPUTS / "tied2d.txt", ["hv", "--reference", "0,0,0"])
     cases["rank_table1_reference3.err"] = (TABLE1, ["rank", "--reference=-1,-1,-1"])
+    # flag values that break a config rule: usage errors with the library's message
+    for name, args in {
+        "rank_table1_alpha2.err": ["rank", "--alpha", "2"],
+        "rank_table1_tolerance_nan.err": ["rank", "--tie-tolerance", "nan"],
+        "rank_table1_reference_positive.err": ["rank", "--reference", "1,1"],
+        "compare_table1_tau2.err": ["compare", "--tau", "2"],
+        "compare_table1_v_nan.err": ["compare", "--v", "nan"],
+    }.items():
+        cases[name] = (TABLE1, args)
+    for fmt in ("md", "json", "csv"):
+        cases[f"audit_euclidean2.{fmt}"] = (
+            HERE, ["audit", "--measure", "euclidean2", "--budget", "2000", "--seed", "7",
+                   "--format", fmt],
+        )
+        cases[f"axioms_euclidean3.{fmt}"] = (
+            HERE, ["axioms", "--measure", "euclidean3", "--samples", "2000", "--format", fmt]
+        )
+    # a robust measure: the csv branch with no violation rows
+    cases["audit_hamming_delta.csv"] = (
+        HERE, ["audit", "--measure", "hamming", "--budget", "2000", "--delta", "1e-6",
+               "--format", "csv"],
+    )
     return cases
 
 
@@ -119,7 +143,8 @@ def run_case(name: str) -> bytes:
     """The recorded bytes of one case, run from the current directory."""
     source, args = CASES[name]
     command, *options = args
-    result = CliRunner().invoke(main, [command, source.name, *options])
+    argv = args if source == HERE else [command, source.name, *options]
+    result = CliRunner().invoke(main, argv)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     if name.endswith(".err"):

@@ -170,6 +170,18 @@ class TestNormalize:
                 np.full((1, 1, 1, 2), 0.25), np.full((1, 2, 2), 0.25), np.ones((1, 2)),
             )
 
+    def test_ragged_nesting_is_a_mismatch(self):
+        # the second alternative row is one entry short
+        with pytest.raises(MismatchError, match="nest"):
+            DecisionProblem(
+                alternatives=("A1", "A2"),
+                criteria=(CriterionSpec("c1", B), CriterionSpec("c2", B)),
+                dms=("dm1",),
+                evaluations=(((IFN(0.5, 0.2), IFN(0.4, 0.3)), (IFN(0.5, 0.2),)),),
+                importance=((IFN(1, 0), IFN(1, 0)),),
+                expertise=((1.0, 1.0),),
+            )
+
 
 class TestWeightMatrix:
     def test_identity_weights(self):

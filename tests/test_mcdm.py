@@ -21,6 +21,7 @@ from ifhv import (
 )
 from ifhv.mcdm import _extremes
 import ifhv.hvas as hvas_mod
+import ifhv.mcdm as mcdm_mod
 from gen import random_problem, spread_problem
 
 B = CriterionKind.BENEFIT
@@ -244,6 +245,19 @@ class TestRunMethods:
     def test_unknown_method(self, dominant_problem):
         with pytest.raises(DomainError):
             run_methods(dominant_problem, ["saw"])
+
+    def test_every_name_is_checked_before_any_method_runs(self, dominant_problem, monkeypatch):
+        calls = []
+
+        def counted(method):
+            return lambda *args: calls.append(1) or method(*args)
+
+        monkeypatch.setattr(mcdm_mod, "hvas_rank", counted(mcdm_mod.hvas_rank))
+        for name, method in list(mcdm_mod._COMPARATORS.items()):
+            monkeypatch.setitem(mcdm_mod._COMPARATORS, name, counted(method))
+        with pytest.raises(DomainError, match="saw"):
+            run_methods(dominant_problem, ["hvas", "topsis", "saw"])
+        assert calls == []
 
     def test_dominance_consensus(self):
         rng = np.random.default_rng(63)

@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ifhv import IFS, DistanceMeasure, DomainError, MeasureKind  # noqa: E402
+from ifhv import IFS, DistanceMeasure, DomainError, MeasureKind, hamming  # noqa: E402
 from ifhv.ranking import RankingResult, build_ranking  # noqa: E402
 from ifhv.robustness import ReferenceKind, rank_by_reference  # noqa: E402
 
@@ -99,6 +99,19 @@ def test_non_finite_distance_from_a_plugin_is_rejected():
     sets = [IFS.from_pairs([(0.2, 0.3)]), IFS.from_pairs([(0.4, 0.1)])]
     with pytest.raises(DomainError, match="score of 'X1' is not finite"):
         rank_by_reference(sets, measure, ReferenceKind.PIS)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_bad_tie_tolerance_is_rejected(tolerance):
+    with pytest.raises(DomainError, match="tie_tolerance"):
+        build_ranking("m", ["a", "b"], [0.5, 0.5], tie_tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_bad_tie_tolerance_is_rejected_by_rank_by_reference(tolerance):
+    same = [IFS.from_pairs([(0.2, 0.3)]), IFS.from_pairs([(0.2, 0.3)])]
+    with pytest.raises(DomainError, match="tie_tolerance"):
+        rank_by_reference(same, hamming, ReferenceKind.PIS, tie_tolerance=tolerance)
 
 
 @pytest.mark.parametrize(
