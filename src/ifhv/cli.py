@@ -71,11 +71,11 @@ output_option = click.option(
 )
 
 
-def _config(config_type, **values):
-    """A config built from flag values; a value that breaks one of the
-    config's rules is a usage error carrying the library's message."""
+def _checked(build, **values):
+    """build(**values) on flag values, e.g. a config; a value that breaks one
+    of the library's rules is a usage error carrying the library's message."""
     try:
-        return config_type(**values)
+        return build(**values)
     except IfhvError as exc:
         raise click.UsageError(str(exc), ctx=click.get_current_context()) from None
 
@@ -117,7 +117,7 @@ def main() -> None:
 @output_option
 def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):
     """Rank the alternatives of PROBLEM_FILE by net hypervolume."""
-    cfg = _config(HVConfig, reference=reference, alpha=alpha, tie_tolerance=tie_tolerance)
+    cfg = _checked(HVConfig, reference=reference, alpha=alpha, tie_tolerance=tie_tolerance)
 
     def build() -> Report:
         problem = parse_problem(problem_file)
@@ -159,20 +159,12 @@ def compare(problem_file, methods, tau, v, measure_primary, measure_secondary,
             alpha, reference, fmt, output):
     """Run several ranking methods on PROBLEM_FILE and tabulate their orders."""
     names = [name.strip() for name in methods.split(",") if name.strip()]
-    if not names:
-        raise click.BadParameter("at least one method is required", param_hint="--methods")
-    unknown = [name for name in names if name not in mcdm_mod.METHOD_NAMES]
-    if unknown:
-        raise click.BadParameter(
-            f"unknown method(s) {', '.join(unknown)}; "
-            f"available: {', '.join(mcdm_mod.METHOD_NAMES)}",
-            param_hint="--methods",
-        )
-    cfg = _config(
+    _checked(mcdm_mod.check_methods, methods=names)
+    cfg = _checked(
         mcdm_mod.CompareConfig,
         tau=tau, v=v, measure_primary=measure_primary, measure_secondary=measure_secondary,
     )
-    hv_cfg = _config(HVConfig, reference=reference, alpha=alpha)
+    hv_cfg = _checked(HVConfig, reference=reference, alpha=alpha)
 
     def build() -> Report:
         problem = parse_problem(problem_file)

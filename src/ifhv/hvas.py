@@ -18,10 +18,11 @@ axis of 2 holds (mu, nu). The pipeline:
        spaces, and rank descending. The formula is `hypervolume._hv_spaces`,
        the one that `hv_net` applies to a single IFS.
 
-Steps 1, 2 and 4 apply IFN's simplex clamp to whole arrays. Steps 1-4 run
-once per problem: `DecisionProblem.weighted` is the weighted matrix, a pair
-of read-only (m, n) mu and nu arrays with one row per criterion. HVAS here
-and the comparators in `ifhv.mcdm` all read it, so a command builds it once
+Steps 1, 2 and 4 apply IFN's array rule `ifs.check_pairs` to whole arrays.
+Steps 1-4 run once per problem: `DecisionProblem.weighted` is the weighted
+matrix, a pair of read-only (m, n) mu and nu arrays with one row per
+criterion. HVAS here and the comparators in `ifhv.mcdm` all read it, so a
+command builds it once
 whatever methods it runs. IFN and IFS appear only at the API boundary: the
 nested-IFN constructor and the `evaluations` and `importance` views.
 """
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, MismatchError
 from .hypervolume import HVConfig, HVNetResult, _hv_spaces
-from .ifs import IFN, clamp_to_simplex
+from .ifs import IFN, check_pairs
 from .ranking import RankingResult, build_ranking
 
 
@@ -64,11 +65,11 @@ class DecisionProblem:
     [dm][criterion] for importance and expertise. Expertise values are
     ordinary fuzzy memberships in [0, 1].
 
-    The constructor takes nested IFN tuples; `from_arrays` takes validated
-    float arrays. Either way the problem is stored as the read-only arrays
-    `evaluation_array` (q, m, n, 2), `importance_array` (q, m, 2) and
-    `expertise_array` (q, m). The IFN-typed `evaluations` and `importance`
-    are built from them on first access.
+    The constructor takes nested IFN tuples; `from_arrays` takes float
+    arrays, checked under the same rules. Either way the problem is stored as
+    the read-only arrays `evaluation_array` (q, m, n, 2), `importance_array`
+    (q, m, 2) and `expertise_array` (q, m). The IFN-typed `evaluations` and
+    `importance` are built from them on first access.
     """
 
     def __init__(
@@ -97,10 +98,11 @@ class DecisionProblem:
         importance: np.ndarray,
         expertise: np.ndarray,
     ) -> "DecisionProblem":
-        """Build a problem from float arrays of valid (mu, nu) pairs.
+        """Build a problem from float arrays of (mu, nu) pairs and weights.
 
-        Shapes are (q, m, n, 2), (q, m, 2) and (q, m). The pairs are taken
-        as they are: validate them first, as the problem-file parser does.
+        Shapes are (q, m, n, 2), (q, m, 2) and (q, m). Pairs are checked and
+        clamped as IFN does (`ifs.check_pairs`); a bad one raises DomainError
+        naming its array, e.g. ``evaluations: IFN components must ...``.
         """
         problem = cls.__new__(cls)
         problem._set_ids(alternatives, criteria, dms)
@@ -137,6 +139,11 @@ class DecisionProblem:
             if array.shape != shape:
                 raise MismatchError(f"{name} must have shape {shape}, got {array.shape}")
         evaluations, importance, expertise = arrays
+        for pairs, name in ((evaluations, "evaluations"), (importance, "importance")):
+            try:
+                pairs[..., 1] = check_pairs(pairs[..., 0], pairs[..., 1])
+            except DomainError as exc:
+                raise DomainError(f"{name}: {exc}") from None
         outside = ~((expertise >= 0.0) & (expertise <= 1.0))
         if outside.any():
             w = float(expertise.flat[int(np.argmax(outside))])
@@ -224,7 +231,7 @@ def _aggregate(pairs: np.ndarray, problem: DecisionProblem) -> tuple[np.ndarray,
             f"expertise weights for criterion '{problem.criteria[zero[0]].id}' sum to zero"
         )
     mu = mu_acc / total[lead]
-    return mu, clamp_to_simplex(mu, nu_acc / total[lead])
+    return mu, check_pairs(mu, nu_acc / total[lead])
 
 
 def _normalize(mu: np.ndarray, nu: np.ndarray, criteria: Sequence[CriterionSpec]):
@@ -237,7 +244,7 @@ def _weight(mu: np.ndarray, nu: np.ndarray, w_mu: np.ndarray, w_nu: np.ndarray):
     """Multiply each (m, n) row by its weight, in the operation order of `multiply`."""
     w_mu, w_nu = w_mu[:, None], w_nu[:, None]
     mu = mu * w_mu
-    return mu, clamp_to_simplex(mu, w_nu + nu * (1.0 - w_nu))
+    return mu, check_pairs(mu, w_nu + nu * (1.0 - w_nu))
 
 
 def _weighted_spaces(problem: DecisionProblem, cfg: HVConfig):

@@ -68,18 +68,18 @@ class IFN:
         return f"IFN({self.mu:g}, {self.nu:g})"
 
 
-def clamp_to_simplex(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Array form of IFN's simplex rule; returns the clamped nu.
+def check_pairs(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """IFN's rules on same-shape arrays of pairs; returns nu clamped as IFN clamps it.
 
-    Pairs whose sum overshoots 1 by at most SUM_TOLERANCE get nu = 1 - mu;
-    the first pair beyond it raises DomainError with IFN's message.
+    The first pair in flat order that is not finite, lies outside [0, 1] or
+    sums past 1 + SUM_TOLERANCE raises IFN's own DomainError.
     """
     total = mu + nu
-    beyond = total > 1.0 + SUM_TOLERANCE
-    if beyond.any():
-        k = int(np.argmax(beyond))
-        a, b = float(mu.flat[k]), float(nu.flat[k])
-        raise DomainError(f"IFN requires mu + nu <= 1, got {a} + {b} = {a + b}")
+    # the range tests also reject nan and infinities
+    valid = (mu >= 0.0) & (mu <= 1.0) & (nu >= 0.0) & (nu <= 1.0) & (total <= 1.0 + SUM_TOLERANCE)
+    if not valid.all():
+        k = int(np.argmin(valid))
+        IFN(float(mu.flat[k]), float(nu.flat[k]))  # raises with IFN's message
     return np.where(total > 1.0, 1.0 - mu, nu)
 
 

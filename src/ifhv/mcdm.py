@@ -220,6 +220,17 @@ _COMPARATORS = {
 METHOD_NAMES = ("hvas",) + tuple(_COMPARATORS)
 
 
+def check_methods(methods: Sequence[str]) -> None:
+    """Reject an empty list of methods, or one that names an unknown method."""
+    if not methods:
+        raise DomainError("at least one method is required")
+    unknown = [name for name in methods if name not in METHOD_NAMES]
+    if unknown:
+        raise DomainError(
+            f"unknown method(s) {', '.join(unknown)}; available: {', '.join(METHOD_NAMES)}"
+        )
+
+
 def run_methods(
     problem: DecisionProblem,
     methods: Sequence[str],
@@ -230,11 +241,7 @@ def run_methods(
 
     Every name is checked before any method runs.
     """
-    unknown = [name for name in methods if name not in METHOD_NAMES]
-    if unknown:
-        raise DomainError(
-            f"unknown method(s) {', '.join(unknown)}; available: {', '.join(METHOD_NAMES)}"
-        )
+    check_methods(methods)
     cfg = cfg if cfg is not None else CompareConfig()
     return [
         hvas_rank(problem, hv_config) if name == "hvas" else _COMPARATORS[name](problem, cfg)

@@ -13,16 +13,19 @@ linguistic labels. Layout:
       "expertise":   {dm: {criterion: weight}}
     }
 
-The reader builds the problem's float arrays directly, checking all cells of
-a document at once under IFN's rules; no IFN is built per cell. Every
-malformed field is reported with its path inside the document, e.g.
-``evaluations.dm1.c1.X2``: when the bulk check fails, a walk in document
-order finds the first invalid field. `parse_problem` and `serialize_problem`
-are inverses on valid problems.
+The reader fills the problem's float arrays in one walk over (decision
+maker, criterion), in the order of the `dms` and `criteria` lists, and
+builds no IFN. Each step checks an evaluation row and its importance pair as
+one array (`ifs.check_pairs`); only a step that fails is walked field by
+field, so the first invalid field in walk order is reported, with its path
+inside the document, e.g. ``evaluations.dm1.c1.X2``. Unknown fields and ids,
+repeated ids and repeated JSON keys are rejected too. `parse_problem` and
+`serialize_problem` are inverses on valid problems.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from itertools import chain
 from pathlib import Path
@@ -31,10 +34,11 @@ import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError, VersionError
 from .hvas import CriterionKind, CriterionSpec, DecisionProblem
-from .ifs import IFN, SUM_TOLERANCE, clamp_to_simplex
+from .ifs import check_pairs
 
 SCHEMA_VERSION = 1
 _SECTIONS = ("evaluations", "importance", "expertise")
+_FIELDS = {"schema_version", "alternatives", "criteria", "dms", *_SECTIONS}
 
 
 def _require(data: dict, key: str, kind, path: str):
@@ -52,115 +56,100 @@ def _is_number_type(kind: type) -> bool:
     return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
-class _Rejected(Exception):
-    """The bulk read met something invalid; `_first_error` names it."""
+def _repeat(keys) -> int | None:
+    """Index of the first key equal to an earlier one, or None."""
+    seen = set()
+    return next((i for i, key in enumerate(keys) if key in seen or seen.add(key)), None)
 
 
-def _mapping(value) -> dict:
-    if not isinstance(value, dict):
-        raise _Rejected
-    return value
+def _ids(data: dict, key: str, source: str) -> list:
+    ids = _require(data, key, list, source)
+    if not ids or not all(isinstance(i, str) for i in ids):
+        raise ValidationError(f"{source}.{key}: expected a non-empty list of ids")
+    if (index := _repeat(ids)) is not None:
+        raise ValidationError(f"{source}.{key}: duplicate id '{ids[index]}'")
+    return ids
+
+
+def _known(obj: dict, ids: set, path: str, what: str) -> dict:
+    """obj, once it has no more keys than ids. (An unknown key among as many
+    keys as ids leaves an id missing, which the walk reports.)"""
+    if len(obj) > len(ids):
+        key = next(key for key in obj if key not in ids)
+        raise ValidationError(f"{path}.{key}: unknown {what}")
+    return obj
+
+
+def _object(parent: dict, key: str, path: str, what: str, keyed_by: str, ids: set) -> dict:
+    """parent[key], the object of one `what`, keyed by `keyed_by` ids."""
+    if key not in parent:
+        raise ValidationError(f"{path}.{key}: missing {what}")
+    if not isinstance(parent[key], dict):
+        raise ValidationError(f"{path}.{key}: expected an object keyed by {keyed_by}")
+    return _known(parent[key], ids, f"{path}.{key}", keyed_by)
 
 
 def _pair_array(cells: list) -> np.ndarray:
-    """(k, 2) array of k [mu, nu] cells, checked as a whole under IFN's rules."""
-    if not (
+    """(k, 2) array of k [mu, nu] cells checked as a whole under IFN's rules,
+    nu clamped; DomainError if a cell is not a pair of numbers or breaks a rule."""
+    if (
         all(issubclass(kind, (list, tuple)) for kind in set(map(type, cells)))
         and set(map(len, cells)) <= {2}
         and all(map(_is_number_type, set(map(type, chain.from_iterable(cells)))))
     ):
-        raise _Rejected
-    pairs = np.fromiter(chain.from_iterable(cells), float, 2 * len(cells)).reshape(-1, 2)
-    mu, nu = pairs[:, 0], pairs[:, 1]
-    # the range test also rejects nan and infinities
-    if not (((pairs >= 0.0) & (pairs <= 1.0)).all() and (mu + nu <= 1.0 + SUM_TOLERANCE).all()):
-        raise _Rejected
-    pairs[:, 1] = clamp_to_simplex(mu, nu)
-    return pairs
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            pairs = np.fromiter(chain.from_iterable(cells), float, 2 * len(cells)).reshape(-1, 2)
+            pairs[:, 1] = check_pairs(pairs[:, 0], pairs[:, 1])
+            return pairs
+    raise DomainError("expected a [mu, nu] pair of numbers")
 
 
-def _weight_array(weights: list) -> np.ndarray:
-    if not all(map(_is_number_type, set(map(type, weights)))):
-        raise _Rejected
-    array = np.array(weights, dtype=float)
-    if not ((array >= 0.0) & (array <= 1.0)).all():
-        raise _Rejected
-    return array
-
-
-def _read_arrays(sections: list[dict], dms, criteria, alternatives):
-    """The evaluation, importance and expertise arrays, read and checked in bulk.
-
-    Raises _Rejected or KeyError on the first sign of invalid input.
-    """
-    cells, importance, expertise = [], [], []
-    for dm in dms:
-        eval_dm, imp_dm, exp_dm = (_mapping(section[dm]) for section in sections)
-        for criterion in criteria:
-            row = _mapping(eval_dm[criterion.id])
-            cells += [row[alt] for alt in alternatives]
-            importance.append(imp_dm[criterion.id])
-            expertise.append(exp_dm[criterion.id])
-    q, m, n = len(dms), len(criteria), len(alternatives)
-    return (
-        _pair_array(cells).reshape(q, m, n, 2),
-        _pair_array(importance).reshape(q, m, 2),
-        _weight_array(expertise).reshape(q, m),
-    )
-
-
-def _pair_error(value, path: str) -> ValidationError | None:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_number_type(type(x)) for x in value)
-    ):
-        return ValidationError(f"{path}: expected a [mu, nu] pair of numbers")
+def _pair(parent: dict, key: str, path: str) -> np.ndarray:
+    """parent[key], one [mu, nu] field, as a checked (1, 2) array."""
+    if key not in parent:  # only an alternative can be missing here
+        raise ValidationError(f"{path}.{key}: missing alternative")
     try:
-        IFN(float(value[0]), float(value[1]))
+        return _pair_array([parent[key]])
     except DomainError as exc:
-        return ValidationError(f"{path}: {exc}")
-    return None
+        raise ValidationError(f"{path}.{key}: {exc}") from None
 
 
-def _first_error(source: str, sections: list[dict], dms, criteria, alternatives) -> ValidationError:
-    """The first invalid field in document order, for a document `_read_arrays` rejected."""
-    for dm in dms:
-        for section, name in zip(sections, _SECTIONS):
-            if dm not in section:
-                return ValidationError(f"{source}.{name}.{dm}: missing decision maker")
-            if not isinstance(section[dm], dict):
-                return ValidationError(
-                    f"{source}.{name}.{dm}: expected an object keyed by criterion"
-                )
-        eval_dm, imp_dm, exp_dm = (section[dm] for section in sections)
-        for criterion in criteria:
-            cid = criterion.id
-            for section, name in zip((eval_dm, imp_dm, exp_dm), _SECTIONS):
+def _read_arrays(source: str, sections: list[dict], dms, criteria, alternatives):
+    """The evaluation, importance and expertise arrays, read and checked in one walk."""
+    ids = [criterion.id for criterion in criteria]
+    dm_set, id_set, alt_set = set(dms), set(ids), set(alternatives)
+    paths = [f"{source}.{name}" for name in _SECTIONS]
+    for section, path in zip(sections, paths):
+        _known(section, dm_set, path, "decision maker")
+    q, m, n = len(dms), len(ids), len(alternatives)
+    evaluations, importance = np.empty((q, m, n, 2)), np.empty((q, m, 2))
+    expertise = np.empty((q, m))
+    for l, dm in enumerate(dms):
+        eval_dm, imp_dm, exp_dm = per_dm = [
+            _object(section, dm, path, "decision maker", "criterion", id_set)
+            for section, path in zip(sections, paths)
+        ]
+        eval_path, imp_path, exp_path = dm_paths = [f"{path}.{dm}" for path in paths]
+        for j, cid in enumerate(ids):
+            for section, path in zip(per_dm, dm_paths):
                 if cid not in section:
-                    return ValidationError(f"{source}.{name}.{dm}.{cid}: missing criterion")
-            cells = eval_dm[cid]
-            if not isinstance(cells, dict):
-                return ValidationError(
-                    f"{source}.evaluations.{dm}.{cid}: expected an object keyed by alternative"
+                    raise ValidationError(f"{path}.{cid}: missing criterion")
+            row = _object(eval_dm, cid, eval_path, "criterion", "alternative", alt_set)
+            try:
+                pairs = _pair_array([*map(row.get, alternatives), imp_dm[cid]])
+            except DomainError:  # name the first bad field
+                pairs = np.concatenate(
+                    [_pair(row, alt, f"{eval_path}.{cid}") for alt in alternatives]
+                    + [_pair(imp_dm, cid, imp_path)]
                 )
-            for alt in alternatives:
-                path = f"{source}.evaluations.{dm}.{cid}.{alt}"
-                error = (
-                    _pair_error(cells[alt], path) if alt in cells
-                    else ValidationError(f"{path}: missing alternative")
-                )
-                if error is not None:
-                    return error
-            error = _pair_error(imp_dm[cid], f"{source}.importance.{dm}.{cid}")
-            if error is not None:
-                return error
+            evaluations[l, j], importance[l, j] = pairs[:-1], pairs[-1]
             weight = exp_dm[cid]
             if not _is_number_type(type(weight)) or not 0.0 <= weight <= 1.0:
-                return ValidationError(
-                    f"{source}.expertise.{dm}.{cid}: expected a weight in [0, 1], got {weight!r}"
+                raise ValidationError(
+                    f"{exp_path}.{cid}: expected a weight in [0, 1], got {weight!r}"
                 )
-    raise RuntimeError(f"{source}: rejected in bulk but valid field by field")
+            expertise[l, j] = weight
+    return evaluations, importance, expertise
 
 
 def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
@@ -173,9 +162,8 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
             f"{source}: unsupported schema_version {version}; this build reads {SCHEMA_VERSION}"
         )
 
-    alternatives = _require(data, "alternatives", list, source)
-    if not alternatives or not all(isinstance(a, str) for a in alternatives):
-        raise ValidationError(f"{source}.alternatives: expected a non-empty list of ids")
+    _known(data, _FIELDS, source, "field")
+    alternatives = _ids(data, "alternatives", source)
 
     raw_criteria = _require(data, "criteria", list, source)
     if not raw_criteria:
@@ -186,6 +174,8 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: expected an object with id and kind")
         cid = _require(entry, "id", str, path)
+        if any(criterion.id == cid for criterion in criteria):
+            raise ValidationError(f"{path}.id: duplicate id '{cid}'")
         kind_name = _require(entry, "kind", str, path)
         try:
             kind = CriterionKind(kind_name)
@@ -195,16 +185,19 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
             ) from None
         criteria.append(CriterionSpec(cid, kind))
 
-    dms = _require(data, "dms", list, source)
-    if not dms or not all(isinstance(d, str) for d in dms):
-        raise ValidationError(f"{source}.dms: expected a non-empty list of ids")
+    dms = _ids(data, "dms", source)
 
     sections = [_require(data, name, dict, source) for name in _SECTIONS]
-    try:
-        arrays = _read_arrays(sections, dms, criteria, alternatives)
-    except (KeyError, _Rejected):
-        raise _first_error(source, sections, dms, criteria, alternatives) from None
+    arrays = _read_arrays(source, sections, dms, criteria, alternatives)
     return DecisionProblem.from_arrays(alternatives, criteria, dms, *arrays)
+
+
+def _unique_keys(pairs: list, path: Path) -> dict:
+    """A decoded JSON object; a key given twice is a ParseError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ParseError(f"{path}: duplicate key '{pairs[_repeat(k for k, _ in pairs)][0]}'")
+    return obj
 
 
 def parse_problem(path: str | Path) -> DecisionProblem:
@@ -215,7 +208,7 @@ def parse_problem(path: str | Path) -> DecisionProblem:
     except OSError as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return problem_from_dict(data, source=path.name)

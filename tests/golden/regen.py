@@ -16,6 +16,7 @@ commands read.
 from __future__ import annotations
 
 import contextlib
+import json
 import sys
 from pathlib import Path
 
@@ -49,6 +50,49 @@ POINT_FILES = {
 }
 
 
+def _table1_with(*edits):
+    """Table 1 with each edit applied to its decoded document, as JSON text."""
+
+    def text() -> str:
+        doc = json.loads(TABLE1.read_text(encoding="utf-8"))
+        for edit in edits:
+            edit(doc)
+        return json.dumps(doc, indent=2) + "\n"
+
+    return text
+
+
+# Problem files that break one rule each (two_errors breaks two, to pin the
+# order in which the reader reports them).
+BAD_PROBLEMS = {
+    "cell_sum.problem": _table1_with(
+        lambda doc: doc["evaluations"]["dm1"]["c1"].update(X2=[0.7, 0.5])
+    ),
+    "cell_text.problem": _table1_with(
+        lambda doc: doc["evaluations"]["dm1"]["c2"].update(X3="0.5,0.2")
+    ),
+    "missing_alternative.problem": _table1_with(
+        lambda doc: doc["evaluations"]["dm1"]["c2"].pop("X3")
+    ),
+    "missing_importance.problem": _table1_with(lambda doc: doc["importance"]["dm1"].pop("c2")),
+    "expertise_high.problem": _table1_with(lambda doc: doc["expertise"]["dm1"].update(c1=1.5)),
+    "importance_word.problem": _table1_with(
+        lambda doc: doc["importance"]["dm1"].update(c1=["high", 0.0])
+    ),
+    "evaluations_list.problem": _table1_with(
+        lambda doc: doc["evaluations"].update(dm1=list(doc["evaluations"]["dm1"].values()))
+    ),
+    "two_errors.problem": _table1_with(
+        lambda doc: doc["evaluations"]["dm1"]["c2"].update(X1=[0.9, 0.9]),
+        lambda doc: doc["importance"]["dm1"].update(c1=[2.0, 0.0]),
+    ),
+    "unknown_field.problem": _table1_with(lambda doc: doc.update(weights=[0.5, 0.5])),
+    "duplicate_key.problem": lambda: TABLE1.read_text(encoding="utf-8").replace(
+        '"X1": [0.2, 0.4]', '"X1": [0.2, 0.4], "X1": [0.2, 0.5]'
+    ),
+}
+
+
 def _front4d() -> str:
     rng = np.random.default_rng(44)
     rows = np.round(rng.random((30, 4)), 3)
@@ -76,11 +120,11 @@ def write_inputs() -> None:
     from ifhv.problemfile import write_problem
 
     INPUTS.mkdir(parents=True, exist_ok=True)
-    texts = dict(POINT_FILES, **{"front4d.txt": _front4d()})
+    texts = dict(POINT_FILES, **{"front4d.txt": _front4d}, **BAD_PROBLEMS)
     for name, text in texts.items():
         path = INPUTS / name
         if not path.exists():
-            path.write_text(text, encoding="utf-8")
+            path.write_text(text if isinstance(text, str) else text(), encoding="utf-8")
     if not SEEDED.exists():
         write_problem(_seeded_problem(), SEEDED)
 
@@ -111,13 +155,17 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
         cases[f"hv_{points.removesuffix('.txt')}.err"] = (INPUTS / points, ["hv"])
     cases["hv_tied2d_reference3.err"] = (INPUTS / "tied2d.txt", ["hv", "--reference", "0,0,0"])
     cases["rank_table1_reference3.err"] = (TABLE1, ["rank", "--reference=-1,-1,-1"])
-    # flag values that break a config rule: usage errors with the library's message
+    for problem in BAD_PROBLEMS:
+        cases[f"rank_{problem.removesuffix('.problem')}.err"] = (INPUTS / problem, ["rank"])
+    # flag values that break a library rule: usage errors with the library's message
     for name, args in {
         "rank_table1_alpha2.err": ["rank", "--alpha", "2"],
         "rank_table1_tolerance_nan.err": ["rank", "--tie-tolerance", "nan"],
         "rank_table1_reference_positive.err": ["rank", "--reference", "1,1"],
         "compare_table1_tau2.err": ["compare", "--tau", "2"],
         "compare_table1_v_nan.err": ["compare", "--v", "nan"],
+        "compare_table1_methods_saw.err": ["compare", "--methods", "saw"],
+        "compare_table1_methods_empty.err": ["compare", "--methods", ","],
     }.items():
         cases[name] = (TABLE1, args)
     for fmt in ("md", "json", "csv"):

@@ -85,6 +85,35 @@ class TestProblemValidation:
                 expertise=((1.0,),),
             )
 
+    @pytest.mark.parametrize(
+        "name, pair, message",
+        [
+            ("evaluations", (-0.5, 0.2), r"IFN components must lie in \[0, 1\], got \(-0\.5, 0\.2\)"),
+            ("evaluations", (np.nan, 0.2), r"IFN components must be finite, got \(nan, 0\.2\)"),
+            ("importance", (0.7, 0.5), r"IFN requires mu \+ nu <= 1, got 0\.7 \+ 0\.5 = 1\.2"),
+        ],
+    )
+    def test_from_arrays_checks_every_pair(self, name, pair, message):
+        arrays = {
+            "evaluations": np.array([[[[0.5, 0.2], [0.4, 0.3]]]]),
+            "importance": np.array([[[1.0, 0.0]]]),
+        }
+        arrays[name].reshape(-1, 2)[-1] = pair  # the last pair of the array
+        with pytest.raises(DomainError, match=rf"^{name}: {message}$"):
+            DecisionProblem.from_arrays(
+                ("A", "B"), (CriterionSpec("c1", B),), ("dm1",),
+                arrays["evaluations"], arrays["importance"], np.ones((1, 1)),
+            )
+
+    def test_from_arrays_clamps_like_ifn(self):
+        evaluations = np.array([[[[0.7, 0.3 + 1e-12]]]])
+        problem = DecisionProblem.from_arrays(
+            ("A",), (CriterionSpec("c1", B),), ("dm1",),
+            evaluations, np.array([[[1.0, 0.0]]]), np.ones((1, 1)),
+        )
+        assert problem.evaluation_array[0, 0, 0].tolist() == [0.7, 1.0 - 0.7]
+        assert evaluations[0, 0, 0, 1] == 0.3 + 1e-12  # the caller's array is not changed
+
 
 def weighted_pairs(problem):
     """The weighted matrix as nested (mu, nu) tuples, one row per criterion."""

@@ -246,6 +246,10 @@ class TestRunMethods:
         with pytest.raises(DomainError):
             run_methods(dominant_problem, ["saw"])
 
+    def test_no_method(self, dominant_problem):
+        with pytest.raises(DomainError, match="at least one method"):
+            run_methods(dominant_problem, [])
+
     def test_every_name_is_checked_before_any_method_runs(self, dominant_problem, monkeypatch):
         calls = []
 

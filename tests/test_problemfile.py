@@ -1,6 +1,7 @@
 """Tests for problem-file parsing, validation paths, and round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,64 @@ class TestValidation:
         problem = problem_from_dict(table1_doc)
         assert problem.evaluations[0][0][0] == IFN(0.7, 0.3 + 1e-12)
         assert problem.evaluation_array[0, 0, 0].tolist() == [0.7, 1.0 - 0.7]
+
+    def test_integer_beyond_float_range(self, table1_doc):
+        table1_doc["importance"]["dm1"]["c2"] = [10**400, 0]
+        with pytest.raises(
+            ValidationError, match=r"^<problem>\.importance\.dm1\.c2: expected a \[mu, nu\] pair"
+        ):
+            problem_from_dict(table1_doc)
+
+
+def _put(section, *keys, value):
+    """An edit that sets doc[section][keys...] to value."""
+
+    def edit(doc):
+        target = doc[section]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return edit
+
+
+class TestStrict:
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            (lambda doc: doc.update(bogus=1), "bogus", "unknown field"),
+            (_put("evaluations", "dm9", value={}), "evaluations.dm9", "unknown decision maker"),
+            (_put("importance", "dm9", value={}), "importance.dm9", "unknown decision maker"),
+            (_put("expertise", "dm9", value={}), "expertise.dm9", "unknown decision maker"),
+            (_put("evaluations", "dm1", "zz", value={}), "evaluations.dm1.zz", "unknown criterion"),
+            (_put("importance", "dm1", "zz", value=[1, 0]), "importance.dm1.zz", "unknown criterion"),
+            (_put("expertise", "dm1", "zz", value=1.0), "expertise.dm1.zz", "unknown criterion"),
+            (
+                _put("evaluations", "dm1", "c2", "X9", value=[0.1, 0.2]),
+                "evaluations.dm1.c2.X9",
+                "unknown alternative",
+            ),
+            (
+                lambda doc: doc.update(alternatives=["X1", "X1", "X3"]),
+                "alternatives",
+                "duplicate id 'X1'",
+            ),
+            (_put("criteria", 1, "id", value="c1"), "criteria[1].id", "duplicate id 'c1'"),
+            (lambda doc: doc.update(dms=["dm1", "dm1"]), "dms", "duplicate id 'dm1'"),
+        ],
+    )
+    def test_rejection_cites_its_path(self, table1_doc, edit, path, message):
+        edit(table1_doc)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'<problem>.{path}: {message}')}$"):
+            problem_from_dict(table1_doc)
+
+    def test_duplicate_json_key(self, tmp_path):
+        path = tmp_path / "twice.problem"
+        path.write_text(
+            table1_path().read_text().replace('"c1": 1.0', '"c1": 1.0, "c1": 0.5'), encoding="utf-8"
+        )
+        with pytest.raises(ParseError, match=r"twice\.problem: duplicate key 'c1'$"):
+            parse_problem(path)
 
 
 class TestRoundTrip:
