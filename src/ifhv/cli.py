@@ -11,6 +11,7 @@ All commands are deterministic given their flags, including --seed.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from pathlib import Path
@@ -89,15 +90,24 @@ def _emit(report: Report, fmt: str, output: Path | None) -> None:
 
 
 def _run(builder, fmt: str, output: Path | None) -> None:
+    """Build the report and emit it, with the cyclic garbage collector paused:
+    the decoded input and the report are acyclic, so its passes over them
+    free nothing. The caller's collector state comes back on every exit."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        report = builder()
-    except DegenerateError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    except IfhvError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
-    _emit(report, fmt, output)
+        try:
+            report = builder()
+        except DegenerateError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DEGENERATE)
+        except IfhvError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DATA_ERROR)
+        _emit(report, fmt, output)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @click.group()

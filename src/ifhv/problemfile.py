@@ -13,14 +13,16 @@ linguistic labels. Layout:
       "expertise":   {dm: {criterion: weight}}
     }
 
-The reader fills the problem's float arrays in one walk over (decision
-maker, criterion), in the order of the `dms` and `criteria` lists, and
-builds no IFN. Each step checks an evaluation row and its importance pair as
-one array (`ifs.check_pairs`); only a step that fails is walked field by
-field, so the first invalid field in walk order is reported, with its path
-inside the document, e.g. ``evaluations.dm1.c1.X2``. Unknown fields and ids,
+The reader fills the problem's float arrays in one walk over the decision
+makers, in the order of the `dms` list, and builds no IFN. Each decision
+maker's m evaluation rows and m importance pairs are checked as one array
+(`ifs.check_pairs`); only a decision maker that fails is walked by
+(criterion, field), in the order of the `criteria` and `alternatives` lists,
+so the first invalid field in walk order is reported, with its path inside
+the document, e.g. ``evaluations.dm1.c1.X2``. Unknown fields and ids,
 repeated ids and repeated JSON keys are rejected too. `parse_problem` and
-`serialize_problem` are inverses on valid problems.
+`serialize_problem` are inverses on valid problems. `write_problem` writes
+the bytes of `json.dumps(..., indent=2)` through `report.json_text`.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError, VersionError
 from .hvas import CriterionKind, CriterionSpec, DecisionProblem
 from .ifs import check_pairs
+from .report import json_text
 
 SCHEMA_VERSION = 1
 _SECTIONS = ("evaluations", "importance", "expertise")
 _FIELDS = {"schema_version", "alternatives", "criteria", "dms", *_SECTIONS}
+_CRITERION_FIELDS = {"id", "kind"}
 
 
 def _require(data: dict, key: str, kind, path: str):
@@ -104,20 +108,59 @@ def _pair_array(cells: list) -> np.ndarray:
     raise DomainError("expected a [mu, nu] pair of numbers")
 
 
-def _pair(parent: dict, key: str, path: str) -> np.ndarray:
-    """parent[key], one [mu, nu] field, as a checked (1, 2) array."""
+def _pair(parent: dict, key: str, path: str) -> None:
+    """Check parent[key], one [mu, nu] field."""
     if key not in parent:  # only an alternative can be missing here
         raise ValidationError(f"{path}.{key}: missing alternative")
     try:
-        return _pair_array([parent[key]])
+        _pair_array([parent[key]])
     except DomainError as exc:
         raise ValidationError(f"{path}.{key}: {exc}") from None
+
+
+def _dm_arrays(per_dm: list[dict], ids: list, alternatives: list):
+    """One decision maker's m * n evaluation pairs followed by its m importance
+    pairs as one checked (m * n + m, 2) array, and its m expertise weights.
+    KeyError or DomainError on anything `_walk_dm` rejects, without a path."""
+    eval_dm, imp_dm, exp_dm = per_dm
+    rows = [eval_dm[cid] for cid in ids]
+    weights = [exp_dm[cid] for cid in ids]
+    if not (
+        all(issubclass(kind, dict) for kind in set(map(type, rows)))
+        and max(map(len, rows)) <= len(alternatives)
+        and all(map(_is_number_type, set(map(type, weights))))
+        and all(0.0 <= weight <= 1.0 for weight in weights)
+    ):
+        raise DomainError("not a valid decision maker")
+    cells = chain.from_iterable(map(row.get, alternatives) for row in rows)
+    return _pair_array([*cells, *map(imp_dm.__getitem__, ids)]), weights
+
+
+def _walk_dm(per_dm: list[dict], dm_paths: list[str], ids: list, alternatives: list) -> None:
+    """Check one decision maker field by field, in the order of (criterion,
+    section, alternative); the first invalid field raises with its path."""
+    eval_dm, imp_dm, exp_dm = per_dm
+    eval_path, imp_path, exp_path = dm_paths
+    alt_set = set(alternatives)
+    for cid in ids:
+        for section, path in zip(per_dm, dm_paths):
+            if cid not in section:
+                raise ValidationError(f"{path}.{cid}: missing criterion")
+        row = _object(eval_dm, cid, eval_path, "criterion", "alternative", alt_set)
+        for alt in alternatives:
+            _pair(row, alt, f"{eval_path}.{cid}")
+        _pair(imp_dm, cid, imp_path)
+        weight = exp_dm[cid]
+        if not _is_number_type(type(weight)) or not 0.0 <= weight <= 1.0:
+            raise ValidationError(
+                f"{exp_path}.{cid}: expected a weight in [0, 1], got {weight!r}"
+            )
 
 
 def _read_arrays(source: str, sections: list[dict], dms, criteria, alternatives):
     """The evaluation, importance and expertise arrays, read and checked in one walk."""
     ids = [criterion.id for criterion in criteria]
-    dm_set, id_set, alt_set = set(dms), set(ids), set(alternatives)
+    dm_set, id_set = set(dms), set(ids)
     paths = [f"{source}.{name}" for name in _SECTIONS]
     for section, path in zip(sections, paths):
         _known(section, dm_set, path, "decision maker")
@@ -125,30 +168,17 @@ def _read_arrays(source: str, sections: list[dict], dms, criteria, alternatives)
     evaluations, importance = np.empty((q, m, n, 2)), np.empty((q, m, 2))
     expertise = np.empty((q, m))
     for l, dm in enumerate(dms):
-        eval_dm, imp_dm, exp_dm = per_dm = [
+        per_dm = [
             _object(section, dm, path, "decision maker", "criterion", id_set)
             for section, path in zip(sections, paths)
         ]
-        eval_path, imp_path, exp_path = dm_paths = [f"{path}.{dm}" for path in paths]
-        for j, cid in enumerate(ids):
-            for section, path in zip(per_dm, dm_paths):
-                if cid not in section:
-                    raise ValidationError(f"{path}.{cid}: missing criterion")
-            row = _object(eval_dm, cid, eval_path, "criterion", "alternative", alt_set)
-            try:
-                pairs = _pair_array([*map(row.get, alternatives), imp_dm[cid]])
-            except DomainError:  # name the first bad field
-                pairs = np.concatenate(
-                    [_pair(row, alt, f"{eval_path}.{cid}") for alt in alternatives]
-                    + [_pair(imp_dm, cid, imp_path)]
-                )
-            evaluations[l, j], importance[l, j] = pairs[:-1], pairs[-1]
-            weight = exp_dm[cid]
-            if not _is_number_type(type(weight)) or not 0.0 <= weight <= 1.0:
-                raise ValidationError(
-                    f"{exp_path}.{cid}: expected a weight in [0, 1], got {weight!r}"
-                )
-            expertise[l, j] = weight
+        try:
+            pairs, weights = _dm_arrays(per_dm, ids, alternatives)
+        except (KeyError, DomainError):
+            _walk_dm(per_dm, [f"{path}.{dm}" for path in paths], ids, alternatives)
+            raise  # the walk accepted what the array check rejected: a bug, not bad input
+        evaluations[l] = pairs[: m * n].reshape(m, n, 2)
+        importance[l], expertise[l] = pairs[m * n :], weights
     return evaluations, importance, expertise
 
 
@@ -173,6 +203,7 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
         path = f"{source}.criteria[{index}]"
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: expected an object with id and kind")
+        _known(entry, _CRITERION_FIELDS, path, "field")
         cid = _require(entry, "id", str, path)
         if any(criterion.id == cid for criterion in criteria):
             raise ValidationError(f"{path}.id: duplicate id '{cid}'")
@@ -239,6 +270,6 @@ def serialize_problem(problem: DecisionProblem) -> dict:
 
 
 def write_problem(problem: DecisionProblem, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(serialize_problem(problem), indent=2) + "\n", encoding="utf-8"
-    )
+    """Write a problem file: the bytes of `json.dumps(serialize_problem(problem),
+    indent=2)` and a newline."""
+    Path(path).write_text(json_text(serialize_problem(problem)) + "\n", encoding="utf-8")

@@ -87,6 +87,7 @@ BAD_PROBLEMS = {
         lambda doc: doc["importance"]["dm1"].update(c1=[2.0, 0.0]),
     ),
     "unknown_field.problem": _table1_with(lambda doc: doc.update(weights=[0.5, 0.5])),
+    "criterion_field.problem": _table1_with(lambda doc: doc["criteria"][0].update(weight=2)),
     "duplicate_key.problem": lambda: TABLE1.read_text(encoding="utf-8").replace(
         '"X1": [0.2, 0.4]', '"X1": [0.2, 0.4], "X1": [0.2, 0.5]'
     ),
@@ -146,8 +147,9 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
     cases["rank_table1_reference.json"] = (
         TABLE1, ["rank", "--reference=-0.5,-0.25", "--alpha=-0.3", "--format", "json"]
     )
-    cases["rank_seeded240.json"] = (SEEDED, ["rank", "--format", "json"])
-    cases["compare_seeded240.json"] = (SEEDED, ["compare", "--format", "json"])
+    for fmt in ("md", "json", "csv"):
+        cases[f"rank_seeded240.{fmt}"] = (SEEDED, ["rank", "--format", fmt])
+        cases[f"compare_seeded240.{fmt}"] = (SEEDED, ["compare", "--format", fmt])
     cases["hv_tied2d_reference0.json"] = (
         INPUTS / "tied2d.txt", ["hv", "--reference", "0,0", "--format", "json"]
     )

@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import gc
 import io
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
 import ifhv.hvas as hvas_mod
-from ifhv.cli import main
+from ifhv.cli import _run, main
+from ifhv.errors import DegenerateError, ParseError
 from ifhv.fixtures import table1_path
+from ifhv.report import Report
 
 
 @pytest.fixture
@@ -204,6 +208,18 @@ class TestAuditCommand:
                 "--format", "json"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
+    def test_memory_is_flat_in_budget(self, runner):
+        # the library's bound holds with the collector paused for the command
+        runner.invoke(main, ["audit", "--measure", "hamming", "--budget", "1000"])
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["audit", "--measure", "hamming", "--budget", "2000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak < 8 * 2**20
+
 
 class TestHvCommand:
     def test_known_union(self, runner, points_file):
@@ -302,3 +318,33 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, runner, table1):
         assert runner.invoke(main, ["rank", table1, "--no-such-flag"]).exit_code == 2
+
+
+class TestRun:
+    @pytest.mark.parametrize(
+        "error, code", [(None, 0), (ParseError("bad file"), 3), (DegenerateError("all tied"), 4)]
+    )
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_paused_and_callers_state_restored(self, capsys, error, code, collecting):
+        seen = []
+
+        def build():
+            seen.append(gc.isenabled())
+            if error is not None:
+                raise error
+            return Report(kind="hv", machine={"command": "hv"})
+
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if error is None:
+                _run(build, "json", None)
+            else:
+                with pytest.raises(SystemExit) as exited:
+                    _run(build, "json", None)
+                assert exited.value.code == code
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == [False]
+        assert after is collecting

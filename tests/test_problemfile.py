@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"evaluations\.dm1\.c1\.X3: missing alternative"):
             problem_from_dict(table1_doc)
 
+    def test_first_invalid_field_across_decision_makers(self):
+        doc = serialize_problem(random_problem(np.random.default_rng(3), 4, 3, n_dms=3))
+        alternatives, ids = doc["alternatives"], [c["id"] for c in doc["criteria"]]
+        dm2, dm3 = doc["dms"][1:]
+        doc["expertise"][dm3][ids[0]] = -1.0
+        doc["evaluations"][dm2][ids[2]][alternatives[1]] = [0.9, 0.9]
+        doc["importance"][dm2][ids[1]] = "high"
+        with pytest.raises(ValidationError, match=rf"^<problem>\.importance\.{dm2}\.{ids[1]}: "):
+            problem_from_dict(doc)
+        doc["importance"][dm2][ids[1]] = [1.0, 0.0]
+        with pytest.raises(
+            ValidationError, match=rf"^<problem>\.evaluations\.{dm2}\.{ids[2]}\.{alternatives[1]}: "
+        ):
+            problem_from_dict(doc)
+        doc["evaluations"][dm2][ids[2]][alternatives[1]] = [0.5, 0.5]
+        with pytest.raises(ValidationError, match=rf"^<problem>\.expertise\.{dm3}\.{ids[0]}: "):
+            problem_from_dict(doc)
+
     def test_overshoot_within_tolerance_is_clamped(self, table1_doc):
         table1_doc["evaluations"]["dm1"]["c1"]["X1"] = [0.7, 0.3 + 1e-12]
         problem = problem_from_dict(table1_doc)
@@ -170,6 +189,7 @@ class TestStrict:
                 "duplicate id 'X1'",
             ),
             (_put("criteria", 1, "id", value="c1"), "criteria[1].id", "duplicate id 'c1'"),
+            (_put("criteria", 0, "weight", value=2), "criteria[0].weight", "unknown field"),
             (lambda doc: doc.update(dms=["dm1", "dm1"]), "dms", "duplicate id 'dm1'"),
         ],
     )
@@ -191,6 +211,15 @@ class TestRoundTrip:
     def test_parse_serialize_identity_on_fixture(self):
         problem = parse_problem(table1_path())
         assert problem_from_dict(serialize_problem(problem)) == problem
+
+    @pytest.mark.parametrize(
+        "source", [table1_path(), Path(__file__).parent / "golden/inputs/seeded240.problem"]
+    )
+    def test_written_bytes_are_json_dumps_indent2(self, tmp_path, source):
+        problem = parse_problem(source)
+        write_problem(problem, tmp_path / "out.problem")
+        expected = json.dumps(serialize_problem(problem), indent=2) + "\n"
+        assert (tmp_path / "out.problem").read_bytes() == expected.encode()
 
     def test_write_then_parse_random_problems(self, tmp_path):
         rng = np.random.default_rng(70)
