@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, MismatchError
-from .ifs import IFS
+from .ifs import IFS, check_pairs
 
 AXIOM_TOLERANCE = 1e-9
 
@@ -89,21 +90,34 @@ class DistanceMeasure:
 
         The last axis holds the n elements of a set; the other axes
         broadcast, and the result has their broadcast shape.
+
+        A plugin function gets each pair as two IFS. All pairs of the call
+        are checked in bulk by one `ifs.check_pairs`, which raises IFN's
+        own error for the first bad pair in the order pair by pair, a's
+        elements before b's, and clamps nu as IFN does. The sets are then
+        built without checking each IFN again, one pair per plugin call.
         """
         a_mu, a_nu = np.asarray(a_mu, float), np.asarray(a_nu, float)
         b_mu, b_nu = np.asarray(b_mu, float), np.asarray(b_nu, float)
         if self._kernel is not None:
             return np.asarray(self._kernel(a_mu - b_mu, a_nu - b_nu))
         shape = np.broadcast_shapes(a_mu.shape, a_nu.shape, b_mu.shape, b_nu.shape)
-        rows = (
-            np.broadcast_to(x, shape).reshape(math.prod(shape[:-1]), shape[-1]).tolist()
-            for x in (a_mu, a_nu, b_mu, b_nu)
+        rows, n = math.prod(shape[:-1]), shape[-1]
+        if rows and not n:
+            IFS(())  # raises: a set needs at least one element
+        # (rows, 2, n): each pair's a row before its b row, so check_pairs
+        # meets a bad pair in the order the plugin would have received it
+        mu, nu = (
+            np.stack([np.broadcast_to(a, shape), np.broadcast_to(b, shape)], axis=-2)
+            .reshape(rows, 2, n)
+            for a, b in ((a_mu, b_mu), (a_nu, b_nu))
         )
-        out = [
-            self._func(IFS.from_pairs(zip(am, an)), IFS.from_pairs(zip(bm, bn)))
-            for am, an, bm, bn in zip(*rows)
-        ]
-        return np.array(out, float).reshape(shape[:-1])
+        nu = check_pairs(mu, nu)
+        pairs = (
+            (IFS._from_checked(m[0], v[0]), IFS._from_checked(m[1], v[1]))
+            for m, v in zip(map(np.ndarray.tolist, mu), map(np.ndarray.tolist, nu))
+        )
+        return np.fromiter((self._func(a, b) for a, b in pairs), float, rows).reshape(shape[:-1])
 
 
 def _hamming_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
@@ -206,15 +220,19 @@ class AxiomReport:
 
 
 def sample_simplex(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform samples from the valid region {mu, nu >= 0, mu + nu <= 1}."""
+    """Uniform samples from the valid region {mu, nu >= 0, mu + nu <= 1}.
+
+    Draws mu, then nu, on the unit square and reflects the pairs whose sum
+    is over 1 to (1 - mu, 1 - nu), in place as |over - x|. `rng.random`
+    returns multiples of 2**-53 in [0, 1), so 1 - x is exact, and so is the
+    reflected sum 2 - (mu + nu), a multiple of 2**-53 below 1. Every pair
+    therefore sums to at most 1 in floats, and IFN takes it unchanged.
+    """
     mu = rng.random(shape)
     nu = rng.random(shape)
     over = mu + nu > 1.0
-    mu[over], nu[over] = 1.0 - mu[over], 1.0 - nu[over]
-    # the reflection can leave mu + nu a few ulps above 1; pin those exactly
-    # onto the boundary so downstream IFN construction cannot shift the values
-    over = mu + nu > 1.0
-    nu[over] = 1.0 - mu[over]
+    for x in (mu, nu):
+        np.abs(np.subtract(over, x, out=x), out=x)
     return mu, nu
 
 
@@ -229,7 +247,8 @@ def check_axioms(
 ) -> AxiomReport:
     """Probe the metric axioms on `samples` random IFS triples.
 
-    Each triple (A, B, C) shares a random length drawn from `lengths`.
+    Each triple (A, B, C) shares a random length drawn from `lengths`, a
+    non-empty sequence of positive integers.
     Checks, to tolerance 1e-9: d(A, B) = d(B, A); d(A, A) = 0 with
     d(A, B) > 0 for distinct pairs; d(A, B) <= d(B, C) + d(A, C).
     Deterministic for a fixed seed. Collects at most 10 witnesses. Triples
@@ -238,8 +257,15 @@ def check_axioms(
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    try:
+        choices = np.array([operator.index(n) for n in lengths], dtype=int)
+    except TypeError:
+        choices = np.array([], dtype=int)
+    if choices.size == 0 or choices.min() < 1:
+        raise DomainError(
+            f"lengths must be a non-empty sequence of positive integers, got {lengths!r}"
+        )
     rng = np.random.default_rng(seed)
-    choices = np.asarray(lengths, dtype=int)
 
     sym_ok = True
     ident_ok = True

@@ -197,6 +197,21 @@ class IFS:
         return cls(tuple(IFN(mu, nu) for mu, nu in pairs))
 
     @classmethod
+    def _from_checked(cls, mu: Sequence[float], nu: Sequence[float]) -> "IFS":
+        """The IFS of (mu, nu) floats that `check_pairs` has passed, nu as it
+        returned them, built without checking each IFN again."""
+        elements = []
+        for m, v in zip(mu, nu):
+            element = object.__new__(IFN)
+            fields = element.__dict__
+            fields["mu"] = m
+            fields["nu"] = v
+            elements.append(element)
+        ifs = object.__new__(cls)
+        ifs.__dict__["elements"] = tuple(elements)
+        return ifs
+
+    @classmethod
     def positive_ideal(cls, n: int) -> "IFS":
         """The IFS whose every element is (1, 0)."""
         return cls((PIS,) * n)

@@ -4,7 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ifhv import CriterionKind, CriterionSpec, DecisionProblem, IFN
+from ifhv import IFN, IFS, CriterionKind, CriterionSpec, DecisionProblem, hausdorff
+
+
+def minkowski3(a: IFS, b: IFS) -> float:
+    """An order-3 Minkowski distance, homogeneous of degree 1, for use as a
+    per-pair plugin measure."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += abs(x.mu - y.mu) ** 3 + abs(x.nu - y.nu) ** 3
+    return (total / (2 * len(a))) ** (1.0 / 3.0)
+
+
+def hausdorff_squared(a: IFS, b: IFS) -> float:
+    """A plugin measure that is not homogeneous of degree 1, so the audit's
+    closed-form partner misses and bisection finds it."""
+    return hausdorff(a, b) ** 2
 
 
 def random_ifn(rng: np.random.Generator) -> IFN:

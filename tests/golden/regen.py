@@ -5,7 +5,9 @@ input, so the path the report echoes is the bare file name. `audit` and
 `axioms` read no file: their cases name the corpus directory in place of an
 input and pass no file argument. A case that
 succeeds is recorded as its stdout bytes; a case that fails as its exit code
-and its stderr. `tests/test_golden.py` compares every case with its file.
+and its stderr. `LIBRARY_CASES` record library calls that no CLI command
+makes (reports of plugin measures). `tests/test_golden.py` compares every
+case with its file.
 
 Run `python tests/golden/regen.py` to rewrite the expected files after an
 intended output change, and review the diff. The inputs under `inputs/` are
@@ -38,6 +40,9 @@ TABLE1 = table1_path()
 # In the seeded problem every third alternative copies the one before it, so
 # every method sees exact tie pairs among many distinct scores.
 SEEDED = INPUTS / "seeded240.problem"
+# A second seeded problem, with two DMs and a cost criterion next to each
+# benefit one.
+SEEDED_COST = INPUTS / "seeded_cost.problem"
 
 POINT_FILES = {
     # ties in x, in y, and a repeated row
@@ -116,6 +121,19 @@ def _seeded_problem():
     )
 
 
+def _seeded_cost_problem():
+    from gen import random_problem  # tests/gen.py
+
+    from ifhv.hvas import CriterionKind, CriterionSpec, DecisionProblem
+
+    base = random_problem(np.random.default_rng(20241), n_alternatives=12, n_criteria=4, n_dms=2)
+    kinds = (CriterionKind.BENEFIT, CriterionKind.COST) * 2
+    return DecisionProblem.from_arrays(
+        base.alternatives, [CriterionSpec(c.id, kind) for c, kind in zip(base.criteria, kinds)],
+        base.dms, base.evaluation_array, base.importance_array, base.expertise_array,
+    )
+
+
 def write_inputs() -> None:
     """Create the seeded and hand-written inputs that do not exist yet."""
     from ifhv.problemfile import write_problem
@@ -126,8 +144,9 @@ def write_inputs() -> None:
         path = INPUTS / name
         if not path.exists():
             path.write_text(text if isinstance(text, str) else text(), encoding="utf-8")
-    if not SEEDED.exists():
-        write_problem(_seeded_problem(), SEEDED)
+    for path, problem in ((SEEDED, _seeded_problem), (SEEDED_COST, _seeded_cost_problem)):
+        if not path.exists():
+            write_problem(problem(), path)
 
 
 def _cases() -> dict[str, tuple[Path, list[str]]]:
@@ -150,6 +169,8 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
     for fmt in ("md", "json", "csv"):
         cases[f"rank_seeded240.{fmt}"] = (SEEDED, ["rank", "--format", fmt])
         cases[f"compare_seeded240.{fmt}"] = (SEEDED, ["compare", "--format", fmt])
+    for command in ("rank", "compare"):
+        cases[f"{command}_seeded_cost.json"] = (SEEDED_COST, [command, "--format", "json"])
     cases["hv_tied2d_reference0.json"] = (
         INPUTS / "tied2d.txt", ["hv", "--reference", "0,0", "--format", "json"]
     )
@@ -183,10 +204,47 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
         HERE, ["audit", "--measure", "hamming", "--budget", "2000", "--delta", "1e-6",
                "--format", "csv"],
     )
+    # bench scale: the 10th witness falls at attempt 156 710, so the sampled
+    # bits are pinned across 10 chunks
+    cases["audit_euclidean2_bench.json"] = (
+        HERE, ["audit", "--measure", "euclidean2", "--budget", "200000", "--delta", "0.4",
+               "--seed", "7", "--format", "json"],
+    )
+    cases["axioms_hausdorff_bench.json"] = (
+        HERE, ["axioms", "--measure", "hausdorff", "--samples", "100000", "--seed", "7",
+               "--format", "json"],
+    )
     return cases
 
 
 CASES = _cases()
+
+
+def _plugin_reports() -> bytes:
+    """`audit` and `check_axioms` reports of two per-pair plugin measures.
+
+    `minkowski3` is homogeneous of degree 1, so the audit's closed form
+    finds its partners; `hausdorff_squared` is not, so they come from
+    bisection.
+    """
+    from gen import hausdorff_squared, minkowski3  # tests/gen.py
+
+    from ifhv.distances import DistanceMeasure, MeasureKind, check_axioms
+    from ifhv.robustness import audit
+
+    reports = {}
+    for name, func in (("plugin-minkowski3", minkowski3),
+                       ("plugin-hausdorff-squared", hausdorff_squared)):
+        measure = DistanceMeasure(name, MeasureKind.NONLINEAR, None, func)
+        reports[name] = {
+            "audit": audit(measure, budget=1000, seed=7).to_dict(),
+            "axioms": check_axioms(measure, samples=2000, seed=7).to_dict(),
+        }
+    return (json.dumps(reports, indent=2) + "\n").encode()
+
+
+# Library calls recorded next to the CLI cases: file name -> bytes.
+LIBRARY_CASES = {"plugin_reports.json": _plugin_reports}
 
 
 def run_case(name: str) -> bytes:
@@ -210,7 +268,9 @@ def main_regen() -> None:
         with contextlib.chdir(source.parent):
             data = run_case(name)
         (EXPECTED / name).write_bytes(data)
-    print(f"wrote {len(CASES)} cases to {EXPECTED}")
+    for name, record in LIBRARY_CASES.items():
+        (EXPECTED / name).write_bytes(record())
+    print(f"wrote {len(CASES) + len(LIBRARY_CASES)} cases to {EXPECTED}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from ifhv import (
 )
 from ifhv.distances import register, sample_simplex
 
+from gen import minkowski3
+
 
 @pytest.fixture
 def reference_sets():
@@ -35,13 +37,6 @@ def reference_sets():
 PIS2 = IFS.positive_ideal(2)
 NIS2 = IFS.negative_ideal(2)
 PLUGIN = "plugin-minkowski3"
-
-
-def minkowski3(a: IFS, b: IFS) -> float:
-    total = 0.0
-    for x, y in zip(a, b):
-        total += abs(x.mu - y.mu) ** 3 + abs(x.nu - y.nu) ** 3
-    return (total / (2 * len(a))) ** (1.0 / 3.0)
 
 
 def plugin() -> DistanceMeasure:
@@ -187,6 +182,138 @@ class TestCommonBehavior:
         assert all(m.kind is MeasureKind.NONLINEAR for m in (euclidean2, euclidean3, hausdorff))
 
 
+def masked_sample_simplex(rng, shape):
+    """The reflection through boolean masks: the oracle of `sample_simplex`."""
+    mu = rng.random(shape)
+    nu = rng.random(shape)
+    over = mu + nu > 1.0
+    mu[over], nu[over] = 1.0 - mu[over], 1.0 - nu[over]
+    over = mu + nu > 1.0
+    nu[over] = 1.0 - mu[over]
+    return mu, nu
+
+
+class TestSampleSimplex:
+    @pytest.mark.parametrize("shape", [4096, (300, 4), (7, 1), 0], ids=str)
+    def test_bytes_equal_masked_formula(self, shape):
+        for seed in range(200):
+            got = sample_simplex(np.random.default_rng(seed), shape)
+            want = masked_sample_simplex(np.random.default_rng(seed), shape)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+
+    def test_reflection_lands_inside_exactly(self):
+        # the masked formula pins pairs still over 1 after the reflection;
+        # with draws on the 2**-53 grid there are none to pin
+        rng = np.random.default_rng(5)
+        mu, nu = rng.random(1_000_000), rng.random(1_000_000)
+        assert not np.any((mu * 2.0**53) % 1.0)
+        over = mu + nu > 1.0
+        assert np.all((1.0 - mu[over]) + (1.0 - nu[over]) <= 1.0)
+        mu, nu = sample_simplex(np.random.default_rng(5), 1_000_000)
+        assert mu.min() >= 0.0 and nu.min() >= 0.0
+        assert (mu + nu).max() <= 1.0
+
+
+def from_pairs_oracle(func, a_mu, a_nu, b_mu, b_nu):
+    """The per-pair path as two `IFS.from_pairs` per pair, pair by pair."""
+    shape = np.broadcast_shapes(a_mu.shape, a_nu.shape, b_mu.shape, b_nu.shape)
+    rows = (np.broadcast_to(x, shape).reshape(-1, shape[-1]).tolist()
+            for x in (a_mu, a_nu, b_mu, b_nu))
+    out = [func(IFS.from_pairs(zip(am, an)), IFS.from_pairs(zip(bm, bn)))
+           for am, an, bm, bn in zip(*rows)]
+    return np.array(out, float).reshape(shape[:-1])
+
+
+class TestPluginPath:
+    """`evaluate_many` on a plugin function: one bulk check, then the sets."""
+
+    @staticmethod
+    def recording():
+        """minkowski3, and the list of the set pairs it was called with."""
+        seen = []
+
+        def func(a, b):
+            seen.append((a, b))
+            return minkowski3(a, b)
+
+        return func, seen
+
+    def test_sets_equal_from_pairs(self):
+        func, seen = self.recording()
+        measure = DistanceMeasure("recording", MeasureKind.NONLINEAR, None, func)
+        rng = np.random.default_rng(31)
+        a_mu, a_nu = sample_simplex(rng, (4, 6, 3))
+        b_mu, b_nu = sample_simplex(rng, (6, 3))
+        # sums in (1, 1 + 1e-9] are clamped as IFN clamps them
+        a_mu[0, 0], a_nu[0, 0] = 0.7, np.nextafter(0.3, 1.0) + 5e-10
+        b_mu[1, 2], b_nu[1, 2] = 0.25, 0.75 + 5e-10
+        got = measure.evaluate_many(a_mu, a_nu, b_mu, b_nu)
+        oracle, expected_sets = self.recording()
+        want = from_pairs_oracle(oracle, a_mu, a_nu, b_mu, b_nu)
+        assert got.tobytes() == want.tobytes()
+        assert seen == expected_sets
+        assert len(seen) == 24
+        clamped = seen[0][0][0]
+        assert clamped.nu == 1.0 - 0.7 and clamped.mu + clamped.nu <= 1.0
+        for a, b in seen:
+            for element in (*a, *b):
+                assert type(element.mu) is float and type(element.nu) is float
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [("a", 1, 0, 0.7, 0.5)],  # a bad pair in a
+            [("b", 0, 1, 1.2, 0.0)],  # a bad pair in b
+            [("b", 0, 2, 0.6, 0.6), ("a", 1, 0, 0.2, 0.9)],  # the earlier row wins
+            [("a", 0, 2, 0.5, 0.6), ("b", 0, 0, 0.5, 0.6)],  # a before b in a row
+            [("a", 1, 1, np.nan, 0.1)],
+            [("b", 2, 0, 0.1, np.inf)],
+            [("a", 0, 1, -0.0, -1e-300)],
+            [("b", 1, 2, 0.5, 0.5 + 2e-9)],  # just past the clamp tolerance
+        ],
+    )
+    def test_first_bad_pair_message(self, bad):
+        func, seen = self.recording()
+        measure = DistanceMeasure("recording", MeasureKind.NONLINEAR, None, func)
+        rng = np.random.default_rng(32)
+        arrays = {"a": sample_simplex(rng, (3, 3)), "b": sample_simplex(rng, (3, 3))}
+        for side, row, col, mu, nu in bad:
+            arrays[side][0][row, col], arrays[side][1][row, col] = mu, nu
+        args = (*arrays["a"], *arrays["b"])
+        with pytest.raises(DomainError) as expected:
+            from_pairs_oracle(minkowski3, *args)
+        with pytest.raises(DomainError) as got:
+            measure.evaluate_many(*args)
+        assert str(got.value) == str(expected.value)
+        assert seen == []
+
+    def test_empty_sets_and_empty_batches(self):
+        func, seen = self.recording()
+        measure = DistanceMeasure("recording", MeasureKind.NONLINEAR, None, func)
+        with pytest.raises(DomainError, match="at least one element"):
+            measure.evaluate_many(np.zeros((2, 0)), np.zeros((2, 0)), 0.0, 1.0)
+        assert measure.evaluate_many(np.zeros((0, 3)), np.zeros((0, 3)), 0.0, 1.0).shape == (0,)
+        assert seen == []
+
+    def test_sets_are_built_one_pair_at_a_time(self):
+        rng = np.random.default_rng(33)
+        a_mu, a_nu = sample_simplex(rng, 20_000)
+        b_mu, b_nu = sample_simplex(rng, 20_000)
+        measure = plugin()
+        measure.pair_many(a_mu[:10], a_nu[:10], b_mu[:10], b_nu[:10])
+        tracemalloc.start()
+        try:
+            out = measure.pair_many(a_mu, a_nu, b_mu, b_nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (20_000,)
+        # the inputs are 4 x 160 KB; all 40 000 sets at once take about 24 MB
+        assert peak < 4 * 2**20
+
+
 class TestRegistry:
     def test_builtins_are_registered(self):
         names = available_measures()
@@ -266,6 +393,15 @@ class TestCheckAxioms:
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
             check_axioms(hamming, samples=0)
+
+    @pytest.mark.parametrize("lengths", [(), (0,), (1, -2), (2.5,)], ids=repr)
+    def test_bad_lengths(self, lengths):
+        with pytest.raises(DomainError, match="lengths must be a non-empty sequence of positive"):
+            check_axioms(hamming, samples=10, lengths=lengths)
+
+    def test_lengths_accept_numpy_integers(self):
+        as_ints = check_axioms(hausdorff, samples=200, seed=3, lengths=(2, 5))
+        assert check_axioms(hausdorff, samples=200, seed=3, lengths=np.array([2, 5])) == as_ints
 
     def test_chunks_keep_verdicts_and_witness_cap(self, monkeypatch):
         squared = DistanceMeasure(

@@ -6,7 +6,7 @@ After an intended output change, rewrite the corpus with
 
 import pytest
 
-from golden.regen import CASES, EXPECTED, run_case
+from golden.regen import CASES, EXPECTED, LIBRARY_CASES, run_case
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -16,5 +16,10 @@ def test_golden_bytes(name, monkeypatch):
     assert run_case(name) == (EXPECTED / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_golden_library_bytes(name):
+    assert LIBRARY_CASES[name]() == (EXPECTED / name).read_bytes()
+
+
 def test_every_expected_file_has_a_case():
-    assert sorted(path.name for path in EXPECTED.iterdir()) == sorted(CASES)
+    assert sorted(path.name for path in EXPECTED.iterdir()) == sorted([*CASES, *LIBRARY_CASES])
