@@ -22,9 +22,8 @@ Steps 1, 2 and 4 apply IFN's array rule `ifs.check_pairs` to whole arrays.
 Steps 1-4 run once per problem: `DecisionProblem.weighted` is the weighted
 matrix, a pair of read-only (m, n) mu and nu arrays with one row per
 criterion. HVAS here and the comparators in `ifhv.mcdm` all read it, so a
-command builds it once
-whatever methods it runs. IFN and IFS appear only at the API boundary: the
-nested-IFN constructor and the `evaluations` and `importance` views.
+command builds it once whatever methods it runs. IFN and IFS appear only at
+the API boundary: the nested-IFN constructor and the `evaluations` view.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ class DecisionProblem:
     The constructor takes nested IFN tuples; `from_arrays` takes float
     arrays, checked under the same rules. Either way the problem is stored as
     the read-only arrays `evaluation_array` (q, m, n, 2), `importance_array`
-    (q, m, 2) and `expertise_array` (q, m). The IFN-typed `evaluations` and
-    `importance` are built from them on first access.
+    (q, m, 2) and `expertise_array` (q, m). The IFN-typed `evaluations` is
+    built from them on first access.
     """
 
     def __init__(
@@ -170,16 +169,6 @@ class DecisionProblem:
             tuple(tuple(IFN(mu, nu) for mu, nu in row) for row in per_dm)
             for per_dm in self.evaluation_array.tolist()
         )
-
-    @cached_property
-    def importance(self) -> tuple[tuple[IFN, ...], ...]:
-        return tuple(
-            tuple(IFN(mu, nu) for mu, nu in per_dm) for per_dm in self.importance_array.tolist()
-        )
-
-    @property
-    def expertise(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(per_dm) for per_dm in self.expertise_array.tolist())
 
     @cached_property
     def weighted(self) -> tuple[np.ndarray, np.ndarray]:

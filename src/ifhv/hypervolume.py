@@ -316,7 +316,7 @@ class HVConfig:
         if not -1.0 <= alpha <= 1.0:
             raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
         object.__setattr__(self, "alpha", alpha)
-        check_tie_tolerance(self.tie_tolerance)
+        object.__setattr__(self, "tie_tolerance", check_tie_tolerance(self.tie_tolerance))
 
     def reference_for(self, m: int) -> tuple[float, ...]:
         """Concrete reference coordinates for an m-dimensional space."""

@@ -62,11 +62,12 @@ class CompareConfig:
     tie_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not 0.0 <= float(self.tau) <= 1.0:
-            raise DomainError(f"tau must lie in [0, 1], got {self.tau}")
-        if not 0.0 <= float(self.v) <= 1.0:
-            raise DomainError(f"v must lie in [0, 1], got {self.v}")
-        check_tie_tolerance(self.tie_tolerance)
+        for name in ("tau", "v"):
+            value = float(getattr(self, name))
+            if not 0.0 <= value <= 1.0:
+                raise DomainError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "tie_tolerance", check_tie_tolerance(self.tie_tolerance))
 
     def echo(self) -> dict:
         return {

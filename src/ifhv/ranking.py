@@ -65,31 +65,20 @@ def ranks_from_order(order: Sequence[Sequence[str]]) -> dict[str, int]:
     return out
 
 
-def check_tie_tolerance(tie_tolerance: float) -> None:
-    """Raise DomainError unless `tie_tolerance` is a non-negative finite number."""
+def check_tie_tolerance(tie_tolerance: float) -> float:
+    """`tie_tolerance` as a float; DomainError unless it is non-negative and finite."""
+    tie_tolerance = float(tie_tolerance)
     if not (math.isfinite(tie_tolerance) and tie_tolerance >= 0.0):
         raise DomainError(
             "tie_tolerance: a tie tolerance must be a non-negative finite number, "
             f"got {tie_tolerance}"
         )
+    return tie_tolerance
 
 
-def build_ranking(
-    method: str,
-    labels: Sequence[str],
-    scores: Sequence[float] | np.ndarray,
-    higher_is_better: bool = True,
-    tie_tolerance: float = 1e-9,
-    config_echo: Mapping[str, object] | None = None,
-) -> RankingResult:
-    """Sort labels by score and group them into ties.
-
-    Scores within `tie_tolerance` (absolute) of a group's first member join
-    that group. Within a group, labels keep their original input order, so
-    the result is invariant under relabeling of the inputs. Every score must
-    be finite, and so must the non-negative `tie_tolerance`.
-    """
-    check_tie_tolerance(tie_tolerance)
+def _tie_groups(labels: Sequence[str], scores, higher_is_better: bool, tie_tolerance: float):
+    """The checked float scores, and each input's tie group: 0 for the best."""
+    tie_tolerance = check_tie_tolerance(tie_tolerance)
     values = np.asarray(scores, dtype=float)
     if values.shape != (len(labels),):
         raise MismatchError(f"got {len(labels)} labels but {values.size} scores")
@@ -111,8 +100,29 @@ def build_ranking(
         if starts[i - 1]:
             head = ranked[i - 1]
         starts[i] = not abs(ranked[i] - head) <= tie_tolerance
-    ordered = [labels[i] for i in order[np.lexsort((order, np.cumsum(starts)))].tolist()]
-    bounds = np.append(np.flatnonzero(starts), len(labels)).tolist()
+    groups = np.empty(len(order), dtype=np.intp)
+    groups[order] = np.cumsum(starts) - 1
+    return values, groups
+
+
+def build_ranking(
+    method: str,
+    labels: Sequence[str],
+    scores: Sequence[float] | np.ndarray,
+    higher_is_better: bool = True,
+    tie_tolerance: float = 1e-9,
+    config_echo: Mapping[str, object] | None = None,
+) -> RankingResult:
+    """Sort labels by score and group them into ties.
+
+    Scores within `tie_tolerance` (absolute) of a group's first member join
+    that group. Within a group, labels keep their original input order, so
+    the result is invariant under relabeling of the inputs. Every score must
+    be finite, and so must the non-negative `tie_tolerance`.
+    """
+    values, groups = _tie_groups(labels, scores, higher_is_better, tie_tolerance)
+    ordered = [labels[i] for i in np.argsort(groups, kind="stable").tolist()]
+    bounds = np.append(0, np.cumsum(np.bincount(groups))).tolist()
     return RankingResult(
         method=method,
         scores=dict(zip(labels, values.tolist())),

@@ -31,14 +31,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .distances import SAMPLE_CHUNK, DistanceMeasure, sample_simplex
 from .errors import DomainError, MismatchError
-from .ifs import IFN, IFS
-from .ranking import RankingResult, build_ranking
+from .ifs import IFN, IFS, NIS, PIS
+from .ranking import RankingResult, _tie_groups, build_ranking
 
 MAX_COUNTEREXAMPLES = 10
 _BISECTION_STEPS = 100
@@ -56,6 +58,20 @@ class ReferenceKind(enum.Enum):
         return IFS.negative_ideal(n)
 
 
+def _stacked(sets: Sequence[Sequence[IFN]], labels: Sequence[str] | None):
+    """The (sets, n) mu and nu arrays of equal-length sets, read in one walk
+    over them, and the sets' labels: `labels`, or X1, X2, ... when None."""
+    if len(sets) == 0:
+        raise DomainError("cannot rank an empty collection of sets")
+    n = len(sets[0])
+    if any(len(s) != n for s in sets):
+        raise MismatchError("all sets must have the same length")
+    elements = list(chain.from_iterable(sets))
+    mu, nu = (np.fromiter(map(attrgetter(k), elements), float, len(elements)) for k in ("mu", "nu"))
+    labels = [f"X{i + 1}" for i in range(len(sets))] if labels is None else labels
+    return mu.reshape(len(sets), n), nu.reshape(len(sets), n), labels
+
+
 def rank_by_reference(
     sets: Sequence[IFS],
     measure: DistanceMeasure,
@@ -70,21 +86,11 @@ def rank_by_reference(
     `tie_tolerance` form tie groups. The sets are stacked into (sets, n)
     mu/nu arrays and measured in one `evaluate_many` call.
     """
-    if len(sets) == 0:
-        raise DomainError("cannot rank an empty collection of sets")
-    n = len(sets[0])
-    if any(len(s) != n for s in sets):
-        raise MismatchError("all sets must have the same length")
-    if labels is None:
-        labels = [f"X{i + 1}" for i in range(len(sets))]
-    ideal = ref.expand(n)
-    mu = np.array([[e.mu for e in s] for s in sets], dtype=float)
-    nu = np.array([[e.nu for e in s] for s in sets], dtype=float)
-    distances = measure.evaluate_many(mu, nu, ideal.mu_values(), ideal.nu_values())
+    mu, nu, labels = _stacked(sets, labels)
     return build_ranking(
         method=f"{measure.name}/{ref.value}",
         labels=labels,
-        scores=distances,
+        scores=measure.evaluate_many(mu, nu, *(PIS if ref is ReferenceKind.PIS else NIS).as_pair()),
         higher_is_better=(ref is ReferenceKind.NIS),
         tie_tolerance=tie_tolerance,
         config_echo={
@@ -102,10 +108,14 @@ def robustness_check(
     tie_tolerance: float = 1e-9,
 ) -> bool:
     """True iff ranking against PIS and against NIS produce identical orders,
-    tie structure included."""
-    against_pis = rank_by_reference(sets, measure, ReferenceKind.PIS, labels, tie_tolerance)
-    against_nis = rank_by_reference(sets, measure, ReferenceKind.NIS, labels, tie_tolerance)
-    return against_pis.order == against_nis.order
+    tie structure included: the sets are stacked once, measured once per
+    reference, and the tie groups of `build_ranking`'s rule compared."""
+    mu, nu, labels = _stacked(sets, labels)
+    pis, nis = (
+        _tie_groups(labels, measure.evaluate_many(mu, nu, *ideal.as_pair()), higher, tie_tolerance)
+        for ideal, higher in ((PIS, False), (NIS, True))
+    )
+    return np.array_equal(pis[1], nis[1])
 
 
 @dataclass(frozen=True)

@@ -94,24 +94,19 @@ def problem_with_dominated_pair(
     n = problem.n_alternatives
     better = int(rng.integers(0, n))
     worse = int((better + 1 + rng.integers(0, n - 1)) % n)
-    evaluations = tuple(
-        tuple(
-            tuple(
-                degraded(rng, row[better], problem.criteria[j].kind) if i == worse else row[i]
-                for i in range(n)
-            )
-            for j, row in enumerate(per_dm)
-        )
-        for per_dm in problem.evaluations
-    )
+    evaluations = problem.evaluation_array.copy()
+    for l, per_dm in enumerate(problem.evaluations):
+        for j, row in enumerate(per_dm):
+            kind = problem.criteria[j].kind
+            evaluations[l, j, worse] = degraded(rng, row[better], kind).as_pair()
     return (
-        DecisionProblem(
+        DecisionProblem.from_arrays(
             alternatives=problem.alternatives,
             criteria=problem.criteria,
             dms=problem.dms,
             evaluations=evaluations,
-            importance=problem.importance,
-            expertise=problem.expertise,
+            importance=problem.importance_array,
+            expertise=problem.expertise_array,
         ),
         problem.alternatives[better],
         problem.alternatives[worse],

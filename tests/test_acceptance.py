@@ -196,16 +196,13 @@ def test_criterion_6_property_suites():
             assert flipped.scores[label] == pytest.approx(base.scores[label], abs=1e-12)
 
         perm = list(rng.permutation(problem.n_alternatives))
-        permuted_problem = type(problem)(
+        permuted_problem = type(problem).from_arrays(
             alternatives=tuple(problem.alternatives[i] for i in perm),
             criteria=problem.criteria,
             dms=problem.dms,
-            evaluations=tuple(
-                tuple(tuple(row[i] for i in perm) for row in per_dm)
-                for per_dm in problem.evaluations
-            ),
-            importance=problem.importance,
-            expertise=problem.expertise,
+            evaluations=problem.evaluation_array[:, :, perm],
+            importance=problem.importance_array,
+            expertise=problem.expertise_array,
         )
         permuted = rank(permuted_problem)
         for label in problem.alternatives:

@@ -65,8 +65,9 @@ def reference_matrix(problem: DecisionProblem) -> list[list[IFN]]:
     q, n = problem.n_dms, problem.n_alternatives
     matrix = []
     for j, criterion in enumerate(problem.criteria):
-        weights = [problem.expertise[l][j] for l in range(q)]
-        weight = ifa_aggregate([problem.importance[l][j] for l in range(q)], weights)
+        weights = problem.expertise_array[:, j].tolist()
+        importance = [IFN(*pair) for pair in problem.importance_array[:, j].tolist()]
+        weight = ifa_aggregate(importance, weights)
         row = []
         for i in range(n):
             value = ifa_aggregate([problem.evaluations[l][j][i] for l in range(q)], weights)

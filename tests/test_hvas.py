@@ -279,16 +279,13 @@ class TestRank:
 def flip_problem(problem: DecisionProblem) -> DecisionProblem:
     """Flip every criterion kind and swap (mu, nu) in all evaluations."""
     flipped_kind = {B: C, C: B}
-    return DecisionProblem(
+    return DecisionProblem.from_arrays(
         alternatives=problem.alternatives,
         criteria=tuple(CriterionSpec(c.id, flipped_kind[c.kind]) for c in problem.criteria),
         dms=problem.dms,
-        evaluations=tuple(
-            tuple(tuple(IFN(e.nu, e.mu) for e in row) for row in per_dm)
-            for per_dm in problem.evaluations
-        ),
-        importance=problem.importance,
-        expertise=problem.expertise,
+        evaluations=problem.evaluation_array[..., ::-1],
+        importance=problem.importance_array,
+        expertise=problem.expertise_array,
     )
 
 
@@ -309,16 +306,13 @@ class TestPipelineInvariances:
             problem = random_problem(rng)
             base = rank(problem)
             perm = list(rng.permutation(problem.n_alternatives))
-            permuted = DecisionProblem(
+            permuted = DecisionProblem.from_arrays(
                 alternatives=tuple(problem.alternatives[i] for i in perm),
                 criteria=problem.criteria,
                 dms=problem.dms,
-                evaluations=tuple(
-                    tuple(tuple(row[i] for i in perm) for row in per_dm)
-                    for per_dm in problem.evaluations
-                ),
-                importance=problem.importance,
-                expertise=problem.expertise,
+                evaluations=problem.evaluation_array[:, :, perm],
+                importance=problem.importance_array,
+                expertise=problem.expertise_array,
             )
             result = rank(permuted)
             for label in problem.alternatives:
@@ -331,19 +325,13 @@ class TestPipelineInvariances:
             problem = random_problem(rng)
             base = rank(problem)
             perm = list(rng.permutation(problem.n_criteria))
-            permuted = DecisionProblem(
+            permuted = DecisionProblem.from_arrays(
                 alternatives=problem.alternatives,
                 criteria=tuple(problem.criteria[j] for j in perm),
                 dms=problem.dms,
-                evaluations=tuple(
-                    tuple(per_dm[j] for j in perm) for per_dm in problem.evaluations
-                ),
-                importance=tuple(
-                    tuple(per_dm[j] for j in perm) for per_dm in problem.importance
-                ),
-                expertise=tuple(
-                    tuple(per_dm[j] for j in perm) for per_dm in problem.expertise
-                ),
+                evaluations=problem.evaluation_array[:, perm],
+                importance=problem.importance_array[:, perm],
+                expertise=problem.expertise_array[:, perm],
             )
             result = rank(permuted)
             for label in problem.alternatives:

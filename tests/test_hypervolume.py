@@ -293,6 +293,12 @@ class TestHVConfig:
         with pytest.raises(MismatchError):
             HVConfig(reference=(-1.0, -1.0)).reference_for(3)
 
+    def test_alpha_and_tie_tolerance_are_stored_as_floats(self):
+        cfg = HVConfig(alpha=np.float32(0.5), tie_tolerance=np.float32(1e-6))
+        assert (type(cfg.alpha), type(cfg.tie_tolerance)) == (float, float)
+        assert cfg.tie_tolerance == float(np.float32(1e-6))
+        assert HVConfig(tie_tolerance=0).tie_tolerance == 0.0
+
 
 class TestHvNet:
     @pytest.fixture

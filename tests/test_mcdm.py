@@ -1,5 +1,7 @@
 """Tests for the TOPSIS/VIKOR/CODAS comparators and their shared pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ifhv import (
     vikor,
 )
 from ifhv.mcdm import _extremes
+from ifhv.report import json_text
 import ifhv.hvas as hvas_mod
 import ifhv.mcdm as mcdm_mod
 from gen import random_problem, spread_problem
@@ -87,6 +90,20 @@ class TestConfig:
     def test_tie_tolerance_validated(self, value):
         with pytest.raises(DomainError, match="tie_tolerance"):
             CompareConfig(tie_tolerance=value)
+
+    @pytest.mark.parametrize(
+        "name, given, method",
+        [("tau", "0.1", codas), ("v", "0.5", vikor), ("tau", np.float32(0.1), codas)],
+    )
+    def test_parameters_are_stored_as_floats(self, dominant_problem, name, given, method):
+        # A string tau used to reach CODAS as a string, a string v VIKOR, and
+        # a float32 tau the JSON encoder, and each failed there.
+        cfg = CompareConfig(**{name: given}, tie_tolerance=np.float32(0.25))
+        assert [type(getattr(cfg, key)) for key in ("tau", "v", "tie_tolerance")] == [float] * 3
+        result = method(dominant_problem, cfg)
+        expected = method(dominant_problem, CompareConfig(**{name: float(given)}, tie_tolerance=0.25))
+        assert result == expected
+        assert json.loads(json_text(result.to_dict()))["config"][name] == float(given)
 
     def test_config_echo_reports_parameters(self, dominant_problem):
         cfg = CompareConfig(tau=0.05, v=0.3)
@@ -280,16 +297,13 @@ class TestRunMethods:
             except DegenerateError:
                 continue
             perm = list(rng.permutation(problem.n_alternatives))
-            permuted = DecisionProblem(
+            permuted = DecisionProblem.from_arrays(
                 alternatives=tuple(problem.alternatives[i] for i in perm),
                 criteria=problem.criteria,
                 dms=problem.dms,
-                evaluations=tuple(
-                    tuple(tuple(row[i] for i in perm) for row in per_dm)
-                    for per_dm in problem.evaluations
-                ),
-                importance=problem.importance,
-                expertise=problem.expertise,
+                evaluations=problem.evaluation_array[:, :, perm],
+                importance=problem.importance_array,
+                expertise=problem.expertise_array,
             )
             for result in run_methods(permuted, ["topsis", "vikor", "codas"]):
                 reference = base[result.method]

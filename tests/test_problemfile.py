@@ -34,7 +34,7 @@ class TestParse:
         assert [c.kind for c in problem.criteria] == [CriterionKind.BENEFIT] * 2
         assert problem.evaluations[0][0][0].mu == 0.2
         assert problem.evaluations[0][1][2].mu == 0.6
-        assert problem.expertise == ((1.0, 1.0),)
+        assert problem.expertise_array.tolist() == [[1.0, 1.0]]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

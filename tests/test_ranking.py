@@ -10,7 +10,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ifhv import IFS, DistanceMeasure, DomainError, MeasureKind, hamming  # noqa: E402
-from ifhv.ranking import RankingResult, build_ranking  # noqa: E402
+from ifhv.ranking import RankingResult, _tie_groups, build_ranking  # noqa: E402
 from ifhv.robustness import ReferenceKind, rank_by_reference  # noqa: E402
 
 
@@ -78,6 +78,27 @@ def test_matches_the_sorted_reference(case, higher_is_better):
 def test_group_is_measured_from_its_first_member():
     result = build_ranking("m", ["a", "b", "c", "d"], [0.0, 0.6, 1.2, 1.8], tie_tolerance=1.0)
     assert result.order == (("c", "d"), ("a", "b"))
+
+
+@derandomized
+@given(score_lists(), st.booleans())
+def test_tie_groups_are_the_order_of_the_ranking(case, higher_is_better):
+    scores, tolerance = case
+    labels = [f"X{i + 1}" for i in range(len(scores))]
+    values, groups = _tie_groups(labels, scores, higher_is_better, tolerance)
+    order = build_ranking("m", labels, scores, higher_is_better, tolerance).order
+    assert values.tolist() == [float(x) for x in scores]
+    assert order == tuple(
+        tuple(labels[i] for i in np.flatnonzero(groups == g)) for g in range(groups.max() + 1)
+    )
+
+
+@pytest.mark.parametrize("higher_is_better, groups", [(False, [0, 0, 1]), (True, [1, 0, 0])])
+def test_a_chain_of_near_ties_is_grouped_from_its_best_end(higher_is_better, groups):
+    # Gaps of 0.6 under a tolerance of 1: the best score heads the first group
+    # and the third score, 1.2 from it, starts the next one.
+    _, got = _tie_groups(["a", "b", "c"], [0.0, 0.6, 1.2], higher_is_better, 1.0)
+    assert got.tolist() == groups
 
 
 @pytest.mark.parametrize(

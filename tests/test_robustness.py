@@ -99,6 +99,12 @@ def looped_ranking(sets, measure, ref):
     return build_ranking("loop", labels, scores, higher_is_better=ref is ReferenceKind.NIS)
 
 
+def looped_verdict(sets, measure) -> bool:
+    """robustness_check as it was: two full rankings, their orders compared."""
+    pis, nis = (looped_ranking(sets, measure, ref).order for ref in ReferenceKind)
+    return pis == nis
+
+
 class TestOneBatchCall:
     @pytest.mark.parametrize("name", ["hamming", "euclidean2", "euclidean3", "hausdorff", LOOP_PLUGIN])
     def test_bit_equal_to_per_set_loop(self, name):
@@ -115,10 +121,7 @@ class TestOneBatchCall:
                     expected.scores.values()
                 )
                 assert result.order == expected.order
-            looped = looped_ranking(sets, measure, ReferenceKind.PIS).order == looped_ranking(
-                sets, measure, ReferenceKind.NIS
-            ).order
-            assert robustness_check(sets, measure) is looped
+            assert robustness_check(sets, measure) is looped_verdict(sets, measure)
 
     def test_one_evaluate_many_call(self, monkeypatch, reference_sets):
         calls = []
@@ -155,6 +158,130 @@ class TestRobustnessCheck:
 
     def test_singleton_trivially_robust(self):
         assert robustness_check([IFS.from_pairs([(0.2, 0.3)])], euclidean2) is True
+
+
+def grid_collection(seed: int) -> list[IFS]:
+    """2-40 sets of length 1-6 with (mu, nu) on the 0.01 grid, so that exact
+    distance ties are frequent."""
+    rng = np.random.default_rng(seed)
+    size, length = int(rng.integers(2, 41)), int(rng.integers(1, 7))
+    cells = rng.integers(0, 101, size=(size, length, 2))
+    over = cells.sum(axis=-1) > 100
+    cells[over] = 100 - cells[over]
+    return [IFS.from_pairs((a / 100, b / 100) for a, b in s) for s in cells.tolist()]
+
+
+@pytest.fixture(scope="module")
+def grid_collections():
+    return [grid_collection(seed) for seed in range(200)]
+
+
+def chain_plugin(pis_scores, nis_scores) -> DistanceMeasure:
+    """A plugin that gives the set whose one element has mu = 0.1 * (i + 1)
+    the i-th score against each ideal."""
+
+    def distance(a: IFS, ideal: IFS) -> float:
+        scores = pis_scores if ideal[0].mu == 1.0 else nis_scores
+        return scores[round(a[0].mu * 10) - 1]
+
+    return DistanceMeasure("chain", MeasureKind.NONLINEAR, _func=distance)
+
+
+NAN_FOR_X2 = chain_plugin([0.1, math.nan, 0.2], [0.1, 0.2, 0.3])
+
+
+class TestRobustnessCheckByTieGroups:
+    @pytest.mark.parametrize("name", ["hamming", "euclidean2", "euclidean3", "hausdorff", LOOP_PLUGIN])
+    def test_agrees_with_the_two_ranking_oracle(self, name, grid_collections):
+        measure = loop_plugin() if name == LOOP_PLUGIN else get_measure(name)
+        for sets in grid_collections:
+            assert robustness_check(sets, measure) is looped_verdict(sets, measure)
+
+    def test_hamming_always_agrees_and_euclidean2_does_not(self, grid_collections):
+        assert all(robustness_check(sets, hamming) for sets in grid_collections)
+        assert not all(robustness_check(sets, euclidean2) for sets in grid_collections)
+
+    def test_builds_no_ranking_and_measures_once_per_reference(self, monkeypatch, reference_sets):
+        built, calls, stacked = [], [], []
+        post_init = robustness.RankingResult.__post_init__
+        evaluate_many = DistanceMeasure.evaluate_many
+        stack = robustness._stacked
+        monkeypatch.setattr(
+            robustness.RankingResult,
+            "__post_init__",
+            lambda self: built.append(self) or post_init(self),
+        )
+        monkeypatch.setattr(
+            DistanceMeasure,
+            "evaluate_many",
+            lambda self, *args: calls.append(args[0].shape) or evaluate_many(self, *args),
+        )
+        monkeypatch.setattr(robustness, "_stacked", lambda *args: stacked.append(1) or stack(*args))
+        assert robustness_check(reference_sets * 100, euclidean2) is False
+        assert (built, calls, stacked) == ([], [(300, 2), (300, 2)], [1])
+        rank_by_reference(reference_sets, euclidean2, ReferenceKind.PIS)
+        assert len(built) == 1  # the counter sees the rankings that are built
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda sets: robustness_check(sets, NAN_FOR_X2, labels=["A", "B", "C"]),
+                DomainError,
+                "score of 'B' is not finite: nan",
+            ),
+            (
+                lambda sets: robustness_check(sets, hamming, tie_tolerance=-1.0),
+                DomainError,
+                "tie_tolerance: a tie tolerance must be a non-negative finite number, got -1.0",
+            ),
+            (
+                lambda sets: robustness_check(sets, hamming, labels=["A", "B"]),
+                MismatchError,
+                "got 2 labels but 3 scores",
+            ),
+            (
+                lambda sets: robustness_check(sets, hamming, labels=["A", "B", "A"]),
+                DomainError,
+                "alternative labels must be unique",
+            ),
+            (
+                lambda sets: robustness_check([], hamming),
+                DomainError,
+                "cannot rank an empty collection of sets",
+            ),
+            (
+                lambda sets: robustness_check(sets + [IFS.positive_ideal(2)], hamming),
+                MismatchError,
+                "all sets must have the same length",
+            ),
+        ],
+        ids=["nan-plugin", "tie-tolerance", "label-count", "duplicate-labels", "empty", "ragged"],
+    )
+    def test_errors_are_those_of_the_two_rankings(self, call, error, message):
+        sets = [IFS.from_pairs([(0.1 * (i + 1), 0.0)]) for i in range(3)]
+        with pytest.raises(error) as raised:
+            call(sets)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "pis_scores, nis_scores, agree",
+        [
+            # PIS, ascending: head X1 takes X2 (0.6e-9 away), X3 (1.2e-9) starts
+            # a group. NIS, descending: head X1 takes X2, X3 starts a group.
+            ([0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9], [0.5 + 1.2e-9, 0.5 + 0.6e-9, 0.5], True),
+            # The same NIS chain, but PIS now heads it from X3: {X3, X2} > {X1}.
+            ([0.5 + 1.2e-9, 0.5 + 0.6e-9, 0.5], [0.5 + 1.2e-9, 0.5 + 0.6e-9, 0.5], False),
+        ],
+    )
+    def test_chained_near_ties_follow_the_group_head(self, pis_scores, nis_scores, agree):
+        sets = [IFS.from_pairs([(0.1 * (i + 1), 0.0)]) for i in range(3)]
+        measure = chain_plugin(pis_scores, nis_scores)
+        pis = rank_by_reference(sets, measure, ReferenceKind.PIS)
+        nis = rank_by_reference(sets, measure, ReferenceKind.NIS)
+        assert nis.order == (("X1", "X2"), ("X3",))
+        assert pis.order == ((("X1", "X2"), ("X3",)) if agree else (("X2", "X3"), ("X1",)))
+        assert robustness_check(sets, measure) is looped_verdict(sets, measure) is agree
 
 
 class TestKnownCounterexample:
