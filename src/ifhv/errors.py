@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument conversions
+that raise them."""
+
+import operator
 
 
 class IfhvError(Exception):
@@ -28,3 +31,20 @@ class ValidationError(ParseError):
 
 class VersionError(ParseError):
     """A problem file declares an unsupported schema version."""
+
+
+def as_float(name: str, value) -> float:
+    """`value` converted by `float`; DomainError naming `name` when it cannot be."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+
+
+def as_count(name: str, value) -> int:
+    """`value` converted by `operator.index`, which takes integers only;
+    DomainError naming `name` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, MismatchError
+from .errors import DomainError, MismatchError, as_float
 from .ifs import IFS
 from .ranking import check_tie_tolerance
 
@@ -304,7 +304,7 @@ class HVConfig:
 
     def __post_init__(self) -> None:
         if self.reference is not None:
-            ref = tuple(float(c) for c in self.reference)
+            ref = tuple(as_float("reference", c) for c in self.reference)
             if len(ref) == 0:
                 raise DomainError("reference must have at least one coordinate")
             if any(not math.isfinite(c) for c in ref):
@@ -312,7 +312,7 @@ class HVConfig:
             if any(c > 0.0 for c in ref):
                 raise DomainError("reference coordinates must be <= 0")
             object.__setattr__(self, "reference", ref)
-        alpha = float(self.alpha)
+        alpha = as_float("alpha", self.alpha)
         if not -1.0 <= alpha <= 1.0:
             raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
         object.__setattr__(self, "alpha", alpha)

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .distances import DistanceMeasure, euclidean2, hamming
-from .errors import DegenerateError, DomainError
+from .errors import DegenerateError, DomainError, as_float
 from .hvas import DecisionProblem, rank as hvas_rank
 from .ranking import RankingResult, build_ranking, check_tie_tolerance
 
@@ -63,7 +63,7 @@ class CompareConfig:
 
     def __post_init__(self) -> None:
         for name in ("tau", "v"):
-            value = float(getattr(self, name))
+            value = as_float(name, getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {value}")
             object.__setattr__(self, name, value)

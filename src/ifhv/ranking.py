@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MismatchError
+from .errors import DomainError, MismatchError, as_float
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def ranks_from_order(order: Sequence[Sequence[str]]) -> dict[str, int]:
 
 def check_tie_tolerance(tie_tolerance: float) -> float:
     """`tie_tolerance` as a float; DomainError unless it is non-negative and finite."""
-    tie_tolerance = float(tie_tolerance)
+    tie_tolerance = as_float("tie_tolerance", tie_tolerance)
     if not (math.isfinite(tie_tolerance) and tie_tolerance >= 0.0):
         raise DomainError(
             "tie_tolerance: a tie tolerance must be a non-negative finite number, "

@@ -182,6 +182,67 @@ class TestCommonBehavior:
         assert all(m.kind is MeasureKind.NONLINEAR for m in (euclidean2, euclidean3, hausdorff))
 
 
+def log_uniform(shape, seed):
+    """Seeded positive values spread evenly in log scale over [1e-300, 1]."""
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(np.log(1e-300), 0.0, size=shape))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def old_euclidean3(dmu, dnu):
+    dpi = -(dmu + dnu)
+    return np.sqrt(np.mean(0.5 * (dmu * dmu + dnu * dnu + dpi * dpi), axis=-1))
+
+
+# The kernels as they were written before `_mean_last`, with `np.mean`.
+OLD_KERNELS = {
+    "hamming": lambda dmu, dnu: np.mean(0.5 * (np.abs(dmu) + np.abs(dnu)), axis=-1),
+    "euclidean2": lambda dmu, dnu: np.sqrt(np.mean(0.5 * (dmu * dmu + dnu * dnu), axis=-1)),
+    "euclidean3": old_euclidean3,
+    "hausdorff": lambda dmu, dnu: np.mean(np.maximum(np.abs(dmu), np.abs(dnu)), axis=-1),
+}
+
+
+class TestMeanLast:
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("lead", [(4096,), (64, 48)], ids=str)
+    def test_bit_equal_to_np_mean(self, n, lead):
+        x = log_uniform(lead + (n,), seed=n)
+        assert same_bits(distances._mean_last(x), np.mean(x, axis=-1))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bit_equal_on_one_row_mixed_signs_and_negative_zeros(self, n):
+        row = log_uniform((n,), seed=100 + n)
+        assert type(distances._mean_last(row)) is np.float64
+        assert same_bits(distances._mean_last(row), np.mean(row, axis=-1))
+        # numpy's sum starts from 0.0, so a row of -0.0 has mean 0.0
+        rows = np.stack([row, -row, row * np.where(np.arange(n) % 2, -1.0, 1.0), np.full(n, -0.0)])
+        assert same_bits(distances._mean_last(rows), np.mean(rows, axis=-1))
+
+    def test_empty_axis_and_0d_keep_numpy_behaviour(self):
+        with pytest.warns(RuntimeWarning):
+            expected = np.mean(np.zeros((3, 0)), axis=-1)
+        with pytest.warns(RuntimeWarning):
+            assert same_bits(distances._mean_last(np.zeros((3, 0))), expected)
+        with pytest.raises(Exception) as numpy_error:
+            np.mean(np.array(0.5), axis=-1)
+        with pytest.raises(numpy_error.type):
+            distances._mean_last(np.array(0.5))
+
+    @pytest.mark.parametrize("measure", ALL_BUILTINS, ids=lambda m: m.name)
+    def test_kernels_bit_equal_to_their_np_mean_form(self, measure):
+        for n in range(1, 11):
+            for lead in ((), (257,), (9, 31)):
+                a_mu, a_nu = sample_simplex(np.random.default_rng(n), lead + (n,))
+                b_mu, b_nu = sample_simplex(np.random.default_rng(50 + n), lead + (n,))
+                dmu, dnu = a_mu - b_mu, a_nu - b_nu
+                assert same_bits(measure._kernel(dmu, dnu), OLD_KERNELS[measure.name](dmu, dnu))
+
+
 def masked_sample_simplex(rng, shape):
     """The reflection through boolean masks: the oracle of `sample_simplex`."""
     mu = rng.random(shape)
@@ -368,6 +429,29 @@ class TestCheckAxioms:
         )
         report = check_axioms(offset, samples=500, seed=19)
         assert not report.identity_ok
+
+    def test_identity_sees_a_gap_in_any_element(self, monkeypatch):
+        # B repeats A in every element but the last, and the measure reads the
+        # first element only, so d(A, B) = 0 for pairs only the last tells apart
+        drawn = []
+
+        def b_differs_in_the_last_element(rng, shape):
+            mu, nu = sample_simplex(rng, shape)
+            drawn.append((mu, nu))
+            if len(drawn) % 3 == 2:
+                (a_mu, a_nu), _ = drawn[-2:]
+                mu = np.concatenate([a_mu[:, :-1], mu[:, -1:]], axis=1)
+                nu = np.concatenate([a_nu[:, :-1], nu[:, -1:]], axis=1)
+            return mu, nu
+
+        first_only = DistanceMeasure(
+            "first-element-test", MeasureKind.NONLINEAR, None,
+            lambda a, b: hamming(IFS((a[0],)), IFS((b[0],))),
+        )
+        monkeypatch.setattr(distances, "sample_simplex", b_differs_in_the_last_element)
+        report = check_axioms(first_only, samples=200, seed=26, lengths=(3,))
+        assert not report.identity_ok
+        assert [w.axiom for w in report.witnesses] == ["identity"] * 10
 
     def test_triangle_violation_caught(self):
         squared = DistanceMeasure(

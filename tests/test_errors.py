@@ -2,9 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from ifhv import DomainError, IfhvError, audit, check_axioms, hamming, iso_nis_pairs, mc_oracle
+from ifhv import (
+    CompareConfig,
+    DomainError,
+    HVConfig,
+    IfhvError,
+    audit,
+    build_ranking,
+    check_axioms,
+    hamming,
+    iso_nis_pairs,
+    mc_oracle,
+)
 
 
 @pytest.mark.parametrize(
@@ -24,3 +36,53 @@ def test_bad_argument_is_an_ifhv_error(call):
     with pytest.raises(DomainError) as info:
         call()
     assert isinstance(info.value, IfhvError)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        pytest.param(lambda: HVConfig(alpha="x"), "alpha", id="HVConfig-alpha"),
+        pytest.param(lambda: HVConfig(tie_tolerance="x"), "tie_tolerance", id="HVConfig-tie"),
+        pytest.param(lambda: HVConfig(reference=(-1.0, "x")), "reference", id="HVConfig-reference"),
+        pytest.param(lambda: CompareConfig(tau="x"), "tau", id="CompareConfig-tau"),
+        pytest.param(lambda: CompareConfig(v="x"), "v", id="CompareConfig-v"),
+        pytest.param(lambda: CompareConfig(tie_tolerance=None), "tie_tolerance",
+                     id="CompareConfig-tie-None"),
+        pytest.param(lambda: build_ranking("m", ["a"], [0.0], tie_tolerance="x"), "tie_tolerance",
+                     id="build_ranking-tie"),
+        pytest.param(lambda: audit(hamming, budget="5"), "budget", id="audit-budget-str"),
+        pytest.param(lambda: audit(hamming, budget=2.5), "budget", id="audit-budget-float"),
+        pytest.param(lambda: audit(hamming, eps="x"), "eps", id="audit-eps-str"),
+        pytest.param(lambda: audit(hamming, delta=None), "delta", id="audit-delta-None"),
+        pytest.param(lambda: check_axioms(hamming, samples="x"), "samples", id="axioms-samples-str"),
+        pytest.param(lambda: check_axioms(hamming, samples=2.5), "samples", id="axioms-samples-float"),
+        pytest.param(lambda: iso_nis_pairs(hamming, "5"), "count", id="iso_nis_pairs-count-str"),
+    ],
+)
+def test_non_numeric_argument_is_a_domain_error_naming_it(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an? (number|integer), got "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: HVConfig(alpha=2), r"alpha must lie in \[-1, 1\], got 2.0"),
+        (lambda: CompareConfig(v=-1), r"v must lie in \[0, 1\], got -1.0"),
+        (lambda: CompareConfig(tie_tolerance=-1),
+         "tie_tolerance: a tie tolerance must be a non-negative finite number, got -1.0"),
+        (lambda: audit(hamming, budget=0), "budget must be >= 1"),
+        (lambda: audit(hamming, eps=-1), "eps and delta must be positive finite numbers"),
+        (lambda: check_axioms(hamming, samples=0), "samples must be >= 1"),
+    ],
+)
+def test_numeric_values_keep_their_messages(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_numeric_arguments_are_converted():
+    assert type(audit(hamming, budget=np.int64(5), eps=1, delta="0.001").eps) is float
+    assert audit(hamming, budget=np.int64(5)).budget == 5
+    assert check_axioms(hamming, samples=np.int64(5)).samples == 5
+    assert CompareConfig(tau="0.1").tau == 0.1

@@ -8,6 +8,7 @@ import pytest
 
 import ifhv.robustness as robustness
 from ifhv import (
+    IFN,
     IFS,
     DistanceMeasure,
     DomainError,
@@ -28,6 +29,10 @@ from ifhv import (
 from ifhv.distances import SAMPLE_CHUNK, available_measures, get_measure, sample_simplex
 from ifhv.fixtures import table1_path
 from ifhv.ranking import build_ranking
+
+from gen import hausdorff_squared, minkowski3
+
+BUILTINS = (hamming, euclidean2, euclidean3, hausdorff)
 
 
 @pytest.fixture
@@ -430,6 +435,19 @@ def _counting_sample_simplex(monkeypatch):
     return drawn
 
 
+def _counting_partners(monkeypatch):
+    """Record the attempts each `_iso_nis_partners` call gets."""
+    evaluated = []
+    partners = robustness._iso_nis_partners
+
+    def counting(measure, a_mu, *rest):
+        evaluated.append(a_mu.size)
+        return partners(measure, a_mu, *rest)
+
+    monkeypatch.setattr(robustness, "_iso_nis_partners", counting)
+    return evaluated
+
+
 class TestClosedFormScan:
     @pytest.mark.parametrize("measure", (euclidean2, euclidean3, hausdorff), ids=lambda m: m.name)
     @pytest.mark.parametrize("seed,budget", ((0, 10_000), (3, 2_000), (4, SAMPLE_CHUNK)))
@@ -463,10 +481,12 @@ class TestClosedFormScan:
 
     def test_robust_measure_scans_the_whole_budget(self, monkeypatch):
         drawn = _counting_sample_simplex(monkeypatch)
+        evaluated = _counting_partners(monkeypatch)
         report = audit(hamming, budget=3 * SAMPLE_CHUNK + 5, delta=1e-6, seed=3)
         assert report.is_robust_on_budget
         assert report.samples_used == report.budget
         assert sum(drawn) == 2 * report.budget
+        assert sum(evaluated) == report.budget
 
     def test_non_homogeneous_plugin_uses_the_fallback(self, monkeypatch):
         bisected, calls = [], []
@@ -540,3 +560,101 @@ class TestClosedFormScan:
             tracemalloc.stop()
         assert report.is_robust_on_budget
         assert peak < 8 * 2**20
+
+
+def whole_chunk_audit(measure, budget, seed, eps=1e-9, delta=1e-3):
+    """The audit scan without slices, as a reference: every chunk of
+    `robustness.SAMPLE_CHUNK` attempts is evaluated in full before its
+    witnesses are read, and the scan stops after the chunk holding the 10th."""
+    rng = np.random.default_rng(seed)
+    counterexamples = []
+    samples_used = budget
+    start = 0
+    while start < budget and len(counterexamples) < 10:
+        take = min(robustness.SAMPLE_CHUNK, budget - start)
+        built = robustness._iso_nis_partners(measure, *robustness._draw_attempts(rng, take), eps)
+        ok = np.flatnonzero(
+            built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= eps)
+        )
+        a_mu, a_nu = built["a_mu"][ok], built["a_nu"][ok]
+        b_mu, b_nu = built["b_mu"][ok], built["b_nu"][ok]
+        d_pis_a = measure.pair_many(a_mu, a_nu, 1.0, 0.0)
+        d_pis_b = measure.pair_many(b_mu, b_nu, 1.0, 0.0)
+        hits = np.flatnonzero(np.abs(d_pis_a - d_pis_b) > delta)
+        for j in hits[: 10 - len(counterexamples)]:
+            i = ok[j]
+            counterexamples.append(
+                robustness.Counterexample(
+                    a=IFN(float(a_mu[j]), float(a_nu[j])),
+                    b=IFN(float(b_mu[j]), float(b_nu[j])),
+                    d_nis_a=float(built["d_nis_a"][i]),
+                    d_nis_b=float(built["d_nis_b"][i]),
+                    d_pis_a=float(d_pis_a[j]),
+                    d_pis_b=float(d_pis_b[j]),
+                )
+            )
+            if len(counterexamples) == 10:
+                samples_used = start + int(i) + 1
+        start += take
+    return robustness.AuditReport(
+        measure=measure.name, budget=budget, eps=eps, delta=delta, seed=seed,
+        is_robust_on_budget=not counterexamples,
+        counterexamples=tuple(counterexamples), samples_used=samples_used,
+    )
+
+
+PLUGINS = tuple(
+    DistanceMeasure(f.__name__, MeasureKind.NONLINEAR, None, f) for f in (minkowski3, hausdorff_squared)
+)
+
+
+# At delta 1e-3 the 10th witness falls within the first 20 attempts; at 0.3
+# it falls at attempt 20 to 850, past the first slices' ends. There
+# `hausdorff_squared` is left out: its 10th witness stays within the first
+# 43 attempts, and its whole-chunk scans cost seconds.
+SCAN_CASES = [(m, 1e-3) for m in BUILTINS + PLUGINS] + [(m, 0.3) for m in BUILTINS + PLUGINS[:1]]
+
+
+def scan_budgets(chunk):
+    """Budgets on both sides of the first slices' ends and of the chunk ends."""
+    return (1, 63, 64, 65, 191, 192, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)
+
+
+class TestSubBlocks:
+    @pytest.mark.parametrize("chunk", (None, 7, 100), ids=("SAMPLE_CHUNK", "7", "100"))
+    @pytest.mark.parametrize("measure,delta", SCAN_CASES, ids=lambda x: getattr(x, "name", x))
+    def test_reports_equal_the_whole_chunk_scan(self, monkeypatch, measure, delta, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(robustness, "SAMPLE_CHUNK", chunk)
+        budgets = scan_budgets(robustness.SAMPLE_CHUNK)
+        if chunk is None and measure in PLUGINS:
+            # the whole-chunk scan of one full chunk makes 10^5 to 10^6 plugin
+            # calls (up to 10 s); the 7 and 100 chunks cover these budgets' ends
+            budgets = tuple(b for b in budgets if b < SAMPLE_CHUNK - 1)
+        for seed in range(5):
+            for budget in budgets:
+                assert audit(measure, budget=budget, seed=seed, delta=delta).to_dict() == (
+                    whole_chunk_audit(measure, budget, seed, delta=delta).to_dict()
+                ), (seed, budget)
+
+    @pytest.mark.parametrize("func,bound", ((minkowski3, 1_000), (hausdorff_squared, 5_000)))
+    def test_plugin_calls_stay_near_the_attempts_used(self, func, bound):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return func(a, b)
+
+        measure = DistanceMeasure(func.__name__, MeasureKind.NONLINEAR, None, counted)
+        report = audit(measure, budget=1_000, seed=7)
+        assert len(report.counterexamples) == 10
+        assert len(calls) <= bound
+
+    @pytest.mark.parametrize("measure", (euclidean2, euclidean3, hausdorff), ids=lambda m: m.name)
+    def test_attempts_evaluated_stay_below_twice_those_used(self, monkeypatch, measure):
+        evaluated = _counting_partners(monkeypatch)
+        for seed in range(5):
+            evaluated.clear()
+            report = audit(measure, budget=200_000, seed=seed)
+            assert len(report.counterexamples) == 10
+            assert sum(evaluated) < 2 * report.samples_used + 64
