@@ -25,8 +25,8 @@ from . import robustness as robustness_mod
 from .distances import check_axioms, get_measure
 from .errors import DegenerateError, IfhvError, ParseError, ValidationError
 from .hypervolume import DEFAULT_REFERENCE_COORD, HVConfig, _points_array, hv_set, mc_oracle
-from .problemfile import parse_problem
-from .report import FORMATS, Report, emit_report
+from .problemfile import _read_text, parse_problem
+from .report import FORMATS, emit_report
 
 EXIT_DATA_ERROR = 3
 EXIT_DEGENERATE = 4
@@ -81,12 +81,12 @@ def _checked(build, **values):
         raise click.UsageError(str(exc), ctx=click.get_current_context()) from None
 
 
-def _emit(report: Report, fmt: str, output: Path | None) -> None:
+def _emit(machine: dict, fmt: str, output: Path | None) -> None:
     if output is None:
-        emit_report(report, fmt, sys.stdout)
+        emit_report(machine, fmt, sys.stdout)
     else:
         with open(output, "w", encoding="utf-8", newline="") as sink:
-            emit_report(report, fmt, sink)
+            emit_report(machine, fmt, sink)
 
 
 def _run(builder, fmt: str, output: Path | None) -> None:
@@ -97,14 +97,14 @@ def _run(builder, fmt: str, output: Path | None) -> None:
     gc.disable()
     try:
         try:
-            report = builder()
+            machine = builder()
         except DegenerateError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DEGENERATE)
         except IfhvError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DATA_ERROR)
-        _emit(report, fmt, output)
+        _emit(machine, fmt, output)
     finally:
         if collecting:
             gc.enable()
@@ -129,20 +129,17 @@ def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):
     """Rank the alternatives of PROBLEM_FILE by net hypervolume."""
     cfg = _checked(HVConfig, reference=reference, alpha=alpha, tie_tolerance=tie_tolerance)
 
-    def build() -> Report:
+    def build() -> dict:
         problem = parse_problem(problem_file)
         details = hvas_mod.score_details(problem, cfg)
         result = hvas_mod._ranking(problem, cfg, [part.hv_net for part in details.values()])
-        return Report(
-            kind="rank",
-            machine={
-                "command": "rank",
-                "problem": str(problem_file),
-                "alternatives": list(problem.alternatives),
-                "components": {label: part.to_dict() for label, part in details.items()},
-                "result": result.to_dict(),
-            },
-        )
+        return {
+            "command": "rank",
+            "problem": str(problem_file),
+            "alternatives": list(problem.alternatives),
+            "components": {label: part.to_dict() for label, part in details.items()},
+            "result": result.to_dict(),
+        }
 
     _run(build, fmt, output)
 
@@ -176,19 +173,16 @@ def compare(problem_file, methods, tau, v, measure_primary, measure_secondary,
     )
     hv_cfg = _checked(HVConfig, reference=reference, alpha=alpha)
 
-    def build() -> Report:
+    def build() -> dict:
         problem = parse_problem(problem_file)
         results = mcdm_mod.run_methods(problem, names, cfg, hv_cfg)
-        return Report(
-            kind="compare",
-            machine={
-                "command": "compare",
-                "problem": str(problem_file),
-                "alternatives": list(problem.alternatives),
-                "methods": names,
-                "results": {r.method: r.to_dict() for r in results},
-            },
-        )
+        return {
+            "command": "compare",
+            "problem": str(problem_file),
+            "alternatives": list(problem.alternatives),
+            "methods": names,
+            "results": {r.method: r.to_dict() for r in results},
+        }
 
     _run(build, fmt, output)
 
@@ -202,17 +196,15 @@ def compare(problem_file, methods, tau, v, measure_primary, measure_secondary,
               callback=_positive("eps"), help="Tolerance for equal NIS-distances.")
 @click.option("--delta", type=float, default=1e-3, show_default=True,
               callback=_positive("delta"), help="PIS-distance gap that counts as a violation.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @format_option
 @output_option
 def audit(measure, budget, eps, delta, seed, fmt, output):
     """Search a distance measure for ranking-robustness violations."""
 
-    def build() -> Report:
+    def build() -> dict:
         result = robustness_mod.audit(measure, budget=budget, eps=eps, delta=delta, seed=seed)
-        machine = {"command": "audit", "kind": measure.kind.value}
-        machine.update(result.to_dict())
-        return Report(kind="audit", machine=machine)
+        return {"command": "audit", "kind": measure.kind.value, **result.to_dict()}
 
     _run(build, fmt, output)
 
@@ -222,12 +214,8 @@ def _read_points(
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """The points of a points file as a (k, m) array, and the reference
     (default -1 per dimension). A bad row is reported as file:line."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
     rows, lines = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -254,32 +242,29 @@ def _read_points(
               help="Reference point as comma-separated coordinates [default: -1 per dimension].")
 @click.option("--samples", type=click.IntRange(min=1), default=100_000, show_default=True,
               help="Monte Carlo samples for the cross-check.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @format_option
 @output_option
 def hv(points_file, reference, samples, seed, fmt, output):
     """Exact hypervolume of the points in POINTS_FILE (one per line, comma-separated)."""
 
-    def build() -> Report:
+    def build() -> dict:
         points, ref = _read_points(points_file, reference)
         k, dimension = points.shape
         value = hv_set(points, ref)
         estimate, stderr = mc_oracle(points, ref, samples=samples, seed=seed)
-        return Report(
-            kind="hv",
-            machine={
-                "command": "hv",
-                "points_file": str(points_file),
-                "points": k,
-                "dimension": dimension,
-                "reference": list(ref),
-                "hypervolume": value,
-                "mc_estimate": estimate,
-                "mc_stderr": stderr,
-                "mc_samples": samples,
-                "seed": seed,
-            },
-        )
+        return {
+            "command": "hv",
+            "points_file": str(points_file),
+            "points": k,
+            "dimension": dimension,
+            "reference": list(ref),
+            "hypervolume": value,
+            "mc_estimate": estimate,
+            "mc_stderr": stderr,
+            "mc_samples": samples,
+            "seed": seed,
+        }
 
     _run(build, fmt, output)
 
@@ -288,17 +273,15 @@ def hv(points_file, reference, samples, seed, fmt, output):
 @click.option("--measure", required=True, callback=_measure_option,
               help="Distance measure to probe.")
 @click.option("--samples", type=click.IntRange(min=1), default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @format_option
 @output_option
 def axioms(measure, samples, seed, fmt, output):
     """Check symmetry, identity, and the triangle inequality on random triples."""
 
-    def build() -> Report:
+    def build() -> dict:
         result = check_axioms(measure, samples=samples, seed=seed)
-        machine = {"command": "axioms"}
-        machine.update(result.to_dict())
-        return Report(kind="axioms", machine=machine)
+        return {"command": "axioms", **result.to_dict()}
 
     _run(build, fmt, output)
 

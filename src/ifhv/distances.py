@@ -276,8 +276,7 @@ def check_axioms(
     `samples`.
     """
     samples = as_count("samples", samples)
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    seed = as_count("seed", seed, 0)
     try:
         choices = np.array([operator.index(n) for n in lengths], dtype=int)
     except TypeError:
@@ -287,19 +286,8 @@ def check_axioms(
             f"lengths must be a non-empty sequence of positive integers, got {lengths!r}"
         )
     rng = np.random.default_rng(seed)
-
-    sym_ok = True
-    ident_ok = True
-    tri_ok = True
+    holds = {"symmetry": True, "identity": True, "triangle": True}
     witnesses: list[AxiomWitness] = []
-
-    def add_witnesses(axiom: str, arrays, bad: np.ndarray, values) -> None:
-        for i in np.flatnonzero(bad)[: _MAX_WITNESSES - len(witnesses)]:
-            sets = tuple(
-                tuple((float(mu[i, j]), float(nu[i, j])) for j in range(mu.shape[1]))
-                for mu, nu in arrays
-            )
-            witnesses.append(AxiomWitness(axiom, sets, tuple(float(v[i]) for v in values)))
 
     # Chunks draw their lengths, then each length group's triples, so one
     # chunk draws exactly what a single batch of the same size would.
@@ -318,34 +306,37 @@ def check_axioms(
 
             pairs = ((a_mu, a_nu), (b_mu, b_nu))
             triple = ((a_mu, a_nu), (b_mu, b_nu), (c_mu, c_nu))
-
-            sym_bad = np.abs(d_ab - d_ba) > AXIOM_TOLERANCE
-            if np.any(sym_bad):
-                sym_ok = False
-                add_witnesses("symmetry", pairs, sym_bad, (d_ab, d_ba))
-
             # a row is distinct when any element's gap exceeds 1e-6: OR-ing
             # the n columns is cheaper than a max over the short last axis
             gap = np.abs(a_mu - b_mu) + np.abs(a_nu - b_nu)
             distinct = gap[:, 0] > 1e-6
             for j in range(1, n):
                 distinct |= gap[:, j] > 1e-6
-            ident_bad = (d_aa > AXIOM_TOLERANCE) | (distinct & (d_ab <= AXIOM_TOLERANCE))
-            if np.any(ident_bad):
-                ident_ok = False
-                add_witnesses("identity", pairs, ident_bad, (d_aa, d_ab))
+            identity_bad = (d_aa > AXIOM_TOLERANCE) | (distinct & (d_ab <= AXIOM_TOLERANCE))
 
-            tri_bad = d_ab > d_bc + d_ac + AXIOM_TOLERANCE
-            if np.any(tri_bad):
-                tri_ok = False
-                add_witnesses("triangle", triple, tri_bad, (d_ab, d_bc, d_ac))
+            for axiom, bad, sets, values in (
+                ("symmetry", np.abs(d_ab - d_ba) > AXIOM_TOLERANCE, pairs, (d_ab, d_ba)),
+                ("identity", identity_bad, pairs, (d_aa, d_ab)),
+                ("triangle", d_ab > d_bc + d_ac + AXIOM_TOLERANCE, triple, (d_ab, d_bc, d_ac)),
+            ):
+                if not np.any(bad):
+                    continue
+                holds[axiom] = False
+                for i in np.flatnonzero(bad)[: _MAX_WITNESSES - len(witnesses)]:
+                    points = tuple(
+                        tuple((float(mu[i, j]), float(nu[i, j])) for j in range(n))
+                        for mu, nu in sets
+                    )
+                    witnesses.append(
+                        AxiomWitness(axiom, points, tuple(float(v[i]) for v in values))
+                    )
 
     return AxiomReport(
         measure=measure.name,
         samples=samples,
         seed=seed,
-        symmetry_ok=sym_ok,
-        identity_ok=ident_ok,
-        triangle_ok=tri_ok,
+        symmetry_ok=holds["symmetry"],
+        identity_ok=holds["identity"],
+        triangle_ok=holds["triangle"],
         witnesses=tuple(witnesses),
     )

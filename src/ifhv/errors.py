@@ -41,10 +41,13 @@ def as_float(name: str, value) -> float:
         raise DomainError(f"{name} must be a number, got {value!r}") from None
 
 
-def as_count(name: str, value) -> int:
-    """`value` converted by `operator.index`, which takes integers only;
-    DomainError naming `name` otherwise."""
+def as_count(name: str, value, minimum: int = 1) -> int:
+    """`value` converted by `operator.index`, which takes integers only, and
+    at least `minimum`; DomainError naming `name` otherwise."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+    return count

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, MismatchError, as_float
+from .errors import DomainError, MismatchError, as_count, as_float
 from .ifs import IFS
 from .ranking import check_tie_tolerance
 
@@ -252,8 +252,8 @@ def mc_oracle(
     count, so the result is the same as testing every sample against every
     point.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    samples = as_count("samples", samples)
+    seed = as_count("seed", seed, 0)
     arr, ra = _points_array(points, r)
     if arr.shape[0] == 0:
         return 0.0, 0.0

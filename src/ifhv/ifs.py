@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, MismatchError
+from .errors import DegenerateError, DomainError, MismatchError, as_float
 
 # Aggregation chains can overshoot the mu + nu <= 1 simplex by a few ulps.
 # Sums inside this tolerance are clamped back onto the boundary; anything
@@ -43,8 +43,8 @@ class IFN:
     nu: float
 
     def __post_init__(self) -> None:
-        mu = float(self.mu)
-        nu = float(self.nu)
+        mu = as_float("mu", self.mu)
+        nu = as_float("nu", self.nu)
         if not (math.isfinite(mu) and math.isfinite(nu)):
             raise DomainError(f"IFN components must be finite, got ({self.mu}, {self.nu})")
         if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):

@@ -231,13 +231,19 @@ def _unique_keys(pairs: list, path: Path) -> dict:
     return obj
 
 
+def _read_text(path: Path) -> str:
+    """The text of an input file, which must be UTF-8; ParseError naming the
+    file when it cannot be read or decoded."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+
+
 def parse_problem(path: str | Path) -> DecisionProblem:
     """Load and validate a problem file."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+    text = _read_text(path)
     try:
         data = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except json.JSONDecodeError as exc:

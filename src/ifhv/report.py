@@ -1,9 +1,10 @@
-"""Report objects and deterministic emitters.
+"""Deterministic renderings of the commands' reports.
 
-A Report carries a `machine` payload with exact scalars; the human-readable
-markdown rendering rounds to 6 significant digits, while json and csv keep
-full precision. Rendering is a pure function of (report, format): the same
-input always produces the same bytes.
+A report is a command's `machine` payload: a dict of exact scalars whose
+"command" key picks its markdown and csv renderers from one table,
+`_RENDERERS`. The human-readable markdown rendering rounds to 6 significant
+digits, while json and csv keep full precision. Rendering is a pure function
+of (machine, format): the same input always produces the same bytes.
 
 The json rendering is the bytes of `json.dumps(machine, indent=2)`, produced
 through the C encoder: `json_text` hands each container of scalars, and each
@@ -17,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from typing import IO
@@ -28,18 +28,8 @@ from .ranking import ranks_from_order
 FORMATS = ("md", "json", "csv")
 
 
-@dataclass(frozen=True)
-class Report:
-    kind: str  # rank | compare | audit | hv | axioms
-    machine: dict
-
-
-def _fmt(value) -> str:
-    """Human form: 6 significant digits for floats, plain str otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
+def _fmt(value: float) -> str:
+    """Human form of a float: 6 significant digits."""
     return f"{value:.6g}"
 
 
@@ -164,15 +154,6 @@ def _render_axioms_md(machine: dict) -> str:
     return "\n".join(lines)
 
 
-_MD_RENDERERS = {
-    "rank": _render_rank_md,
-    "compare": _render_compare_md,
-    "audit": _render_audit_md,
-    "hv": _render_hv_md,
-    "axioms": _render_axioms_md,
-}
-
-
 def _csv_text(headers: list[str], rows: list[list]) -> str:
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
@@ -181,74 +162,89 @@ def _csv_text(headers: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _render_csv(report: Report) -> str:
-    machine = report.machine
-    if report.kind == "rank":
-        result = machine["result"]
+def _render_rank_csv(machine: dict) -> str:
+    result = machine["result"]
+    ranks = ranks_from_order(result["order"])
+    rows = [
+        [label, ranks[label], repr(result["scores"][label])]
+        for label in machine["alternatives"]
+    ]
+    return _csv_text(["alternative", "rank", "score"], rows)
+
+
+def _render_compare_csv(machine: dict) -> str:
+    rows = []
+    for name in machine["methods"]:
+        result = machine["results"][name]
         ranks = ranks_from_order(result["order"])
-        rows = [
-            [label, ranks[label], repr(result["scores"][label])]
-            for label in machine["alternatives"]
+        for alt in machine["alternatives"]:
+            rows.append([name, alt, ranks[alt], repr(result["scores"][alt])])
+    return _csv_text(["method", "alternative", "rank", "score"], rows)
+
+
+def _render_audit_csv(machine: dict) -> str:
+    rows = [
+        [
+            machine["measure"],
+            machine["is_robust_on_budget"],
+            machine["samples_used"],
+            index,
+            repr(c["a"][0]),
+            repr(c["a"][1]),
+            repr(c["b"][0]),
+            repr(c["b"][1]),
+            repr(c["d_nis_a"]),
+            repr(c["d_nis_b"]),
+            repr(c["d_pis_a"]),
+            repr(c["d_pis_b"]),
         ]
-        return _csv_text(["alternative", "rank", "score"], rows)
-    if report.kind == "compare":
-        rows = []
-        for name in machine["methods"]:
-            result = machine["results"][name]
-            ranks = ranks_from_order(result["order"])
-            for alt in machine["alternatives"]:
-                rows.append([name, alt, ranks[alt], repr(result["scores"][alt])])
-        return _csv_text(["method", "alternative", "rank", "score"], rows)
-    if report.kind == "audit":
-        rows = [
-            [
-                machine["measure"],
-                machine["is_robust_on_budget"],
-                machine["samples_used"],
-                index,
-                repr(c["a"][0]),
-                repr(c["a"][1]),
-                repr(c["b"][0]),
-                repr(c["b"][1]),
-                repr(c["d_nis_a"]),
-                repr(c["d_nis_b"]),
-                repr(c["d_pis_a"]),
-                repr(c["d_pis_b"]),
-            ]
-            for index, c in enumerate(machine["counterexamples"])
-        ] or [
-            [machine["measure"], machine["is_robust_on_budget"], machine["samples_used"]]
-            + [""] * 9
-        ]
-        return _csv_text(
-            [
-                "measure", "robust_on_budget", "samples_used", "index",
-                "a_mu", "a_nu", "b_mu", "b_nu",
-                "d_nis_a", "d_nis_b", "d_pis_a", "d_pis_b",
-            ],
-            rows,
-        )
-    if report.kind == "hv":
-        return _csv_text(
-            ["hypervolume", "mc_estimate", "mc_stderr", "mc_samples", "seed"],
-            [[
-                repr(machine["hypervolume"]),
-                repr(machine["mc_estimate"]),
-                repr(machine["mc_stderr"]),
-                machine["mc_samples"],
-                machine["seed"],
-            ]],
-        )
-    if report.kind == "axioms":
-        return _csv_text(
-            ["measure", "samples", "seed", "symmetry_ok", "identity_ok", "triangle_ok", "witnesses"],
-            [[
-                machine["measure"], machine["samples"], machine["seed"],
-                machine["symmetry_ok"], machine["identity_ok"], machine["triangle_ok"],
-                len(machine["witnesses"]),
-            ]],
-        )
-    raise DomainError(f"no csv renderer for report kind '{report.kind}'")
+        for index, c in enumerate(machine["counterexamples"])
+    ] or [
+        [machine["measure"], machine["is_robust_on_budget"], machine["samples_used"]]
+        + [""] * 9
+    ]
+    return _csv_text(
+        [
+            "measure", "robust_on_budget", "samples_used", "index",
+            "a_mu", "a_nu", "b_mu", "b_nu",
+            "d_nis_a", "d_nis_b", "d_pis_a", "d_pis_b",
+        ],
+        rows,
+    )
+
+
+def _render_hv_csv(machine: dict) -> str:
+    return _csv_text(
+        ["hypervolume", "mc_estimate", "mc_stderr", "mc_samples", "seed"],
+        [[
+            repr(machine["hypervolume"]),
+            repr(machine["mc_estimate"]),
+            repr(machine["mc_stderr"]),
+            machine["mc_samples"],
+            machine["seed"],
+        ]],
+    )
+
+
+def _render_axioms_csv(machine: dict) -> str:
+    return _csv_text(
+        ["measure", "samples", "seed", "symmetry_ok", "identity_ok", "triangle_ok", "witnesses"],
+        [[
+            machine["measure"], machine["samples"], machine["seed"],
+            machine["symmetry_ok"], machine["identity_ok"], machine["triangle_ok"],
+            len(machine["witnesses"]),
+        ]],
+    )
+
+
+# command -> (markdown renderer, csv renderer)
+_RENDERERS = {
+    "rank": (_render_rank_md, _render_rank_csv),
+    "compare": (_render_compare_md, _render_compare_csv),
+    "audit": (_render_audit_md, _render_audit_csv),
+    "hv": (_render_hv_md, _render_hv_csv),
+    "axioms": (_render_axioms_md, _render_axioms_csv),
+}
 
 
 _SCALAR_TYPES = (str, int, float, type(None))
@@ -333,19 +329,19 @@ def json_text(obj) -> str:
     return _indented(obj, 0)
 
 
-def render(report: Report, fmt: str) -> str:
+def render(machine: dict, fmt: str) -> str:
+    """The report in `fmt`: json, or the renderer `_RENDERERS` holds for its command."""
     if fmt == "json":
-        return json_text(report.machine) + "\n"
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "md":
-        renderer = _MD_RENDERERS.get(report.kind)
-        if renderer is None:
-            raise DomainError(f"no markdown renderer for report kind '{report.kind}'")
-        return renderer(report.machine)
-    raise DomainError(f"unknown report format '{fmt}'; choose from {', '.join(FORMATS)}")
+        return json_text(machine) + "\n"
+    if fmt not in FORMATS:
+        raise DomainError(f"unknown report format '{fmt}'; choose from {', '.join(FORMATS)}")
+    renderers = _RENDERERS.get(machine["command"])
+    if renderers is None:
+        raise DomainError(f"no {fmt} renderer for report command '{machine['command']}'")
+    md, csv_ = renderers
+    return (md if fmt == "md" else csv_)(machine)
 
 
-def emit_report(report: Report, fmt: str, sink: IO[str]) -> None:
+def emit_report(machine: dict, fmt: str, sink: IO[str]) -> None:
     """Write one rendering of the report to a text sink."""
-    sink.write(render(report, fmt))
+    sink.write(render(machine, fmt))

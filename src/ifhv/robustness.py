@@ -307,9 +307,7 @@ def iso_nis_pairs(
     for property checks over large sample counts.
     """
     count = as_count("count", count)
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count("seed", seed, 0))
     built = _iso_nis_partners(measure, *_draw_attempts(rng, count), tol)
     keep = built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= tol)
     return {key: value[keep] for key, value in built.items() if key != "feasible"}
@@ -341,10 +339,9 @@ def audit(
     """
     budget = as_count("budget", budget)
     eps, delta = as_float("eps", eps), as_float("delta", delta)
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
     if not (math.isfinite(eps) and eps > 0.0 and math.isfinite(delta) and delta > 0.0):
         raise DomainError("eps and delta must be positive finite numbers")
+    seed = as_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     counterexamples: list[Counterexample] = []
     samples_used = budget

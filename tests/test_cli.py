@@ -10,10 +10,13 @@ import pytest
 from click.testing import CliRunner
 
 import ifhv.hvas as hvas_mod
+from gen import hausdorff_squared
+from ifhv import available_measures, register_function
 from ifhv.cli import _run, main
 from ifhv.errors import DegenerateError, ParseError
 from ifhv.fixtures import table1_path
-from ifhv.report import Report
+
+SQUARED = "cli-hausdorff-squared"
 
 
 @pytest.fixture
@@ -307,6 +310,14 @@ class TestAxiomsCommand:
         assert result.exit_code == 0
         assert "symmetry" in result.output
 
+    def test_markdown_counts_witnesses(self, runner):
+        if SQUARED not in available_measures():
+            register_function(SQUARED, hausdorff_squared)
+        result = runner.invoke(main, ["axioms", "--measure", SQUARED, "--samples", "200"])
+        assert result.exit_code == 0
+        assert "| triangle | False |" in result.output
+        assert "Witnesses: 10 recorded (see json format)." in result.output
+
     def test_unknown_measure(self, runner):
         result = runner.invoke(main, ["axioms", "--measure", "mystery"])
         assert result.exit_code == 2
@@ -318,6 +329,32 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, runner, table1):
         assert runner.invoke(main, ["rank", table1, "--no-such-flag"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["rank", "{problem}"], 3),
+        (["compare", "{problem}"], 3),
+        (["hv", "{points}"], 3),
+        (["audit", "--measure", "hamming", "--seed", "-1"], 2),
+        (["hv", "{good_points}", "--seed", "-1"], 2),
+        (["axioms", "--measure", "hamming", "--seed", "-1"], 2),
+    ],
+    ids=["rank-latin1", "compare-latin1", "hv-latin1", "audit-seed", "hv-seed", "axioms-seed"],
+)
+def test_no_command_ends_in_a_traceback(runner, tmp_path, points_file, argv, code):
+    problem = tmp_path / "latin1.problem"
+    problem.write_bytes('{"schema_version": 1, "alternatives": ["X\u00e9"]}'.encode("latin-1"))
+    points = tmp_path / "latin1.txt"
+    points.write_bytes("0.5,0.2\n0.2,0.5\u00a0\n".encode("latin-1"))
+    paths = {"problem": problem, "points": points, "good_points": points_file}
+    result = runner.invoke(main, [arg.format(**paths) for arg in argv])
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if code == 3:
+        assert f"{argv[1].format(**paths)}: cannot read file: 'utf-8' codec" in result.output
 
 
 class TestRun:
@@ -332,7 +369,7 @@ class TestRun:
             seen.append(gc.isenabled())
             if error is not None:
                 raise error
-            return Report(kind="hv", machine={"command": "hv"})
+            return {"command": "hv"}
 
         before = gc.isenabled()
         (gc.enable if collecting else gc.disable)()
