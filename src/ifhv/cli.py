@@ -209,13 +209,11 @@ def audit(measure, budget, eps, delta, seed, fmt, output):
     _run(build, fmt, output)
 
 
-def _read_points(
-    path: Path, reference: tuple[float, ...] | None
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    """The points of a points file as a (k, m) array, and the reference
-    (default -1 per dimension). A bad row is reported as file:line."""
-    rows, lines = [], []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+def _walk_points(path: Path, lines: list[str]) -> np.ndarray:
+    """The rows of a points file's lines, read one line at a time: the first
+    bad line raises with its file:line."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -228,11 +226,36 @@ def _read_points(
                 f"{path}:{lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
             )
         rows.append(row)
-        lines.append(lineno)
+    return np.array(rows)
+
+
+def _read_points(
+    path: Path, reference: tuple[float, ...] | None
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The points of a points file as a (k, m) array, and the reference
+    (default -1 per dimension). A bad row is reported as file:line.
+
+    All rows are parsed as one array; only when that fails, or the rows differ
+    in length, does `_walk_points` read the lines one at a time to report the
+    first bad one.
+    """
+    lines = _read_text(path).splitlines()
+    rows = [line for line in map(str.strip, lines) if line]
     if not rows:
         raise ParseError(f"{path}: no points found")
-    ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * len(rows[0])
-    points, _ = _points_array(rows, ref, lambda i: f"{path}:{lines[i]}")
+    try:
+        if len({row.count(",") for row in rows}) > 1:
+            raise ValueError("rows differ in length")
+        points = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
+    except ValueError:  # a field that is not a number, or a ragged row
+        points = _walk_points(path, lines)
+    ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * points.shape[1]
+
+    def row_name(i: int) -> str:
+        linenos = [lineno for lineno, line in enumerate(lines, start=1) if line.strip()]
+        return f"{path}:{linenos[i]}"
+
+    points, _ = _points_array(points, ref, row_name)
     return points, ref
 
 

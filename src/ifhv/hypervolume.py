@@ -22,10 +22,11 @@ calls it on the weighted decision matrix.
 `hv_set` is exact: the HV3D dimension sweep, O(k log k) in the number of
 points, in up to 3 dimensions, and above that a slab sweep over the last
 coordinate that recurses down to HV3D. `hv_inclusion_exclusion` and
-`mc_oracle` are independent cross-checks for it. `mc_oracle` tests samples
-against blocks of points, largest boxes first, and retires each sample at
-its first hit; its memory is bounded by `MC_CHUNK_ELEMENTS` whatever the
-point or sample count.
+`mc_oracle` are independent cross-checks for it. `mc_oracle` holds each
+chunk of samples as an (m, chunk) array, one contiguous row per coordinate,
+tests it against blocks of points, largest boxes first, one coordinate at a
+time along those rows, and retires each sample at its first hit; its memory
+is O(`MC_CHUNK_ELEMENTS` + k * m) whatever the point or sample count.
 """
 
 from __future__ import annotations
@@ -243,14 +244,17 @@ def mc_oracle(
     hits inside the union of boxes. Returns (estimate, stderr); deterministic
     for a fixed seed. An empty point set yields (0.0, 0.0).
 
-    Samples are drawn in chunks and tested against blocks of `MC_POINT_BLOCK`
-    points, largest box first; a sample that hits is counted and dropped, and
-    a chunk ends when no sample is left or the blocks run out. Chunks hold
+    Samples are drawn in chunks and held as an (m, chunk) array, one
+    C-contiguous row per coordinate, so that every comparison runs along the
+    long sample axis. Each chunk is tested against blocks of `MC_POINT_BLOCK`
+    points, largest box first, through (block, chunk) boolean buffers that
+    every block reuses; a sample that hits is counted and dropped, and a chunk
+    ends when no sample is left or the blocks run out. Chunks hold
     max(1, `MC_CHUNK_ELEMENTS` // (`MC_POINT_BLOCK` * m)) samples, so memory
     is O(`MC_CHUNK_ELEMENTS` + k * m) whatever k and `samples` are. Neither the
-    chunk size nor the point order changes the sample stream or the hit
-    count, so the result is the same as testing every sample against every
-    point.
+    chunk size, the layout nor the point order changes the sample stream or
+    the hit count, so the result is the same as testing every sample against
+    every point.
     """
     samples = as_count("samples", samples)
     seed = as_count("seed", seed, 0)
@@ -268,18 +272,34 @@ def mc_oracle(
         arr[order[start : start + MC_POINT_BLOCK]]
         for start in range(0, arr.shape[0], MC_POINT_BLOCK)
     ]
+    m = ra.size
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
-    chunk = max(1, MC_CHUNK_ELEMENTS // (MC_POINT_BLOCK * ra.size))
+    chunk = max(1, MC_CHUNK_ELEMENTS // (MC_POINT_BLOCK * m))
+    # Every block's (points, samples) test and its comparison of one further
+    # coordinate reuse one allocation, so its pages fault in once per call
+    # (two separate ones fault in on every call under glibc's allocator).
+    size = min(chunk, samples) * min(MC_POINT_BLOCK, arr.shape[0])
+    buffer = np.empty(size * min(m, 2), dtype=bool)
+    test_buffer, coordinate_buffer = buffer[:size], buffer[size:]
     while remaining > 0:
         take = min(chunk, remaining)
-        q = ra + rng.random((take, ra.size)) * span
+        # (m, take), one C-contiguous row per coordinate: the same multiply
+        # and add as ra + u * span, so every sample keeps its bits.
+        q = np.multiply(rng.random((take, m)).T, span[:, None], order="C")
+        q += ra[:, None]
         for block in blocks:
-            inside = _covered(q, block).any(axis=1)
+            shape = (block.shape[0], q.shape[1])
+            test = test_buffer[: shape[0] * shape[1]].reshape(shape)
+            np.greater_equal(block[:, :1], q[0], out=test)
+            for j in range(1, m):
+                coordinate = coordinate_buffer[: test.size].reshape(shape)
+                test &= np.greater_equal(block[:, j : j + 1], q[j], out=coordinate)
+            inside = np.logical_or.reduce(test, axis=0)
             hits += int(np.count_nonzero(inside))
-            q = q[~inside]
-            if q.shape[0] == 0:
+            q = np.compress(~inside, q, axis=1)  # stays C-contiguous, unlike q[:, ~inside]
+            if q.shape[1] == 0:
                 break
         remaining -= take
     fraction = hits / samples

@@ -6,15 +6,18 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import ifhv.hvas as hvas_mod
 from gen import hausdorff_squared
 from ifhv import available_measures, register_function
-from ifhv.cli import _run, main
-from ifhv.errors import DegenerateError, ParseError
+from ifhv.cli import _read_points, _run, main
+from ifhv.errors import DegenerateError, IfhvError, ParseError, ValidationError
 from ifhv.fixtures import table1_path
+from ifhv.hypervolume import DEFAULT_REFERENCE_COORD, _points_array
+from ifhv.problemfile import _read_text
 
 SQUARED = "cli-hausdorff-squared"
 
@@ -293,6 +296,88 @@ class TestHvCommand:
         result = runner.invoke(main, ["hv", points_file, "--reference", "0,0,0"])
         assert result.exit_code == 3
         assert "reference has 3 coordinates" in result.output
+
+
+def read_points_by_lines(path, reference):
+    """_read_points as one walk over the lines, parsing each line on its own."""
+    rows, lines = [], []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            row = tuple(float(part) for part in stripped.split(","))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: expected comma-separated numbers") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
+            )
+        rows.append(row)
+        lines.append(lineno)
+    if not rows:
+        raise ParseError(f"{path}: no points found")
+    ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * len(rows[0])
+    points, _ = _points_array(rows, ref, lambda i: f"{path}:{lines[i]}")
+    return points, ref
+
+
+def points_field(rng):
+    """One field of a points file: mostly a number in one of several spellings,
+    with spaces around it; sometimes a value the reader must reject."""
+    x = float(rng.random())
+    spellings = [
+        repr(x), f"{x:.3e}", f"{x * 1e3:.2E}", f"{x:.0f}", f"+{x}", "inf", "nan", "-inf",
+        "x1", "", repr(-1.5 - x),
+    ]
+    weights = [0.3, 0.2, 0.15, 0.1, 0.225, 0.003, 0.003, 0.003, 0.003, 0.003, 0.01]
+    before, after = (["", " ", "  ", "\t"][i] for i in rng.integers(4, size=2))
+    return before + spellings[rng.choice(len(spellings), p=weights)] + after
+
+
+def points_file_text(rng):
+    """A points file with blank lines, CRLF or LF line ends and now and then a
+    ragged row."""
+    m = int(rng.integers(1, 5))
+    lines = []
+    for _ in range(int(rng.integers(0, 10))):
+        width = m + int(rng.choice([-1, 1])) if rng.random() < 0.04 else m
+        lines.append(",".join(points_field(rng) for _ in range(max(width, 1))))
+        while rng.random() < 0.2:
+            lines.append(["", "  ", "\t"][rng.integers(3)])
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.8 else ""), m
+
+
+class TestReadPointsInBulk:
+    @staticmethod
+    def outcome(read, path, reference):
+        try:
+            points, ref = read(path, reference)
+        except IfhvError as exc:
+            return type(exc).__name__, str(exc)
+        return points.shape, points.dtype, points.tobytes(), ref
+
+    def test_same_arrays_and_errors_as_the_line_walk(self, tmp_path):
+        kinds = set()
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            text, m = points_file_text(rng)
+            path = tmp_path / f"points{seed}.txt"
+            path.write_bytes(text.encode("utf-8"))
+            reference = [None, (0.0,) * m, (-2.0,) * (m + 1)][rng.choice(3, p=[0.45, 0.45, 0.1])]
+            expected = self.outcome(read_points_by_lines, path, reference)
+            assert self.outcome(_read_points, path, reference) == expected, text
+            kinds.add(expected[1].split(": ")[-1] if isinstance(expected[0], str) else "read")
+        assert kinds >= {
+            "read",
+            "no points found",
+            "expected comma-separated numbers",
+            "coordinates must be finite",
+            "point does not dominate the reference",
+        }
+        assert any("coordinates, got" in kind for kind in kinds)
+        assert any(kind.startswith("reference has") for kind in kinds)
 
 
 class TestAxiomsCommand:

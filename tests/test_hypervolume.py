@@ -257,6 +257,17 @@ class TestMcOracle:
                 assert mc_oracle(points, r, samples=samples, seed=m) == expected
                 monkeypatch.undo()
 
+    @pytest.mark.parametrize("reference", (-1.0, 0.0))
+    @pytest.mark.parametrize("k, m", ((200, 3), (60, 4), (12, 6), (2000, 3)))
+    def test_bit_equal_on_benchmark_shapes(self, k, m, reference):
+        """Sphere fronts and a cloud of the benchmark's shapes: on the fronts
+        many samples miss every box and pass through every point block."""
+        rng = np.random.default_rng(k * 10 + m)
+        points = rng.random((k, m)) if k == 2000 else front(rng, k, m)
+        r = np.full(m, reference)
+        expected = mc_reference(points, r, 20_000, seed=k)
+        assert mc_oracle(points, r, samples=20_000, seed=k) == expected
+
     def test_memory_is_bounded_on_a_large_cloud(self):
         points = np.random.default_rng(42).random((20_000, 3))
         assert peak_bytes(mc_oracle, points, (0.0, 0.0, 0.0), 50_000, 1) < 8 * 2**20
