@@ -26,6 +26,7 @@ from .distances import check_axioms, get_measure
 from .errors import DegenerateError, IfhvError, ParseError, ValidationError
 from .hypervolume import DEFAULT_REFERENCE_COORD, HVConfig, _points_array, hv_set, mc_oracle
 from .problemfile import _read_text, parse_problem
+from .ranking import DEFAULT_TIE_TOLERANCE
 from .report import FORMATS, emit_report
 
 EXIT_DATA_ERROR = 3
@@ -45,8 +46,6 @@ def _parse_reference(_ctx, _param, value):
 
 
 def _measure_option(_ctx, _param, value):
-    if value is None:
-        return None
     try:
         return get_measure(value)
     except IfhvError as exc:
@@ -121,7 +120,7 @@ def main() -> None:
               help="Hesitancy perception factor in [-1, 1].")
 @click.option("--reference", default=None, callback=_parse_reference,
               help="Reference point as comma-separated coordinates, all <= 0 [default: -1 per criterion].")
-@click.option("--tie-tolerance", type=float, default=1e-9, show_default=True,
+@click.option("--tie-tolerance", type=float, default=DEFAULT_TIE_TOLERANCE, show_default=True,
               help="Absolute tolerance for score ties.")
 @format_option
 @output_option
@@ -132,7 +131,7 @@ def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):
     def build() -> dict:
         problem = parse_problem(problem_file)
         details = hvas_mod.score_details(problem, cfg)
-        result = hvas_mod._ranking(problem, cfg, [part.hv_net for part in details.values()])
+        result = hvas_mod.ranking(problem, cfg, [part.hv_net for part in details.values()])
         return {
             "command": "rank",
             "problem": str(problem_file),

@@ -256,21 +256,17 @@ def score_details(
 def rank(problem: DecisionProblem, config: HVConfig | None = None) -> RankingResult:
     """Rank alternatives by net hypervolume of their weighted value profiles."""
     cfg = config if config is not None else HVConfig()
-    return _ranking(problem, cfg, _weighted_spaces(problem, cfg)[3])
+    return ranking(problem, cfg, _weighted_spaces(problem, cfg)[3])
 
 
-def _ranking(problem: DecisionProblem, cfg: HVConfig, scores) -> RankingResult:
-    """The HVAS ranking from net-hypervolume scores, which the `rank` command
-    takes from `score_details` so that it evaluates the formula once."""
+def ranking(problem: DecisionProblem, cfg: HVConfig, scores) -> RankingResult:
+    """The HVAS ranking from net-hypervolume scores; the `rank` command passes
+    the `hv_net` of `score_details`, so that it evaluates the formula once."""
     return build_ranking(
         method="hvas",
         labels=problem.alternatives,
         scores=scores,
         higher_is_better=True,
         tie_tolerance=cfg.tie_tolerance,
-        config_echo={
-            "reference": list(cfg.reference_for(problem.n_criteria)),
-            "alpha": cfg.alpha,
-            "tie_tolerance": cfg.tie_tolerance,
-        },
+        config_echo={"reference": list(cfg.reference_for(problem.n_criteria)), "alpha": cfg.alpha},
     )

@@ -40,10 +40,9 @@ import numpy as np
 
 from .errors import DomainError, MismatchError, as_count, as_float
 from .ifs import IFS
-from .ranking import check_tie_tolerance
+from .ranking import DEFAULT_TIE_TOLERANCE, check_tie_tolerance
 
 DEFAULT_REFERENCE_COORD = -1.0
-DEFAULT_TIE_TOLERANCE = 1e-9
 
 # Cap on the coordinate comparisons of one mc_oracle chunk against one
 # point block, (chunk, block, m): chunks hold
@@ -148,8 +147,6 @@ def _union_volume(v: np.ndarray) -> float:
     last coordinate and recurses one dimension down, filtering dominated rows
     at every level to keep the recursion small, until it reaches HV3D.
     """
-    if v.shape[0] == 0:
-        return 0.0
     if v.shape[1] == 1:
         return float(v.max())
     if v.shape[1] <= 3:

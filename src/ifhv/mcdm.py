@@ -38,7 +38,7 @@ import numpy as np
 from .distances import DistanceMeasure, euclidean2, hamming
 from .errors import DegenerateError, DomainError, as_float
 from .hvas import DecisionProblem, rank as hvas_rank
-from .ranking import RankingResult, build_ranking, check_tie_tolerance
+from .ranking import DEFAULT_TIE_TOLERANCE, RankingResult, build_ranking, check_tie_tolerance
 
 DEFAULT_TAU = 0.02
 DEFAULT_V = 0.5
@@ -59,7 +59,7 @@ class CompareConfig:
     v: float = DEFAULT_V
     measure_primary: DistanceMeasure = field(default_factory=lambda: euclidean2)
     measure_secondary: DistanceMeasure = field(default_factory=lambda: hamming)
-    tie_tolerance: float = 1e-9
+    tie_tolerance: float = DEFAULT_TIE_TOLERANCE
 
     def __post_init__(self) -> None:
         for name in ("tau", "v"):
@@ -70,12 +70,12 @@ class CompareConfig:
         object.__setattr__(self, "tie_tolerance", check_tie_tolerance(self.tie_tolerance))
 
     def echo(self) -> dict:
+        """The knobs a ranking echoes; `build_ranking` appends the tie tolerance."""
         return {
             "tau": self.tau,
             "v": self.v,
             "measure_primary": self.measure_primary.name,
             "measure_secondary": self.measure_secondary.name,
-            "tie_tolerance": self.tie_tolerance,
         }
 
 
@@ -129,6 +129,15 @@ def _prepared(problem: DecisionProblem) -> _Prepared:
     return _Prepared(mu, nu, (mu.T.copy(), nu.T.copy()), ps, ns)
 
 
+def _ranked(
+    method: str, problem: DecisionProblem, cfg: CompareConfig, scores, higher_is_better: bool
+) -> RankingResult:
+    """A comparator's ranking of its per-alternative scores, echoing `cfg`."""
+    return build_ranking(
+        method, problem.alternatives, scores, higher_is_better, cfg.tie_tolerance, cfg.echo()
+    )
+
+
 def topsis(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
     """Relative closeness to the negative solution, ranked descending."""
     cfg = cfg if cfg is not None else CompareConfig()
@@ -142,14 +151,7 @@ def topsis(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Rankin
             f"alternative '{problem.alternatives[zero[0]]}' is at zero distance "
             "from both solution profiles"
         )
-    return build_ranking(
-        method="topsis",
-        labels=problem.alternatives,
-        scores=to_ns / total,
-        higher_is_better=True,
-        tie_tolerance=cfg.tie_tolerance,
-        config_echo=cfg.echo(),
-    )
+    return _ranked("topsis", problem, cfg, to_ns / total, higher_is_better=True)
 
 
 def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
@@ -176,14 +178,7 @@ def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
         q_values = np.zeros(problem.n_alternatives)  # nothing discriminates; everything ties
     else:
         q_values = sum(weight * values for weight, values in terms) / total_weight
-    return build_ranking(
-        method="vikor",
-        labels=problem.alternatives,
-        scores=q_values,
-        higher_is_better=False,
-        tie_tolerance=cfg.tie_tolerance,
-        config_echo=cfg.echo(),
-    )
+    return _ranked("vikor", problem, cfg, q_values, higher_is_better=False)
 
 
 def codas(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
@@ -202,14 +197,7 @@ def codas(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
         tie_break *= np.abs(h) < cfg.tau
         h += tie_break
         assessments[block] = h.sum(axis=1)
-    return build_ranking(
-        method="codas",
-        labels=problem.alternatives,
-        scores=assessments,
-        higher_is_better=True,
-        tie_tolerance=cfg.tie_tolerance,
-        config_echo=cfg.echo(),
-    )
+    return _ranked("codas", problem, cfg, assessments, higher_is_better=True)
 
 
 _COMPARATORS = {

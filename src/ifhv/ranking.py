@@ -1,4 +1,6 @@
-"""Ranking results with explicit tie groups."""
+"""Ranking results with explicit tie groups, all built by `build_ranking`:
+HVAS (`hvas.ranking`), the comparators of `ifhv.mcdm`, and reference ranking
+(`robustness.rank_by_reference`)."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, MismatchError, as_float
+
+DEFAULT_TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,10 +39,6 @@ class RankingResult:
     def order_string(self) -> str:
         """Human form of the order, e.g. 'X3 > X2 = X1'."""
         return " > ".join(" = ".join(group) for group in self.order)
-
-    def ranks(self) -> dict[str, int]:
-        """1-based rank per alternative; tied alternatives share a rank."""
-        return ranks_from_order(self.order)
 
     def to_dict(self) -> dict:
         return {
@@ -77,8 +77,8 @@ def check_tie_tolerance(tie_tolerance: float) -> float:
 
 
 def _tie_groups(labels: Sequence[str], scores, higher_is_better: bool, tie_tolerance: float):
-    """The checked float scores, and each input's tie group: 0 for the best."""
-    tie_tolerance = check_tie_tolerance(tie_tolerance)
+    """The checked float scores, and each input's tie group (0 for the best)
+    under a `tie_tolerance` that `check_tie_tolerance` has passed."""
     values = np.asarray(scores, dtype=float)
     if values.shape != (len(labels),):
         raise MismatchError(f"got {len(labels)} labels but {values.size} scores")
@@ -110,7 +110,7 @@ def build_ranking(
     labels: Sequence[str],
     scores: Sequence[float] | np.ndarray,
     higher_is_better: bool = True,
-    tie_tolerance: float = 1e-9,
+    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     config_echo: Mapping[str, object] | None = None,
 ) -> RankingResult:
     """Sort labels by score and group them into ties.
@@ -118,8 +118,10 @@ def build_ranking(
     Scores within `tie_tolerance` (absolute) of a group's first member join
     that group. Within a group, labels keep their original input order, so
     the result is invariant under relabeling of the inputs. Every score must
-    be finite, and so must the non-negative `tie_tolerance`.
+    be finite, and so must the non-negative `tie_tolerance`. The result's
+    echo is `config_echo` followed by the float `tie_tolerance` it used.
     """
+    tie_tolerance = check_tie_tolerance(tie_tolerance)
     values, groups = _tie_groups(labels, scores, higher_is_better, tie_tolerance)
     ordered = [labels[i] for i in np.argsort(groups, kind="stable").tolist()]
     bounds = np.append(0, np.cumsum(np.bincount(groups))).tolist()
@@ -128,5 +130,5 @@ def build_ranking(
         scores=dict(zip(labels, values.tolist())),
         order=tuple([tuple(ordered[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]),
         higher_is_better=higher_is_better,
-        config_echo=dict(config_echo or {}),
+        config_echo={**(config_echo or {}), "tie_tolerance": tie_tolerance},
     )

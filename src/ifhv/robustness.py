@@ -42,7 +42,13 @@ import numpy as np
 from .distances import SAMPLE_CHUNK, DistanceMeasure, sample_simplex
 from .errors import DomainError, MismatchError, as_count, as_float
 from .ifs import IFN, IFS, NIS, PIS
-from .ranking import RankingResult, _tie_groups, build_ranking
+from .ranking import (
+    DEFAULT_TIE_TOLERANCE,
+    RankingResult,
+    _tie_groups,
+    build_ranking,
+    check_tie_tolerance,
+)
 
 MAX_COUNTEREXAMPLES = 10
 _BISECTION_STEPS = 100
@@ -82,7 +88,7 @@ def rank_by_reference(
     measure: DistanceMeasure,
     ref: ReferenceKind,
     labels: Sequence[str] | None = None,
-    tie_tolerance: float = 1e-9,
+    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
 ) -> RankingResult:
     """Rank IFS by distance to an ideal point.
 
@@ -98,11 +104,7 @@ def rank_by_reference(
         scores=measure.evaluate_many(mu, nu, *(PIS if ref is ReferenceKind.PIS else NIS).as_pair()),
         higher_is_better=(ref is ReferenceKind.NIS),
         tie_tolerance=tie_tolerance,
-        config_echo={
-            "measure": measure.name,
-            "reference": ref.value,
-            "tie_tolerance": tie_tolerance,
-        },
+        config_echo={"measure": measure.name, "reference": ref.value},
     )
 
 
@@ -110,14 +112,19 @@ def robustness_check(
     sets: Sequence[IFS],
     measure: DistanceMeasure,
     labels: Sequence[str] | None = None,
-    tie_tolerance: float = 1e-9,
+    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
 ) -> bool:
     """True iff ranking against PIS and against NIS produce identical orders,
     tie structure included: the sets are stacked once, measured once per
     reference, and the tie groups of `build_ranking`'s rule compared."""
     mu, nu, labels = _stacked(sets, labels)
     pis, nis = (
-        _tie_groups(labels, measure.evaluate_many(mu, nu, *ideal.as_pair()), higher, tie_tolerance)
+        _tie_groups(
+            labels,
+            measure.evaluate_many(mu, nu, *ideal.as_pair()),
+            higher,
+            check_tie_tolerance(tie_tolerance),  # after measuring, as `rank_by_reference` does
+        )
         for ideal, higher in ((PIS, False), (NIS, True))
     )
     return np.array_equal(pis[1], nis[1])

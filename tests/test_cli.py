@@ -86,6 +86,12 @@ class TestRankCommand:
         assert result.exit_code == 2
         assert "must be finite" in result.output
 
+    @pytest.mark.parametrize("command", ["rank", "compare"])
+    def test_reference_flag_rejects_non_numbers(self, runner, table1, command):
+        result = runner.invoke(main, [command, table1, "--reference", "1,x"])
+        assert result.exit_code == 2
+        assert "expected comma-separated numbers" in result.output
+
     def test_alpha_out_of_range(self, runner, table1):
         result = runner.invoke(main, ["rank", table1, "--alpha", "2.0"])
         assert result.exit_code == 2
@@ -425,8 +431,13 @@ class TestUsageErrors:
         (["audit", "--measure", "hamming", "--seed", "-1"], 2),
         (["hv", "{good_points}", "--seed", "-1"], 2),
         (["axioms", "--measure", "hamming", "--seed", "-1"], 2),
+        (["audit"], 2),
+        (["axioms"], 2),
     ],
-    ids=["rank-latin1", "compare-latin1", "hv-latin1", "audit-seed", "hv-seed", "axioms-seed"],
+    ids=[
+        "rank-latin1", "compare-latin1", "hv-latin1", "audit-seed", "hv-seed", "axioms-seed",
+        "audit-no-measure", "axioms-no-measure",
+    ],
 )
 def test_no_command_ends_in_a_traceback(runner, tmp_path, points_file, argv, code):
     problem = tmp_path / "latin1.problem"

@@ -26,6 +26,7 @@ from ifhv import (
     mc_oracle,
     problem_from_dict,
 )
+from ifhv.report import render
 
 
 @pytest.mark.parametrize(
@@ -152,6 +153,10 @@ def _problem(alternatives=("A1",), criteria=("c1",), dms=("dm1",)):
                      "<problem>: top level must be an object", id="problem_from_dict-list"),
         pytest.param(lambda: build_ranking("m", [], []), DomainError,
                      "cannot rank an empty collection", id="build_ranking-empty"),
+        pytest.param(lambda: render({"command": "hv"}, "xml"), DomainError,
+                     "unknown report format 'xml'; choose from md, json, csv", id="render-format"),
+        pytest.param(lambda: render({"command": "nope"}, "md"), DomainError,
+                     "no md renderer for report command 'nope'", id="render-command"),
     ],
 )
 def test_rejected_input_keeps_its_message(call, error, message):

@@ -13,8 +13,10 @@ from ifhv import (
     DecisionProblem,
     DegenerateError,
     DomainError,
+    HVConfig,
     MismatchError,
     rank,
+    score_details,
 )
 import ifhv.hvas as hvas_mod
 from gen import random_ifn, random_problem
@@ -113,6 +115,13 @@ class TestProblemValidation:
         )
         assert problem.evaluation_array[0, 0, 0].tolist() == [0.7, 1.0 - 0.7]
         assert evaluations[0, 0, 0, 1] == 0.3 + 1e-12  # the caller's array is not changed
+
+    def test_equality_with_another_type_and_repr(self, three_set_problem):
+        assert three_set_problem.__eq__(object()) is NotImplemented
+        assert (three_set_problem == object()) is False
+        assert repr(three_set_problem) == (
+            "DecisionProblem(alternatives=('X1', 'X2', 'X3'), criteria=('c1', 'c2'), dms=('dm1',))"
+        )
 
 
 def weighted_pairs(problem):
@@ -247,6 +256,17 @@ class TestRank:
         assert result.method == "hvas"
         assert result.config_echo["reference"] == [-1.0, -1.0]
         assert result.config_echo["alpha"] == 0.0
+
+    def test_ranking_from_score_details_is_rank(self):
+        # The `rank` command ranks the hv_net of `score_details`; the library
+        # ranks the scores of one formula evaluation. Both must agree.
+        rng = np.random.default_rng(54)
+        for _ in range(50):
+            problem = random_problem(rng)
+            cfg = HVConfig(alpha=float(rng.uniform(-1.0, 1.0)))
+            details = score_details(problem, cfg)
+            scores = [part.hv_net for part in details.values()]
+            assert hvas_mod.ranking(problem, cfg, scores) == rank(problem, cfg)
 
     def test_single_alternative(self):
         problem = single_dm_problem([[(0.4, 0.2)]])

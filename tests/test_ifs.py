@@ -33,6 +33,9 @@ class TestConstruction:
         assert IFN(1, 0) == PIS
         assert IFN(0, 1) == NIS
 
+    def test_repr(self):
+        assert repr(IFN(0.25, 0.5)) == "IFN(0.25, 0.5)"
+
     def test_sum_above_one_rejected(self):
         with pytest.raises(DomainError):
             IFN(0.7, 0.5)

@@ -14,6 +14,7 @@ from ifhv import (
     DecisionProblem,
     DegenerateError,
     DomainError,
+    HVConfig,
     codas,
     euclidean2,
     hamming,
@@ -113,6 +114,16 @@ class TestConfig:
             assert echo["v"] == 0.3
             assert echo["measure_primary"] == "euclidean2"
             assert echo["measure_secondary"] == "hamming"
+
+    @pytest.mark.parametrize("tolerance", [0, 1e-9, 0.05])
+    def test_config_echo_ends_with_the_tie_tolerance(self, dominant_problem, tolerance):
+        cfg = CompareConfig(tie_tolerance=tolerance)
+        hv_cfg = HVConfig(tie_tolerance=tolerance)
+        for result in run_methods(dominant_problem, mcdm_mod.METHOD_NAMES, cfg, hv_cfg):
+            key, value = list(result.config_echo.items())[-1]
+            assert (key, value) == ("tie_tolerance", cfg.tie_tolerance)
+            assert type(value) is float
+        assert "tie_tolerance" not in cfg.echo()
 
 
 class TestColumnExtremes:

@@ -93,6 +93,32 @@ def test_tie_groups_are_the_order_of_the_ranking(case, higher_is_better):
     )
 
 
+@pytest.mark.parametrize(
+    "echo, tolerance, expected",
+    [
+        (None, None, {"tie_tolerance": 1e-9}),
+        ({"k": "v"}, 0, {"k": "v", "tie_tolerance": 0.0}),
+        ({"k": "v"}, np.float32(0.25), {"k": "v", "tie_tolerance": 0.25}),
+    ],
+    ids=["no-echo-default", "int", "float32"],
+)
+def test_the_echo_ends_with_the_tolerance_grouped_with(echo, tolerance, expected):
+    kwargs = {} if tolerance is None else {"tie_tolerance": tolerance}
+    result = build_ranking("m", ["a"], [0.0], config_echo=echo, **kwargs)
+    assert list(result.config_echo.items()) == list(expected.items())
+    assert type(result.config_echo["tie_tolerance"]) is float
+    assert result.to_dict()["config"] == expected
+
+
+def test_rank_by_reference_echoes_a_float_tolerance_last():
+    sets = [IFS.from_pairs([(0.2, 0.3)]), IFS.from_pairs([(0.4, 0.1)])]
+    echo = rank_by_reference(sets, hamming, ReferenceKind.NIS, tie_tolerance=0).config_echo
+    assert list(echo.items()) == [
+        ("measure", "hamming"), ("reference", "NIS"), ("tie_tolerance", 0.0)
+    ]
+    assert type(echo["tie_tolerance"]) is float
+
+
 @pytest.mark.parametrize("higher_is_better, groups", [(False, [0, 0, 1]), (True, [1, 0, 0])])
 def test_a_chain_of_near_ties_is_grouped_from_its_best_end(higher_is_better, groups):
     # Gaps of 0.6 under a tolerance of 1: the best score heads the first group

@@ -195,6 +195,13 @@ def chain_plugin(pis_scores, nis_scores) -> DistanceMeasure:
 NAN_FOR_X2 = chain_plugin([0.1, math.nan, 0.2], [0.1, 0.2, 0.3])
 
 
+def _raise(a, b):
+    raise ValueError("plugin failed")
+
+
+RAISING = DistanceMeasure("raising", MeasureKind.NONLINEAR, _func=_raise)
+
+
 class TestRobustnessCheckByTieGroups:
     @pytest.mark.parametrize("name", ["hamming", "euclidean2", "euclidean3", "hausdorff", LOOP_PLUGIN])
     def test_agrees_with_the_two_ranking_oracle(self, name, grid_collections):
@@ -240,6 +247,11 @@ class TestRobustnessCheckByTieGroups:
                 DomainError,
                 "tie_tolerance: a tie tolerance must be a non-negative finite number, got -1.0",
             ),
+            (  # measuring comes before the tolerance check, as in `rank_by_reference`
+                lambda sets: robustness_check(sets, RAISING, tie_tolerance=-1.0),
+                ValueError,
+                "plugin failed",
+            ),
             (
                 lambda sets: robustness_check(sets, hamming, labels=["A", "B"]),
                 MismatchError,
@@ -261,7 +273,10 @@ class TestRobustnessCheckByTieGroups:
                 "all sets must have the same length",
             ),
         ],
-        ids=["nan-plugin", "tie-tolerance", "label-count", "duplicate-labels", "empty", "ragged"],
+        ids=[
+            "nan-plugin", "tie-tolerance", "plugin-before-tolerance", "label-count",
+            "duplicate-labels", "empty", "ragged",
+        ],
     )
     def test_errors_are_those_of_the_two_rankings(self, call, error, message):
         sets = [IFS.from_pairs([(0.1 * (i + 1), 0.0)]) for i in range(3)]
