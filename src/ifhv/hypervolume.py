@@ -20,8 +20,10 @@ puts -1 in every coordinate so a value of 0 contributes a factor of exactly
 calls it on the weighted decision matrix.
 
 `hv_set` is exact: the HV3D dimension sweep, O(k log k) in the number of
-points, in up to 3 dimensions, and above that a slab sweep over the last
-coordinate that recurses down to HV3D. `hv_inclusion_exclusion` and
+points, in up to 3 dimensions, and above that WFG's sum of exclusive
+contributions, one per level of the last coordinate, whose limit sets
+recurse one dimension down to HV3D; its nondominance filter compares at most
+`PARETO_BLOCK_ELEMENTS` pairs at a time. `hv_inclusion_exclusion` and
 `mc_oracle` are independent cross-checks for it. `mc_oracle` holds each
 chunk of samples as an (m, chunk) array, one contiguous row per coordinate,
 tests it against blocks of points, largest boxes first, one coordinate at a
@@ -82,22 +84,25 @@ def _pareto_max(v: np.ndarray) -> np.ndarray:
     """Drop rows dominated by another row (componentwise <=), and repeats of an
     equal row after its first occurrence.
 
-    Rows are compared with all k rows a block at a time, so each (rows, k)
-    boolean array holds at most `PARETO_BLOCK_ELEMENTS` elements.
+    In descending lexicographic order, stable, a row can be covered only by
+    an earlier row: one that covers it and differs from it is larger in the
+    first coordinate where they differ. So each row is dropped when an earlier
+    row of that order covers it. Rows are compared with the earlier rows a
+    block at a time, so each (rows, k) boolean array holds at most
+    `PARETO_BLOCK_ELEMENTS` elements.
     """
     k = v.shape[0]
     if k <= 1:
         return v
+    order = np.lexsort(-v.T[::-1])
+    w = v[order]
     drop = np.empty(k, dtype=bool)
     step = max(1, PARETO_BLOCK_ELEMENTS // k)
     for start in range(0, k, step):
-        block = v[start : start + step]
-        ge = _covered(block, v)  # ge[i, j]: row j >= block row i
-        equal = ge & _covered(v, block).T
-        earlier = np.arange(k) < np.arange(start, start + block.shape[0])[:, None]
-        drop[start : start + block.shape[0]] = (ge & ~equal).any(axis=1) | (
-            equal & earlier
-        ).any(axis=1)
+        stop = min(start + step, k)
+        ge = _covered(w[start:stop], w[:stop])  # ge[i, j]: row j >= block row i
+        ge &= np.arange(stop) < np.arange(start, stop)[:, None]
+        drop[order[start:stop]] = ge.any(axis=1)
     return v[~drop]
 
 
@@ -143,23 +148,36 @@ def _hv3d(v: np.ndarray) -> float:
 def _union_volume(v: np.ndarray) -> float:
     """Measure of the union of boxes [0, row] for non-negative rows.
 
-    Up to 3 columns this is the HV3D sweep. Above, it sweeps slabs of the
-    last coordinate and recurses one dimension down, filtering dominated rows
-    at every level to keep the recursion small, until it reaches HV3D.
+    Up to 3 columns this is the HV3D sweep. Above, it sums the exclusive
+    contributions of the nondominated rows (WFG) by levels z of the last
+    coordinate, ascending: the rows at z add the part of their boxes that no
+    row above z covers, which is z * (V(head[at or above z]) - V(head[above
+    z])), where head is the first m - 1 columns and V the union volume one
+    dimension down. A level of one row takes both terms clipped to its own
+    head: the first is then its box, and the second, its limit set, is small
+    once dominated rows are filtered. A tied level takes them unclipped and
+    hands its second term to a tied level just above as that level's first.
     """
     if v.shape[1] == 1:
         return float(v.max())
     if v.shape[1] <= 3:
         return _hv3d(v)
     v = _pareto_max(v)
-    levels = np.unique(v[:, -1])[::-1]
+    v = v[np.argsort(v[:, -1], kind="stable")]
+    head = v[:, :-1]
+    levels, starts = np.unique(v[:, -1], return_index=True)
+    stops = [*starts[1:].tolist(), len(v)]
     total = 0.0
-    bounds = np.append(levels, 0.0)
-    for z_hi, z_lo in zip(bounds[:-1], bounds[1:]):
-        if z_hi == z_lo:
-            continue
-        active = v[v[:, -1] >= z_hi, :-1]
-        total += (z_hi - z_lo) * _union_volume(active)
+    above = None  # V(head[hi:]) of the previous level when it was tied
+    for z, lo, hi in zip(levels.tolist(), starts.tolist(), stops):
+        if hi - lo == 1:
+            limit = np.minimum(head[hi:], head[lo])
+            total += z * (float(head[lo].prod()) - _union_volume(limit))
+            above = None
+        else:
+            at = _union_volume(head[lo:]) if above is None else above
+            above = _union_volume(head[hi:])
+            total += z * (at - above)
     return total
 
 
@@ -198,9 +216,17 @@ def hv_set(points: Sequence[Point], r: Point) -> float:
 
     In up to 3 dimensions this is the HV3D sweep (Beume, Fonseca,
     Lopez-Ibanez, Paquete and Vahrenhold, IEEE TEC 2009), O(k log k) in the
-    number of points. In m >= 4 dimensions it sweeps slabs of the last
-    coordinate, recursing one dimension down until HV3D takes over, so the
-    cost grows by a factor of about k per dimension above 3.
+    number of points. In m >= 4 dimensions it drops dominated points and
+    sums exclusive contributions by WFG (While, Bradstreet and Barone, IEEE
+    TEC 2012) over the levels of the last coordinate, ascending: a level of
+    one point adds its box less the hypervolume of its limit set, the higher
+    points clipped to its box, taken one dimension down; a level z of tied
+    points adds z times the hypervolume, one dimension down, of the points
+    at or above z less that of the points above z, and a tied level next
+    above reuses the second term, so ties cost one call per level, not per
+    point.
+    Limit sets are filtered to their nondominated points above 3 dimensions
+    and measured by HV3D at 3.
     """
     arr, ra = _points_array(points, r)
     if arr.shape[0] == 0:

@@ -23,7 +23,7 @@ coordinate = st.one_of(
 
 
 @st.composite
-def point_sets(draw, max_points, max_dimension=6):
+def point_sets(draw, max_points, max_dimension=8):
     m = draw(st.integers(1, max_dimension))
     k = draw(st.integers(1, max_points))
     rows = draw(st.lists(st.lists(coordinate, min_size=m, max_size=m), min_size=k, max_size=k))

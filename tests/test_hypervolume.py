@@ -49,6 +49,21 @@ def front(rng, k, m):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def check_front_against_monte_carlo(points, samples, seed):
+    """hv_set of a front at reference 0 takes under 5 s and lies within 4
+    binomial standard errors of mc_oracle's estimate."""
+    r = np.zeros(points.shape[1])
+    start = time.perf_counter()
+    value = hv_set(points, r)
+    assert time.perf_counter() - start < 5.0
+    estimate, _ = mc_oracle(points, r, samples=samples, seed=seed)
+    box = float(np.prod(points.max(axis=0) - r))
+    fraction = value / box
+    assert 0.0 < fraction < 1.0
+    stderr = box * math.sqrt(fraction * (1.0 - fraction) / samples)
+    assert abs(value - estimate) <= 4.0 * stderr
+
+
 def peak_bytes(func, *args):
     tracemalloc.start()
     try:
@@ -139,11 +154,12 @@ class TestHvSet:
                 hv_inclusion_exclusion(points, r), abs=1e-9
             )
 
-    @pytest.mark.parametrize("m", (3, 4, 5, 6))
+    @pytest.mark.parametrize("m", (3, 4, 5, 6, 7, 8))
     def test_matches_inclusion_exclusion_up_to_six_dimensions(self, m):
+        # the name predates m = 7 and 8; it is kept so the test ids stay stable
         rng = np.random.default_rng(37 + m)
         for trial in range(60):
-            k = int(rng.integers(1, 11))
+            k = int(rng.integers(1, 13))
             r = -rng.random(m) if trial % 2 else np.zeros(m)
             if trial % 3 == 0:  # a coarse grid: ties on every axis, duplicate rows
                 points = r + rng.integers(0, 3, (k, m)) / 2.0
@@ -160,18 +176,37 @@ class TestHvSet:
     def test_front_stress_agrees_with_monte_carlo(self):
         # k = 20 000 mutually non-dominated points in 3-D, where the HV3D
         # sweep is O(k log k)
-        points = front(np.random.default_rng(38), 20_000, 3)
-        r = np.zeros(3)
-        start = time.perf_counter()
-        value = hv_set(points, r)
-        assert time.perf_counter() - start < 5.0
-        samples = 20_000
-        estimate, _ = mc_oracle(points, r, samples=samples, seed=39)
-        box = float(np.prod(points.max(axis=0) - r))
-        fraction = value / box
-        assert 0.0 < fraction < 1.0
-        stderr = box * math.sqrt(fraction * (1.0 - fraction) / samples)
-        assert abs(value - estimate) <= 4.0 * stderr
+        check_front_against_monte_carlo(front(np.random.default_rng(38), 20_000, 3), 20_000, 39)
+
+    def test_eight_dimensional_front_agrees_with_monte_carlo(self):
+        # k = 50 mutually non-dominated points in 8-D: the time bound fails a
+        # recursion whose cost grows by a factor of about k per dimension
+        check_front_against_monte_carlo(front(np.random.default_rng(44), 50, 8), 200_000, 45)
+
+    def test_tied_last_coordinate_costs_one_sweep_per_level(self, monkeypatch):
+        # 2000 points whose heads form a 3-D front and whose last coordinate
+        # takes two values: one HV3D sweep per level, plus the empty set above
+        # the top, not one per point.
+        k = 2000
+        levels = np.tile([0.5, 1.0], k // 2)
+        points = np.column_stack((front(np.random.default_rng(47), k, 3), levels))
+        sweeps = []
+        sweep = hypervolume._hv3d
+        monkeypatch.setattr(hypervolume, "_hv3d", lambda v: sweeps.append(len(v)) or sweep(v))
+        value = hv_set(points, np.zeros(4))
+        assert sweeps == [k, k // 2, 0]
+        high = points[points[:, 3] == 1.0, :3]
+        expected = 0.5 * hv_set(points[:, :3], np.zeros(3)) + 0.5 * hv_set(high, np.zeros(3))
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_recursion_keeps_comparisons_within_the_block_cap(self, monkeypatch):
+        # Every limit set of a 5-D front goes through _pareto_max. With a
+        # small cap the peak stays below the (k - 1, k - 1, m - 1) booleans
+        # that one unblocked comparison of the first limit set would hold.
+        monkeypatch.setattr(hypervolume, "PARETO_BLOCK_ELEMENTS", 2**12)
+        k, m = 300, 5
+        points = front(np.random.default_rng(46), k, m)
+        assert peak_bytes(hv_set, points, np.zeros(m)) < (k - 1) ** 2 * (m - 1)
 
     @pytest.mark.parametrize("cap", (1, 7, 100, None))
     def test_pareto_max_matches_unblocked(self, monkeypatch, cap):
