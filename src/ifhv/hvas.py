@@ -7,18 +7,17 @@ E[q, m, n, 2], importance W[q, m, 2] and expertise X[q, m], where a last
 axis of 2 holds (mu, nu). The pipeline:
 
     1. aggregate DM evaluations per (criterion, alternative) with expertise
-       weights, in the operation order of `ifa_aggregate`: mu * x and nu * x
-       accumulate over the DMs in order, then divide by the expertise total,
+       weights,
     2. aggregate criterion importance the same way,
     3. normalize by criterion kind: cost criteria swap mu and nu,
-    4. multiply each row by its aggregated importance, in the operation
-       order of `multiply`: mu_a * mu_b and nu_b + nu_a * (1 - nu_b),
+    4. multiply each row by its aggregated importance,
     5. score each alternative's column of weighted values by net
        hypervolume, a product over criteria in each of the mu, nu and pi
        spaces, and rank descending. The formula is `hypervolume._hv_spaces`,
        the one that `hv_net` applies to a single IFS.
 
-Steps 1, 2 and 4 apply IFN's array rule `ifs.check_pairs` to whole arrays.
+Steps 1, 2 and 4 apply IFN's array rules `ifs._ifa` and `ifs._product` to
+whole arrays.
 Steps 1-4 run once per problem: `DecisionProblem.weighted` is the weighted
 matrix, a pair of read-only (m, n) mu and nu arrays with one row per
 criterion. HVAS here and the comparators in `ifhv.mcdm` all read it, so a
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, MismatchError
 from .hypervolume import HVConfig, HVNetResult, _hv_spaces
-from .ifs import IFN, check_pairs
+from .ifs import IFN, _ifa, _product, check_pairs
 from .ranking import RankingResult, build_ranking
 
 
@@ -173,9 +172,15 @@ class DecisionProblem:
     @cached_property
     def weighted(self) -> tuple[np.ndarray, np.ndarray]:
         """Steps 1-4 of the pipeline: the weighted (m, n) mu and nu arrays."""
-        mu, nu = _normalize(*_aggregate(self.evaluation_array, self), self.criteria)
-        w_mu, w_nu = _aggregate(self.importance_array, self)
-        mu, nu = _weight(mu, nu, w_mu, w_nu)
+        e, w, x = self.evaluation_array, self.importance_array, self.expertise_array
+        zero = np.flatnonzero(~x.any(axis=0))  # weights in [0, 1] sum to 0 only if all are 0
+        if zero.size:
+            raise DegenerateError(
+                f"expertise weights for criterion '{self.criteria[zero[0]].id}' sum to zero"
+            )
+        mu, nu = _normalize(*_ifa(e[..., 0], e[..., 1], x), self.criteria)
+        w_mu, w_nu = _ifa(w[..., 0], w[..., 1], x)
+        mu, nu = _product(mu, nu, w_mu[:, None], w_nu[:, None])
         return _read_only(mu), _read_only(nu)
 
     def __eq__(self, other: object) -> bool:
@@ -199,41 +204,10 @@ class DecisionProblem:
         )
 
 
-def _aggregate(pairs: np.ndarray, problem: DecisionProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Expertise-weighted mean over the DM axis of (q, m, ..., 2) pairs.
-
-    Follows `ifa_aggregate`: the total and the weighted sums accumulate DM
-    by DM, then one division. Returns (mu, nu) of shape (m, ...).
-    """
-    expertise = problem.expertise_array
-    lead = (slice(None),) + (None,) * (pairs.ndim - 3)  # x[j] against pairs[l, j, ...]
-    total = np.zeros(expertise.shape[1])
-    mu_acc = np.zeros(pairs.shape[1:-1])
-    nu_acc = np.zeros(pairs.shape[1:-1])
-    for value, weight in zip(pairs, expertise):
-        total = total + weight
-        mu_acc = mu_acc + value[..., 0] * weight[lead]
-        nu_acc = nu_acc + value[..., 1] * weight[lead]
-    zero = np.flatnonzero(total == 0.0)
-    if zero.size:
-        raise DegenerateError(
-            f"expertise weights for criterion '{problem.criteria[zero[0]].id}' sum to zero"
-        )
-    mu = mu_acc / total[lead]
-    return mu, check_pairs(mu, nu_acc / total[lead])
-
-
 def _normalize(mu: np.ndarray, nu: np.ndarray, criteria: Sequence[CriterionSpec]):
     """Swap mu and nu on the rows of cost criteria."""
     cost = np.array([c.kind is CriterionKind.COST for c in criteria])[:, None]
     return np.where(cost, nu, mu), np.where(cost, mu, nu)
-
-
-def _weight(mu: np.ndarray, nu: np.ndarray, w_mu: np.ndarray, w_nu: np.ndarray):
-    """Multiply each (m, n) row by its weight, in the operation order of `multiply`."""
-    w_mu, w_nu = w_mu[:, None], w_nu[:, None]
-    mu = mu * w_mu
-    return mu, check_pairs(mu, w_nu + nu * (1.0 - w_nu))
 
 
 def _weighted_spaces(problem: DecisionProblem, cfg: HVConfig):

@@ -8,6 +8,11 @@ decision-making use).
 
 Comparison of IFNs is lexicographic on the score mu - nu and then the
 accuracy mu + nu; the greatest IFN is (1, 0) and the smallest is (0, 1).
+
+The IFN rules are written once here, as functions of float arrays of
+(mu, nu) pairs: `check_pairs`, `_ifa`, `_product` and `_extremes`. The
+pipeline applies them to whole arrays; the scalar functions are one-element
+calls of them.
 """
 
 from __future__ import annotations
@@ -83,6 +88,43 @@ def check_pairs(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.where(total > 1.0, 1.0 - mu, nu)
 
 
+def _ifa(mu: np.ndarray, nu: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted means over the leading axis of (q, ...) mu and nu arrays.
+
+    weights is (q, ...) too, over the leading axes of mu. The total and the
+    weighted sums accumulate in axis order, then there is one division.
+    Callers reject weights that are negative or all zero.
+    """
+    weights = weights.reshape(weights.shape + (1,) * (mu.ndim - weights.ndim))
+    total = mu_acc = nu_acc = 0.0
+    for m, v, w in zip(mu, nu, weights):
+        total = total + w
+        mu_acc = mu_acc + m * w
+        nu_acc = nu_acc + v * w
+    mu = mu_acc / total
+    return mu, check_pairs(mu, nu_acc / total)
+
+
+def _product(mu_a, nu_a, mu_b, nu_b) -> tuple[np.ndarray, np.ndarray]:
+    """IFN product of broadcasting pair arrays: (mu_a * mu_b, nu_a + nu_b - nu_a * nu_b).
+
+    nu is evaluated as nu_b + nu_a * (1 - nu_b), which keeps the identity
+    (1, 0) and the absorbing element (0, 1) exact in floating point.
+    """
+    mu = mu_a * mu_b
+    return mu, check_pairs(mu, nu_b + nu_a * (1.0 - nu_b))
+
+
+def _extremes(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column of the greatest and of the smallest pair in each row of (m, n) arrays.
+
+    Pairs compare on (score, accuracy) as `compare` orders IFNs; on exact
+    ties the first column wins, as the sort is stable.
+    """
+    score, accuracy = mu - nu, mu + nu
+    return np.lexsort((-accuracy, -score))[:, 0], np.lexsort((accuracy, score))[:, 0]
+
+
 #: The greatest IFN, the positive ideal value.
 PIS = IFN(1.0, 0.0)
 #: The smallest IFN, the negative ideal value.
@@ -91,7 +133,7 @@ NIS = IFN(0.0, 1.0)
 
 def hesitancy(a: IFN) -> float:
     """Hesitancy degree 1 - mu - nu, in [0, 1]."""
-    return 1.0 - a.mu - a.nu
+    return a.pi
 
 
 def score(a: IFN) -> float:
@@ -119,22 +161,23 @@ def compare(a: IFN, b: IFN) -> Ordering:
     return Ordering.EQUAL
 
 
-def multiply(a: IFN, b: IFN) -> IFN:
-    """Product of two IFNs: (mu_a * mu_b, nu_a + nu_b - nu_a * nu_b).
+def _pairs(values: Sequence[IFN]) -> tuple[np.ndarray, np.ndarray]:
+    """The mu and nu arrays of a sequence of IFNs."""
+    return np.array([v.mu for v in values]), np.array([v.nu for v in values])
 
-    The non-membership part is evaluated as nu_b + nu_a * (1 - nu_b), which
-    is algebraically identical and keeps the identity (1, 0) and the
-    absorbing element (0, 1) exact in floating point.
-    """
-    return IFN(a.mu * b.mu, b.nu + a.nu * (1.0 - b.nu))
+
+def multiply(a: IFN, b: IFN) -> IFN:
+    """Product of two IFNs: (mu_a * mu_b, nu_a + nu_b - nu_a * nu_b), by `_product`."""
+    mu, nu = _product(*_pairs((a,)), *_pairs((b,)))
+    return IFN(float(mu[0]), float(nu[0]))
 
 
 def ifa_aggregate(values: Sequence[IFN], weights: Sequence[float]) -> IFN:
     """Weighted arithmetic aggregation of IFNs with ordinary fuzzy weights.
 
     Returns (sum(mu_l * w_l) / sum(w_l), sum(nu_l * w_l) / sum(w_l)), a convex
-    combination of the inputs. Weights must be non-negative; only their
-    ratios matter, so uniform rescaling by any positive factor is a no-op.
+    combination of the inputs, by `_ifa`. Weights must be non-negative; only
+    their ratios matter, so uniform rescaling by any positive factor is a no-op.
     """
     if len(values) == 0:
         raise DomainError("ifa_aggregate requires at least one value")
@@ -142,39 +185,30 @@ def ifa_aggregate(values: Sequence[IFN], weights: Sequence[float]) -> IFN:
         raise MismatchError(
             f"got {len(values)} values but {len(weights)} weights"
         )
-    total = 0.0
-    mu_acc = 0.0
-    nu_acc = 0.0
-    for value, weight in zip(values, weights):
-        w = float(weight)
+    floats = [float(weight) for weight in weights]
+    for weight, w in zip(weights, floats):
         if not math.isfinite(w) or w < 0.0:
             raise DomainError(f"weights must be finite and non-negative, got {weight}")
-        total += w
-        mu_acc += value.mu * w
-        nu_acc += value.nu * w
-    if total == 0.0:
+    if not any(floats):
         raise DegenerateError(
             "aggregation weights sum to zero; the evaluations carry no usable information"
         )
-    return IFN(mu_acc / total, nu_acc / total)
+    mu, nu = _pairs(values)
+    mu, nu = _ifa(mu[:, None], nu[:, None], np.array(floats))
+    return IFN(float(mu[0]), float(nu[0]))
 
 
 def select_extremes(values: Sequence[IFN]) -> tuple[IFN, IFN]:
-    """Return (greatest, smallest) of a non-empty IFN sequence.
+    """Return (greatest, smallest) of a non-empty IFN sequence, by `_extremes`.
 
-    Uses `compare`; on exact ties the earliest occurrence wins, so the result
-    is deterministic in the input order.
+    On exact ties the earliest occurrence wins, so the result is
+    deterministic in the input order.
     """
     if len(values) == 0:
         raise DomainError("select_extremes requires at least one value")
-    best = values[0]
-    worst = values[0]
-    for candidate in values[1:]:
-        if compare(candidate, best) is Ordering.GREATER:
-            best = candidate
-        if compare(candidate, worst) is Ordering.LESS:
-            worst = candidate
-    return best, worst
+    mu, nu = _pairs(values)
+    best, worst = _extremes(mu[None, :], nu[None, :])
+    return values[int(best[0])], values[int(worst[0])]
 
 
 @dataclass(frozen=True)

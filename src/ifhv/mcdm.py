@@ -4,9 +4,9 @@ IF-TOPSIS, IF-VIKOR, and IF-CODAS all start from the weighted matrix of the
 HVAS pipeline (aggregation, normalization, weighting), which a problem
 builds once (`DecisionProblem.weighted`), then determine per-criterion
 positive and negative solutions from the candidate values themselves via
-score/accuracy comparison. The extreme points (1, 0) and (0, 1) are not
-used here because the shared normalization works relative to the best and
-worst values actually present.
+score/accuracy comparison (`ifs._extremes`). The extreme points (1, 0) and
+(0, 1) are not used here because the shared normalization works relative to
+the best and worst values actually present.
 
 Method cores, for an alternative profile A against the positive solution
 profile PS and negative solution profile NS:
@@ -38,6 +38,7 @@ import numpy as np
 from .distances import DistanceMeasure, euclidean2, hamming
 from .errors import DegenerateError, DomainError, as_float
 from .hvas import DecisionProblem, rank as hvas_rank
+from .ifs import _extremes
 from .ranking import DEFAULT_TIE_TOLERANCE, RankingResult, build_ranking, check_tie_tolerance
 
 DEFAULT_TAU = 0.02
@@ -77,22 +78,6 @@ class CompareConfig:
             "measure_primary": self.measure_primary.name,
             "measure_secondary": self.measure_secondary.name,
         }
-
-
-def _extremes(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column of the greatest and of the smallest value in each row of (m, n) arrays.
-
-    Compares by (score, accuracy) like `select_extremes`; on exact ties the
-    first column wins.
-    """
-
-    def first_max(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
-        top = primary == primary.max(axis=1, keepdims=True)
-        secondary = np.where(top, secondary, -np.inf)
-        return np.argmax(secondary == secondary.max(axis=1, keepdims=True), axis=1)
-
-    score, accuracy = mu - nu, mu + nu
-    return first_max(score, accuracy), first_max(-score, -accuracy)
 
 
 @dataclass(frozen=True)

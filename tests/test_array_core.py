@@ -1,11 +1,13 @@
-"""The array core of the decision pipeline against the IFN reference chain.
+"""The array core of the decision pipeline against a reference chain of float loops.
 
-The reference runs the pipeline one IFN at a time: `ifa_aggregate`, the
-cost swap, `multiply`, then `hv_net`, `select_extremes` and
-`DistanceMeasure.evaluate` per alternative, with the comparator formulas
-written as plain loops. The array core keeps the arithmetic order of that
-chain, so HVAS, TOPSIS and VIKOR scores must be bit-equal. CODAS sums its
-pairwise assessments in another order, so its scores may differ by ulps.
+The reference runs the pipeline one pair at a time, as plain float loops in
+the operation order of the array core: per-DM accumulation of the weighted
+sums and one division, the cost swap, the product formula, the net
+hypervolume as a product over criteria in order, and the first maximum and
+first minimum by the (mu - nu, mu + nu) tuple. The comparators use
+`DistanceMeasure.evaluate` per alternative, with their formulas written as
+plain loops. So HVAS, TOPSIS and VIKOR scores must be bit-equal. CODAS sums
+its pairwise assessments in another order, so its scores may differ by ulps.
 """
 
 import tracemalloc
@@ -22,14 +24,13 @@ from ifhv import (
     DecisionProblem,
     DegenerateError,
     HVConfig,
+    HVNetResult,
     available_measures,
     build_ranking,
     codas,
     euclidean3,
     hausdorff,
     hv_net,
-    ifa_aggregate,
-    multiply,
     parse_problem,
     register_function,
     run_methods,
@@ -37,7 +38,7 @@ from ifhv import (
     select_extremes,
 )
 from ifhv.fixtures import table1_path
-from ifhv.mcdm import _extremes
+from ifhv.ifs import _extremes
 from gen import random_problem
 
 METHODS = ("hvas", "topsis", "vikor", "codas")
@@ -61,33 +62,68 @@ def plugin():
 
 # -- the reference chain -------------------------------------------------------
 
-def reference_matrix(problem: DecisionProblem) -> list[list[IFN]]:
+def clamped(mu: float, nu: float) -> tuple[float, float]:
+    """The pair with nu clamped as IFN clamps a rounding overshoot of mu + nu."""
+    return mu, (1.0 - mu if mu + nu > 1.0 else nu)
+
+
+def mean(pairs, weights) -> tuple[float, float]:
+    """Weighted mean of (mu, nu) pairs: accumulate DM by DM, then one division."""
+    total = mu = nu = 0.0
+    for (a, b), weight in zip(pairs, weights):
+        total += weight
+        mu += a * weight
+        nu += b * weight
+    return clamped(mu / total, nu / total)
+
+
+def reference_matrix(problem: DecisionProblem) -> list[list[tuple[float, float]]]:
+    """Steps 1-4: the weighted (mu, nu) pair of each criterion and alternative."""
+    evaluations = problem.evaluation_array.tolist()
+    importance = problem.importance_array.tolist()
+    expertise = problem.expertise_array.tolist()
     q, n = problem.n_dms, problem.n_alternatives
     matrix = []
     for j, criterion in enumerate(problem.criteria):
-        weights = problem.expertise_array[:, j].tolist()
-        importance = [IFN(*pair) for pair in problem.importance_array[:, j].tolist()]
-        weight = ifa_aggregate(importance, weights)
+        weights = [expertise[l][j] for l in range(q)]
+        w_mu, w_nu = mean([importance[l][j] for l in range(q)], weights)
         row = []
         for i in range(n):
-            value = ifa_aggregate([problem.evaluations[l][j][i] for l in range(q)], weights)
+            mu, nu = mean([evaluations[l][j][i] for l in range(q)], weights)
             if criterion.kind is CriterionKind.COST:
-                value = IFN(value.nu, value.mu)
-            row.append(multiply(value, weight))
+                mu, nu = nu, mu
+            row.append(clamped(mu * w_mu, w_nu + nu * (1.0 - w_nu)))
         matrix.append(row)
     return matrix
+
+
+def reference_hv(profile, cfg: HVConfig) -> HVNetResult:
+    """Step 5: per-space hypervolumes as products over the criteria in order."""
+    hv_mu = hv_nu = hv_pi = 1.0
+    for (mu, nu), r in zip(profile, cfg.reference_for(len(profile))):
+        hv_mu *= mu - r
+        hv_nu *= nu - r
+        hv_pi *= (1.0 - mu - nu) - r
+    return HVNetResult(hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi)
+
+
+def reference_extremes(row) -> tuple[int, int]:
+    """First column of the greatest and of the smallest pair by (score, accuracy)."""
+    key = [(mu - nu, mu + nu) for mu, nu in row]
+    return key.index(max(key)), key.index(min(key))
 
 
 def reference_scores(problem, cfg: CompareConfig, hv_cfg: HVConfig) -> dict[str, list[float]]:
     """Scores of every method, or DegenerateError for a method that has none."""
     matrix = reference_matrix(problem)
     n, m = problem.n_alternatives, problem.n_criteria
-    profiles = [IFS(tuple(matrix[j][i] for j in range(m))) for i in range(n)]
-    scores: dict = {"hvas": [hv_net(p, hv_cfg).hv_net for p in profiles]}
+    columns = [[row[i] for row in matrix] for i in range(n)]
+    scores: dict = {"hvas": [reference_hv(column, hv_cfg).hv_net for column in columns]}
 
-    extremes = [select_extremes(row) for row in matrix]
-    ps = IFS(tuple(best for best, _ in extremes))
-    ns = IFS(tuple(worst for _, worst in extremes))
+    profiles = [IFS.from_pairs(column) for column in columns]
+    extremes = [reference_extremes(row) for row in matrix]
+    ps = IFS.from_pairs(row[best] for row, (best, _) in zip(matrix, extremes))
+    ns = IFS.from_pairs(row[worst] for row, (_, worst) in zip(matrix, extremes))
     if ps == ns and n > 1:
         return {**scores, **{name: DegenerateError for name in METHODS[1:]}}
     d1, d2 = cfg.measure_primary.evaluate, cfg.measure_secondary.evaluate
@@ -105,7 +141,7 @@ def reference_scores(problem, cfg: CompareConfig, hv_cfg: HVConfig) -> dict[str,
     utilities, regrets = [], []
     for i in range(n):
         gaps = [
-            0.0 if spans[j] == 0.0 else d1(IFS((matrix[j][i],)), IFS((ps[j],))) / spans[j]
+            0.0 if spans[j] == 0.0 else d1(IFS((profiles[i][j],)), IFS((ps[j],))) / spans[j]
             for j in range(m)
         ]
         utilities.append(sum(gaps))
@@ -211,11 +247,10 @@ class TestAgainstReferenceChain:
         for problem in problems:
             expected = reference_matrix(problem)
             mu, nu = problem.weighted
-            assert mu.tolist() == [[value.mu for value in row] for row in expected]
-            assert nu.tolist() == [[value.nu for value in row] for row in expected]
-            # the first column holding the value `select_extremes` picks
+            assert mu.tolist() == [[value[0] for value in row] for row in expected]
+            assert nu.tolist() == [[value[1] for value in row] for row in expected]
             for row, *picks in zip(expected, *_extremes(mu, nu)):
-                assert picks == [row.index(value) for value in select_extremes(row)]
+                assert tuple(picks) == reference_extremes(row)
 
     def test_score_details_match_hv_net(self):
         rng = np.random.default_rng(2027)
@@ -225,8 +260,9 @@ class TestAgainstReferenceChain:
             matrix = reference_matrix(problem)
             details = score_details(problem, cfg)
             for i, label in enumerate(problem.alternatives):
-                profile = IFS(tuple(row[i] for row in matrix))
-                assert details[label] == hv_net(profile, cfg)
+                column = [row[i] for row in matrix]
+                assert details[label] == reference_hv(column, cfg)
+                assert details[label] == hv_net(IFS.from_pairs(column), cfg)
 
     def test_extremes_keep_first_occurrence(self):
         # dyadic values make the scores tie exactly, so accuracy decides;

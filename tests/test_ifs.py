@@ -170,6 +170,24 @@ class TestIfaAggregate:
         with pytest.raises(DomainError):
             ifa_aggregate([IFN(0.4, 0.2)], [-0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            ifa_aggregate([IFN(0.4, 0.2), IFN(0.8, 0.0)], [0.5, bad])
+
+    def test_check_order(self):
+        # empty list, then length mismatch, then a bad weight, then all zero
+        value = IFN(0.4, 0.2)
+        with pytest.raises(DomainError, match="at least one value"):
+            ifa_aggregate([], [float("nan")])
+        with pytest.raises(MismatchError):
+            ifa_aggregate([value], [float("nan"), 0.0])
+        for weights in ([0.0, float("nan")], [0.0, -1.0], [float("inf"), 0.0]):
+            with pytest.raises(DomainError, match="finite and non-negative"):
+                ifa_aggregate([value, value], weights)
+        with pytest.raises(DegenerateError, match="sum to zero"):
+            ifa_aggregate([value, value], [0.0, 0.0])
+
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(6)
         for _ in range(2000):
@@ -221,6 +239,23 @@ class TestSelectExtremes:
         best, worst = select_extremes([first, second])
         assert best is first
         assert worst is first
+
+    def test_earliest_extremes_under_compare(self):
+        # dyadic values make scores tie exactly, so accuracy decides; drawing
+        # from few values makes exact duplicates
+        rng = np.random.default_rng(9)
+        pool = [IFN(a / 8, b / 8) for a in range(9) for b in range(9 - a)]
+        for _ in range(500):
+            picks = rng.integers(0, len(pool), int(rng.integers(1, 10)))
+            row = [IFN(pool[k].mu, pool[k].nu) for k in picks]
+            greatest = next(
+                a for a in row if all(compare(a, b) is not Ordering.LESS for b in row)
+            )
+            smallest = next(
+                a for a in row if all(compare(a, b) is not Ordering.GREATER for b in row)
+            )
+            best, worst = select_extremes(row)
+            assert best is greatest and worst is smallest
 
     def test_extremes_bound_every_input(self):
         rng = np.random.default_rng(8)

@@ -22,7 +22,7 @@ from ifhv import (
     topsis,
     vikor,
 )
-from ifhv.mcdm import _extremes
+from ifhv.ifs import _extremes
 from ifhv.report import json_text
 import ifhv.hvas as hvas_mod
 import ifhv.mcdm as mcdm_mod
@@ -247,8 +247,8 @@ class TestCodas:
 class TestSharedPipeline:
     def test_weighted_matrix_built_once_per_problem(self, dominant_problem, monkeypatch):
         calls = []
-        original = hvas_mod._weight
-        monkeypatch.setattr(hvas_mod, "_weight", lambda *args: calls.append(1) or original(*args))
+        original = hvas_mod._product
+        monkeypatch.setattr(hvas_mod, "_product", lambda *args: calls.append(1) or original(*args))
         run_methods(dominant_problem, ["hvas", "topsis", "vikor", "codas"])
         assert len(calls) == 1
 
