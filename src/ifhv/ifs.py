@@ -118,11 +118,19 @@ def _product(mu_a, nu_a, mu_b, nu_b) -> tuple[np.ndarray, np.ndarray]:
 def _extremes(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column of the greatest and of the smallest pair in each row of (m, n) arrays.
 
-    Pairs compare on (score, accuracy) as `compare` orders IFNs; on exact
-    ties the first column wins, as the sort is stable.
+    Pairs compare on (score, accuracy) as `compare` orders IFNs. Each side is
+    a first maximum in O(mn), without a sort: among the columns of the top
+    score, the first one of the top accuracy, so exact ties go to the first
+    column. The smallest pair is the greatest under negated keys.
     """
+
+    def first_max(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
+        top = primary == primary.max(axis=1, keepdims=True)
+        secondary = np.where(top, secondary, -np.inf)
+        return np.argmax(secondary == secondary.max(axis=1, keepdims=True), axis=1)
+
     score, accuracy = mu - nu, mu + nu
-    return np.lexsort((-accuracy, -score))[:, 0], np.lexsort((accuracy, score))[:, 0]
+    return first_max(score, accuracy), first_max(-score, -accuracy)
 
 
 #: The greatest IFN, the positive ideal value.

@@ -23,9 +23,11 @@ profile PS and negative solution profile NS:
 
 Each core works on whole arrays: distances go through the measures' batch
 entry point `evaluate_many`, which broadcasts the solution profiles against
-the alternatives and calls a plugin measure once per pair. CODAS sums its
-pairwise assessments over blocks of rows of at most `CODAS_BLOCK` elements,
-so memory stays O(n), not O(n^2).
+the alternatives and calls a plugin measure once per pair. CODAS forms no
+pairs: H_i = n E_i - sum(E) + c_i T_i - (T summed over the window of i), where
+the window is the c_i alternatives k with |E_i - E_k| < tau as floats decide
+it. That is one slice of the E-sorted order, found by `searchsorted` and
+prefix sums of T, so CODAS costs O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from .ranking import DEFAULT_TIE_TOLERANCE, RankingResult, build_ranking, check_
 
 DEFAULT_TAU = 0.02
 DEFAULT_V = 0.5
-# Elements of one block of CODAS's pairwise (rows, n) assessment arrays.
-CODAS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,17 +172,48 @@ def codas(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
     prepared = _prepared(problem)
     primary = prepared.distances(cfg.measure_primary, prepared.ns)
     secondary = prepared.distances(cfg.measure_secondary, prepared.ns)
-    n = problem.n_alternatives
-    assessments = np.empty(n)
-    step = max(1, CODAS_BLOCK // n)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        h = primary[block, None] - primary[None, :]
-        tie_break = secondary[block, None] - secondary[None, :]
-        tie_break *= np.abs(h) < cfg.tau
-        h += tie_break
-        assessments[block] = h.sum(axis=1)
+    assessments = _codas_assessments(primary, secondary, cfg.tau)
     return _ranked("codas", problem, cfg, assessments, higher_is_better=True)
+
+
+def _codas_assessments(primary: np.ndarray, secondary: np.ndarray, tau: float) -> np.ndarray:
+    """H_i = sum_k (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau), for
+    E = primary and T = secondary, by sorting and prefix sums.
+
+    abs(E_i - E_k) < tau holds where both E_i - E_k < tau (false, then true
+    along the sorted E) and E_k - E_i < tau (true, then false) hold, so the
+    window of i is one slice [start, stop) of the sorted order.
+    """
+    order = np.argsort(primary, kind="stable")
+    ranked = primary[order]
+    start = _first_passing(
+        ranked, np.searchsorted(ranked, primary - tau, "right"), lambda e: primary - e < tau
+    )
+    stop = _first_passing(
+        ranked, np.searchsorted(ranked, primary + tau, "left"), lambda e: e - primary >= tau
+    )
+    stop = np.maximum(start, stop)  # an empty window, as at tau = 0
+    prefix = np.concatenate(([0.0], np.cumsum(secondary[order])))
+    tie_break = (stop - start) * secondary - (prefix[stop] - prefix[start])
+    return len(primary) * primary - primary.sum() + tie_break
+
+
+def _first_passing(ranked: np.ndarray, guess: np.ndarray, passes) -> np.ndarray:
+    """For each i, the first index k of the sorted array `ranked` at which
+    passes(ranked[k])[i] holds, for a test that is false and then true along
+    `ranked`. Each index moves from its guess over whole runs of equal values,
+    so a guess a few values off costs a few steps."""
+    last = len(ranked) - 1
+    first = guess
+    while True:
+        before = ranked[np.maximum(first - 1, 0)]
+        left = (first > 0) & passes(before)
+        at = ranked[np.minimum(first, last)]
+        right = ~left & (first <= last) & ~passes(at)
+        if not (left.any() or right.any()):
+            return first
+        first = np.where(left, np.searchsorted(ranked, before, "left"), first)
+        first = np.where(right, np.searchsorted(ranked, at, "right"), first)
 
 
 _COMPARATORS = {

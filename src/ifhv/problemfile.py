@@ -13,21 +13,31 @@ linguistic labels. Layout:
       "expertise":   {dm: {criterion: weight}}
     }
 
+Every JSON object whose values are all [mu, nu] pairs of numbers is
+compacted as the decoder emits it: its keys in document order and one
+unchecked (k, 2) float array (`_Pairs`), so a row's lists and floats are
+freed as soon as they are decoded, and the file's text is dropped before the
+arrays are assembled. The reader's peak memory is about twice the file's
+size, the text read and decoded. `problem_from_dict` compacts the evaluation
+rows and importance objects of an in-memory document through the same
+function, so both take one array path.
+
 The reader fills the problem's float arrays in one walk over the decision
 makers, in the order of the `dms` list, and builds no IFN. Each decision
-maker's m evaluation rows and m importance pairs are checked as one array
+maker's evaluation rows and importance pairs are checked as whole arrays
 (`ifs.check_pairs`); only a decision maker that fails is walked by
 (criterion, field), in the order of the `criteria` and `alternatives` lists,
 so the first invalid field in walk order is reported, with its path inside
-the document, e.g. ``evaluations.dm1.c1.X2``. Unknown fields and ids,
-repeated ids and repeated JSON keys are rejected too. `parse_problem` and
-`serialize_problem` are inverses on valid problems. `write_problem` writes
+the document, e.g. ``evaluations.dm1.c1.X2``. Wherever the walk or a message
+looks at a compacted object, it sees the object it came from, so errors read
+as they would for the decoded dict. Unknown fields and ids, repeated ids and
+repeated JSON keys are rejected too. `parse_problem` and `serialize_problem`
+are inverses on valid problems. `write_problem` writes
 the bytes of `json.dumps(..., indent=2)` through `report.json_text`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 from itertools import chain
 from pathlib import Path
@@ -45,19 +55,91 @@ _FIELDS = {"schema_version", "alternatives", "criteria", "dms", *_SECTIONS}
 _CRITERION_FIELDS = {"id", "kind"}
 
 
+class _Pairs:
+    """A JSON object whose values are all [mu, nu] pairs of numbers, compacted:
+    its keys in document order and their pairs as one unchecked (k, 2) float
+    array. `ints` maps the flat position of each integer number to itself."""
+
+    __slots__ = ("keys", "array", "ints")
+
+    def __init__(self, keys: list, array: np.ndarray, ints: dict) -> None:
+        self.keys, self.array, self.ints = keys, array, ints
+
+    def plain(self) -> dict:
+        """The object as it was decoded: {key: [mu, nu]}."""
+        cells = self.array.tolist()
+        for index, number in self.ints.items():
+            cells[index // 2][index % 2] = number
+        return dict(zip(self.keys, cells))
+
+    def __repr__(self) -> str:
+        return repr(self.plain())
+
+
+def _plain(value):
+    """value, or the object a `_Pairs` value was compacted from."""
+    return value.plain() if isinstance(value, _Pairs) else value
+
+
+def _is_number_type(kind: type) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _compact(obj):
+    """obj as a `_Pairs` when it is an object whose values are all [mu, nu]
+    pairs of numbers in the float range; otherwise obj itself."""
+    if not isinstance(obj, dict):
+        return obj
+    values = obj.values()
+    if not (
+        all(issubclass(kind, (list, tuple)) for kind in set(map(type, values)))
+        and set(map(len, values)) <= {2}
+    ):
+        return obj
+    kinds = set(map(type, chain.from_iterable(values)))
+    if not all(map(_is_number_type, kinds)):
+        return obj
+    try:
+        array = np.fromiter(chain.from_iterable(values), float, 2 * len(obj))
+    except OverflowError:  # an integer beyond the float range
+        return obj
+    ints = {}
+    if not all(issubclass(kind, float) for kind in kinds):
+        numbers = chain.from_iterable(values)
+        ints = {index: x for index, x in enumerate(numbers) if isinstance(x, int)}
+    return _Pairs(list(obj), array.reshape(-1, 2), ints)
+
+
+def _ordered(obj, keys: list) -> np.ndarray:
+    """The (len(keys), 2) array of obj's pairs in the order of keys, unchecked.
+    DomainError unless obj is an object of [mu, nu] pairs of numbers; KeyError
+    unless its keys are exactly `keys`."""
+    pairs = _compact(obj)
+    if not isinstance(pairs, _Pairs):
+        raise DomainError("expected a [mu, nu] pair of numbers")
+    if pairs.keys == keys:
+        return pairs.array
+    at = {key: index for index, key in enumerate(pairs.keys)}
+    order = [at.pop(key) for key in keys]
+    if at:
+        raise KeyError(next(iter(at)))
+    return pairs.array[order]
+
+
+def _check(pairs: np.ndarray) -> None:
+    """Check an array of [mu, nu] pairs under IFN's rules, clamping nu in place."""
+    pairs[..., 1] = check_pairs(pairs[..., 0], pairs[..., 1])
+
+
 def _require(data: dict, key: str, kind, path: str):
     if key not in data:
         raise ValidationError(f"{path}.{key}: missing required field")
-    value = data[key]
+    value = _plain(data[key])
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(
             f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
     return value
-
-
-def _is_number_type(kind: type) -> bool:
-    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
 def _repeat(keys) -> int | None:
@@ -88,24 +170,10 @@ def _object(parent: dict, key: str, path: str, what: str, keyed_by: str, ids: se
     """parent[key], the object of one `what`, keyed by `keyed_by` ids."""
     if key not in parent:
         raise ValidationError(f"{path}.{key}: missing {what}")
-    if not isinstance(parent[key], dict):
+    obj = _plain(parent[key])
+    if not isinstance(obj, dict):
         raise ValidationError(f"{path}.{key}: expected an object keyed by {keyed_by}")
-    return _known(parent[key], ids, f"{path}.{key}", keyed_by)
-
-
-def _pair_array(cells: list) -> np.ndarray:
-    """(k, 2) array of k [mu, nu] cells checked as a whole under IFN's rules,
-    nu clamped; DomainError if a cell is not a pair of numbers or breaks a rule."""
-    if (
-        all(issubclass(kind, (list, tuple)) for kind in set(map(type, cells)))
-        and set(map(len, cells)) <= {2}
-        and all(map(_is_number_type, set(map(type, chain.from_iterable(cells)))))
-    ):
-        with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            pairs = np.fromiter(chain.from_iterable(cells), float, 2 * len(cells)).reshape(-1, 2)
-            pairs[:, 1] = check_pairs(pairs[:, 0], pairs[:, 1])
-            return pairs
-    raise DomainError("expected a [mu, nu] pair of numbers")
+    return _known(obj, ids, f"{path}.{key}", keyed_by)
 
 
 def _pair(parent: dict, key: str, path: str) -> None:
@@ -113,27 +181,28 @@ def _pair(parent: dict, key: str, path: str) -> None:
     if key not in parent:  # only an alternative can be missing here
         raise ValidationError(f"{path}.{key}: missing alternative")
     try:
-        _pair_array([parent[key]])
+        _check(_ordered({key: parent[key]}, [key]))
     except DomainError as exc:
         raise ValidationError(f"{path}.{key}: {exc}") from None
 
 
-def _dm_arrays(per_dm: list[dict], ids: list, alternatives: list):
-    """One decision maker's m * n evaluation pairs followed by its m importance
-    pairs as one checked (m * n + m, 2) array, and its m expertise weights.
-    KeyError or DomainError on anything `_walk_dm` rejects, without a path."""
+def _dm_arrays(per_dm: list[dict], ids: list, alternatives: list, evaluations, importance):
+    """Fill one decision maker's (m, n, 2) evaluations and (m, 2) importance
+    with checked pairs, and return its m expertise weights. KeyError or
+    DomainError on anything `_walk_dm` rejects, without a path."""
     eval_dm, imp_dm, exp_dm = per_dm
-    rows = [eval_dm[cid] for cid in ids]
     weights = [exp_dm[cid] for cid in ids]
     if not (
-        all(issubclass(kind, dict) for kind in set(map(type, rows)))
-        and max(map(len, rows)) <= len(alternatives)
-        and all(map(_is_number_type, set(map(type, weights))))
+        all(map(_is_number_type, set(map(type, weights))))
         and all(0.0 <= weight <= 1.0 for weight in weights)
     ):
-        raise DomainError("not a valid decision maker")
-    cells = chain.from_iterable(map(row.get, alternatives) for row in rows)
-    return _pair_array([*cells, *map(imp_dm.__getitem__, ids)]), weights
+        raise DomainError("expected weights in [0, 1]")
+    for row, cid in zip(evaluations, ids):
+        row[:] = _ordered(eval_dm[cid], alternatives)
+    importance[:] = _ordered(imp_dm, ids)
+    _check(evaluations)
+    _check(importance)
+    return weights
 
 
 def _walk_dm(per_dm: list[dict], dm_paths: list[str], ids: list, alternatives: list) -> None:
@@ -173,12 +242,10 @@ def _read_arrays(source: str, sections: list[dict], dms, criteria, alternatives)
             for section, path in zip(sections, paths)
         ]
         try:
-            pairs, weights = _dm_arrays(per_dm, ids, alternatives)
+            expertise[l] = _dm_arrays(per_dm, ids, alternatives, evaluations[l], importance[l])
         except (KeyError, DomainError):
             _walk_dm(per_dm, [f"{path}.{dm}" for path in paths], ids, alternatives)
             raise  # the walk accepted what the array check rejected: a bug, not bad input
-        evaluations[l] = pairs[: m * n].reshape(m, n, 2)
-        importance[l], expertise[l] = pairs[m * n :], weights
     return evaluations, importance, expertise
 
 
@@ -201,6 +268,7 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
     criteria: list[CriterionSpec] = []
     for index, entry in enumerate(raw_criteria):
         path = f"{source}.criteria[{index}]"
+        entry = _plain(entry)
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: expected an object with id and kind")
         _known(entry, _CRITERION_FIELDS, path, "field")
@@ -243,12 +311,13 @@ def _read_text(path: Path) -> str:
 def parse_problem(path: str | Path) -> DecisionProblem:
     """Load and validate a problem file."""
     path = Path(path)
-    text = _read_text(path)
     try:
-        data = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
+        data = json.loads(
+            _read_text(path), object_pairs_hook=lambda pairs: _compact(_unique_keys(pairs, path))
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return problem_from_dict(data, source=path.name)
+    return problem_from_dict(_plain(data), source=path.name)
 
 
 def serialize_problem(problem: DecisionProblem) -> dict:

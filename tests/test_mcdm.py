@@ -1,6 +1,7 @@
 """Tests for the TOPSIS/VIKOR/CODAS comparators and their shared pipeline."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +19,14 @@ from ifhv import (
     codas,
     euclidean2,
     hamming,
+    parse_problem,
     run_methods,
     topsis,
     vikor,
 )
+from ifhv.fixtures import table1_path
 from ifhv.ifs import _extremes
+from ifhv.ranking import build_ranking
 from ifhv.report import json_text
 import ifhv.hvas as hvas_mod
 import ifhv.mcdm as mcdm_mod
@@ -242,6 +246,86 @@ class TestCodas:
         problem = single_dm_problem([[(0.5, 0.3)]])
         assert codas(problem).order == (("A1",),)
         assert vikor(problem).order == (("A1",),)
+
+
+def pairwise_codas(primary, secondary, tau):
+    """CODAS assessments by the pairwise definition, O(n^2): the sum over k of
+    h_ik = (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau)."""
+    h = primary[:, None] - primary[None, :]
+    tie_break = secondary[:, None] - secondary[None, :]
+    tie_break *= np.abs(h) < tau
+    h += tie_break
+    return h.sum(axis=1)
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+class TestCodasPrefixSums:
+    """`_codas_assessments` (sort and prefix sums) against the pairwise formula."""
+
+    def test_exact_on_dyadic_values_at_the_window_edges(self):
+        # small dyadic values make every sum exact, and many gaps equal tau
+        rng = np.random.default_rng(240)
+        for _ in range(400):
+            n = int(rng.integers(1, 60))
+            primary = rng.integers(0, 32, n) / 32
+            secondary = rng.integers(0, 16, n) / 16
+            tau = float(rng.choice([0.0, 1 / 32, 2 / 32, 3 / 32, 0.25, 1.0]))
+            got = mcdm_mod._codas_assessments(primary, secondary, tau)
+            assert np.array_equal(got, pairwise_codas(primary, secondary, tau))
+
+    def test_close_when_tau_is_a_float_gap(self):
+        # tau is one of the computed gaps, so the float test decides the edge
+        rng = np.random.default_rng(241)
+        for _ in range(400):
+            n = int(rng.integers(2, 80))
+            primary = rng.random(n) * rng.choice([1e-3, 0.3, 1.0])
+            primary[rng.integers(0, n, n // 3)] = primary[0]  # runs of equal values
+            secondary = rng.random(n)
+            i, k = rng.integers(0, n, 2)
+            tau = min(abs(float(primary[i] - primary[k])), 1.0)
+            got = mcdm_mod._codas_assessments(primary, secondary, tau)
+            expected = pairwise_codas(primary, secondary, tau)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @staticmethod
+    def check_problem(problem, cfg):
+        prepared = mcdm_mod._prepared(problem)
+        primary = prepared.distances(cfg.measure_primary, prepared.ns)
+        secondary = prepared.distances(cfg.measure_secondary, prepared.ns)
+        expected = pairwise_codas(primary, secondary, cfg.tau)
+        result = codas(problem, cfg)
+        got = np.array([result.scores[label] for label in problem.alternatives])
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        reference = build_ranking(
+            "codas", problem.alternatives, expected, True, cfg.tie_tolerance
+        )
+        assert result.order == reference.order
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            table1_path(),
+            GOLDEN_INPUTS / "seeded240.problem",
+            GOLDEN_INPUTS / "seeded_cost.problem",
+        ],
+    )
+    @pytest.mark.parametrize("tau", [0.0, mcdm_mod.DEFAULT_TAU, 0.1])
+    def test_orders_and_ties_on_golden_inputs(self, source, tau):
+        self.check_problem(parse_problem(source), CompareConfig(tau=tau))
+
+    def test_orders_and_ties_on_seeded_problems(self):
+        rng = np.random.default_rng(242)
+        checked = 0
+        for _ in range(200):
+            problem = random_problem(rng, int(rng.integers(2, 40)))
+            try:
+                self.check_problem(problem, CompareConfig())
+            except DegenerateError:
+                continue
+            checked += 1
+        assert checked > 190
 
 
 class TestSharedPipeline:

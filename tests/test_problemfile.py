@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,3 +229,23 @@ class TestRoundTrip:
             path = tmp_path / f"p{index}.problem"
             write_problem(problem, path)
             assert parse_problem(path) == problem
+
+
+class TestMemory:
+    def test_parse_peak_stays_below_three_times_the_file(self, tmp_path):
+        # The reader compacts each row of pairs as it is decoded and drops the
+        # text before assembling the arrays; the read itself (bytes and text)
+        # is about twice the file. Holding the decoded lists costs about 3.6
+        # times this file.
+        path = tmp_path / "big.problem"
+        write_problem(random_problem(np.random.default_rng(22), 1000, 3, 2), path)
+        size = path.stat().st_size
+        assert size >= 500_000
+        parse_problem(path)  # imports and caches before the measurement
+        tracemalloc.start()
+        try:
+            parse_problem(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size, (peak, size)
