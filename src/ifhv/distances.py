@@ -16,6 +16,14 @@ Additional measures can be registered by name through `register`, which is
 how literature measures whose formulas live elsewhere are plugged in.
 `check_axioms` probes any measure for the metric axioms (symmetry, identity
 of indiscernibles, triangle inequality) on seeded random triples.
+
+The batch kernels compute in place on the two difference arrays that
+`DistanceMeasure._evaluate_into` writes for them, so a kernel call allocates
+at most one temporary of the input's size (euclidean3's hesitancy
+difference). `check_axioms` draws its triples and writes those differences
+into work arrays kept for the whole call. Each step keeps its operation
+order, so every distance has the bits it had when the kernels allocated a
+temporary per step.
 """
 
 from __future__ import annotations
@@ -38,7 +46,9 @@ AXIOM_TOLERANCE = 1e-9
 SAMPLE_CHUNK = 2**14
 
 # A batch kernel maps per-element difference arrays (dmu, dnu) of shape
-# (..., n) to the distances of shape (...), reducing the last axis.
+# (..., n) to the distances of shape (...), reducing the last axis. Both
+# arrays have the full broadcast shape and belong to the call, so a kernel may
+# overwrite them, and the built-in ones do: they work in place.
 BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -99,9 +109,9 @@ class DistanceMeasure:
         """
         a_mu, a_nu = np.asarray(a_mu, float), np.asarray(a_nu, float)
         b_mu, b_nu = np.asarray(b_mu, float), np.asarray(b_nu, float)
-        if self._kernel is not None:
-            return np.asarray(self._kernel(a_mu - b_mu, a_nu - b_nu))
         shape = np.broadcast_shapes(a_mu.shape, a_nu.shape, b_mu.shape, b_nu.shape)
+        if self._kernel is not None:
+            return self._evaluate_into(np.empty(shape), np.empty(shape), a_mu, a_nu, b_mu, b_nu)
         rows, n = math.prod(shape[:-1]), shape[-1]
         if rows and not n:
             IFS(())  # raises: a set needs at least one element
@@ -118,6 +128,20 @@ class DistanceMeasure:
             for m, v in zip(map(np.ndarray.tolist, mu), map(np.ndarray.tolist, nu))
         )
         return np.fromiter((self._func(a, b) for a, b in pairs), float, rows).reshape(shape[:-1])
+
+    def _evaluate_into(self, dmu, dnu, a_mu, a_nu, b_mu, b_nu) -> np.ndarray:
+        """`evaluate_many` with the kernel's difference arrays supplied: the
+        one rule by which a kernel is called.
+
+        `dmu` and `dnu` are float arrays of the broadcast shape of the four
+        inputs. They receive a - b and the kernel may overwrite them, so they
+        must not alias an input. A plugin measure leaves them untouched.
+        """
+        if self._kernel is None:
+            return self.evaluate_many(a_mu, a_nu, b_mu, b_nu)
+        np.subtract(a_mu, b_mu, out=dmu)
+        np.subtract(a_nu, b_nu, out=dnu)
+        return np.asarray(self._kernel(dmu, dnu))
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:
@@ -140,21 +164,41 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return total
 
 
+# Each kernel works in place in its formula's operation order: 0.5 * (|dmu| +
+# |dnu|) is |dmu|, then |dnu|, their sum, then the product with 0.5. So every
+# distance keeps the bits of the formula computed with a temporary per step.
+
+
 def _hamming_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
-    return _mean_last(0.5 * (np.abs(dmu) + np.abs(dnu)))
+    dmu = np.abs(dmu, out=dmu)
+    dmu += np.abs(dnu, out=dnu)
+    dmu *= 0.5
+    return _mean_last(dmu)
 
 
 def _euclidean2_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
-    return np.sqrt(_mean_last(0.5 * (dmu * dmu + dnu * dnu)))
+    dmu *= dmu
+    dnu *= dnu
+    dmu += dnu
+    dmu *= 0.5
+    return np.sqrt(_mean_last(dmu))
 
 
 def _euclidean3_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
-    dpi = -(dmu + dnu)  # hesitancy difference is determined by the other two
-    return np.sqrt(_mean_last(0.5 * (dmu * dmu + dnu * dnu + dpi * dpi)))
+    # the hesitancy difference is -(dmu + dnu), whose square needs no sign
+    dpi = dmu + dnu
+    dpi *= dpi
+    dmu *= dmu
+    dnu *= dnu
+    dmu += dnu
+    dmu += dpi
+    dmu *= 0.5
+    return np.sqrt(_mean_last(dmu))
 
 
 def _hausdorff_kernel(dmu: np.ndarray, dnu: np.ndarray) -> np.ndarray:
-    return _mean_last(np.maximum(np.abs(dmu), np.abs(dnu)))
+    dmu = np.maximum(np.abs(dmu, out=dmu), np.abs(dnu, out=dnu), out=dmu)
+    return _mean_last(dmu)
 
 
 hamming = DistanceMeasure("hamming", MeasureKind.LINEAR, _hamming_kernel)
@@ -239,7 +283,9 @@ class AxiomReport:
         }
 
 
-def sample_simplex(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+def sample_simplex(
+    rng: np.random.Generator, shape, *, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform samples from the valid region {mu, nu >= 0, mu + nu <= 1}.
 
     Draws mu, then nu, on the unit square and reflects the pairs whose sum
@@ -247,9 +293,17 @@ def sample_simplex(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndar
     returns multiples of 2**-53 in [0, 1), so 1 - x is exact, and so is the
     reflected sum 2 - (mu + nu), a multiple of 2**-53 below 1. Every pair
     therefore sums to at most 1 in floats, and IFN takes it unchanged.
+
+    `out`, a pair of float arrays of `shape`, receives the samples instead
+    of two new arrays; the draws are the same bit for bit.
     """
-    mu = rng.random(shape)
-    nu = rng.random(shape)
+    if out is None:
+        mu = rng.random(shape)
+        nu = rng.random(shape)
+    else:
+        mu, nu = out
+        rng.random(out=mu)
+        rng.random(out=nu)
     over = mu + nu > 1.0
     for x in (mu, nu):
         np.abs(np.subtract(over, x, out=x), out=x)
@@ -272,8 +326,12 @@ def check_axioms(
     Checks, to tolerance 1e-9: d(A, B) = d(B, A); d(A, A) = 0 with
     d(A, B) > 0 for distinct pairs; d(A, B) <= d(B, C) + d(A, C).
     Deterministic for a fixed seed. Collects at most 10 witnesses. Triples
-    are drawn and checked in chunks of `SAMPLE_CHUNK`, so memory is flat in
-    `samples`.
+    are drawn and checked in chunks of `SAMPLE_CHUNK`, grouped by length.
+    Each group's triples and the kernel's difference arrays live in work
+    arrays that every group of the call reuses: sized from the first chunk's
+    largest group with a sixteenth to spare, and grown only when a later
+    chunk's largest group needs more. So memory is O(`SAMPLE_CHUNK` x
+    largest length) and flat in `samples`.
     """
     samples = as_count("samples", samples)
     seed = as_count("seed", seed, 0)
@@ -288,27 +346,39 @@ def check_axioms(
     rng = np.random.default_rng(seed)
     holds = {"symmetry": True, "identity": True, "triangle": True}
     witnesses: list[AxiomWitness] = []
+    work = np.empty(0)
 
     # Chunks draw their lengths, then each length group's triples, so one
     # chunk draws exactly what a single batch of the same size would.
     for start in range(0, samples, SAMPLE_CHUNK):
         drawn = rng.choice(choices, size=min(SAMPLE_CHUNK, samples - start))
-        for n, count in zip(*np.unique(drawn, return_counts=True)):
-            a_mu, a_nu = sample_simplex(rng, (count, n))
-            b_mu, b_nu = sample_simplex(rng, (count, n))
-            c_mu, c_nu = sample_simplex(rng, (count, n))
+        groups = np.unique(drawn, return_counts=True)
+        need = 8 * int(np.max(groups[0] * groups[1]))
+        if work.size < need:
+            # a sixteenth more, so that the next chunks' groups, a little
+            # larger by chance, rarely need new arrays
+            work = np.empty(need + need // 16)
+        for n, count in zip(*groups):
+            size = int(count * n)
+            a_mu, a_nu, b_mu, b_nu, c_mu, c_nu, dmu, dnu = (
+                work[k * size:(k + 1) * size].reshape(count, n) for k in range(8)
+            )
+            a, b, c = (a_mu, a_nu), (b_mu, b_nu), (c_mu, c_nu)
+            pairs, triple = (a, b), (a, b, c)
+            for x in triple:
+                sample_simplex(rng, (count, n), out=x)
+            found = []
+            for x, y in ((a, b), (b, a), (a, a), (b, c), (a, c)):
+                d = measure._evaluate_into(dmu, dnu, *x, *y)
+                # a kernel may return a view of dmu or dnu, which the next
+                # distance overwrites
+                found.append(d.copy() if np.may_share_memory(d, work) else d)
+            d_ab, d_ba, d_aa, d_bc, d_ac = found
 
-            d_ab = measure.evaluate_many(a_mu, a_nu, b_mu, b_nu)
-            d_ba = measure.evaluate_many(b_mu, b_nu, a_mu, a_nu)
-            d_aa = measure.evaluate_many(a_mu, a_nu, a_mu, a_nu)
-            d_bc = measure.evaluate_many(b_mu, b_nu, c_mu, c_nu)
-            d_ac = measure.evaluate_many(a_mu, a_nu, c_mu, c_nu)
-
-            pairs = ((a_mu, a_nu), (b_mu, b_nu))
-            triple = ((a_mu, a_nu), (b_mu, b_nu), (c_mu, c_nu))
             # a row is distinct when any element's gap exceeds 1e-6: OR-ing
             # the n columns is cheaper than a max over the short last axis
-            gap = np.abs(a_mu - b_mu) + np.abs(a_nu - b_nu)
+            gap = np.abs(np.subtract(a_mu, b_mu, out=dmu), out=dmu)
+            gap += np.abs(np.subtract(a_nu, b_nu, out=dnu), out=dnu)
             distinct = gap[:, 0] > 1e-6
             for j in range(1, n):
                 distinct |= gap[:, j] > 1e-6

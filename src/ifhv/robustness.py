@@ -195,11 +195,13 @@ class AuditReport:
 
 
 def _draw_attempts(
-    rng: np.random.Generator, count: int
+    rng: np.random.Generator, count: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Anchors, then ray directions, for `count` attempts."""
-    a_mu, a_nu = sample_simplex(rng, count)
-    dir_mu, dir_nu = sample_simplex(rng, count)
+    """Anchors, then ray directions, for `count` attempts, drawn into the
+    four rows of `out`, a (4, count) float array, when it is given."""
+    rows = (None, None) if out is None else (out[:2], out[2:])
+    a_mu, a_nu = sample_simplex(rng, count, out=rows[0])
+    dir_mu, dir_nu = sample_simplex(rng, count, out=rows[1])
     return a_mu, a_nu, dir_mu, dir_nu
 
 
@@ -332,7 +334,8 @@ def audit(
     Each budget unit spends one anchor/direction attempt. A counterexample is
     a constructed pair with NIS-distances within `eps` whose PIS-distances
     differ by more than `delta`. The budget is drawn in chunks of
-    `SAMPLE_CHUNK` attempts, each drawing its anchors and then its directions.
+    `SAMPLE_CHUNK` attempts, each drawing its anchors and then its directions
+    into the rows of one work array that the whole scan reuses.
     A chunk is evaluated in slices of 64 attempts at first, each slice twice
     the last up to a whole chunk, the width carrying over to the next chunk;
     every attempt's outcome depends on its own draws alone, so the slicing
@@ -354,9 +357,11 @@ def audit(
     samples_used = budget
     width = _FIRST_SLICE
     start = 0
+    # every chunk draws into the first chunk's rows, the largest it needs
+    work = np.empty((4, min(SAMPLE_CHUNK, budget)))
     while start < budget and len(counterexamples) < MAX_COUNTEREXAMPLES:
         take = min(SAMPLE_CHUNK, budget - start)
-        drawn = _draw_attempts(rng, take)
+        drawn = _draw_attempts(rng, take, work[:, :take])
         lo = 0
         # The slice's arrays stay bound here until the next slice replaces
         # them. Freed all at once, as on a helper's return, they let malloc

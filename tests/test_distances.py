@@ -1,6 +1,11 @@
 """Tests for the built-in distance measures, the registry, and check_axioms."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +245,9 @@ class TestMeanLast:
                 a_mu, a_nu = sample_simplex(np.random.default_rng(n), lead + (n,))
                 b_mu, b_nu = sample_simplex(np.random.default_rng(50 + n), lead + (n,))
                 dmu, dnu = a_mu - b_mu, a_nu - b_nu
-                assert same_bits(measure._kernel(dmu, dnu), OLD_KERNELS[measure.name](dmu, dnu))
+                # the kernel works in place on its inputs, so it gets copies
+                got = measure._kernel(dmu.copy(), dnu.copy())
+                assert same_bits(got, OLD_KERNELS[measure.name](dmu, dnu))
 
 
 def masked_sample_simplex(rng, shape):
@@ -263,6 +270,19 @@ class TestSampleSimplex:
             for x, y in zip(got, want):
                 assert x.shape == y.shape
                 assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("shape", [4096, (300, 4), (7, 1), 0], ids=str)
+    def test_out_gives_the_same_bits(self, shape):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            out = (np.full(shape, np.nan), np.full(shape, np.nan))
+            got = sample_simplex(rng, shape, out=out)
+            assert got[0] is out[0] and got[1] is out[1]
+            want = sample_simplex(np.random.default_rng(seed), shape)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+            # the generator stands where the call without `out` leaves it
+            stream = np.random.default_rng(seed).random(2 * int(np.prod(shape)) + 1)
+            assert rng.random() == stream[-1]
 
     def test_reflection_lands_inside_exactly(self):
         # the masked formula pins pairs still over 1 after the reflection;
@@ -375,6 +395,65 @@ class TestPluginPath:
         assert peak < 4 * 2**20
 
 
+AxisError = getattr(np, "exceptions", np).AxisError  # np.AxisError before numpy 1.25
+
+
+class TestEvaluateManyContract:
+    """The kernels work in place, on difference arrays that `evaluate_many`
+    makes for them: a caller's arrays never change, and broadcasting and
+    numpy's errors stay as they were."""
+
+    @staticmethod
+    def inputs():
+        """(a_mu, a_nu, b_mu, b_nu): mu of shape (1, 3) against nu of shape
+        (5, 3), every value below 0.5 so that each broadcast pair is a valid
+        IFN."""
+        rng = np.random.default_rng(31)
+        a_mu, b_mu = 0.5 * rng.random((2, 1, 3))
+        a_nu, b_nu = 0.5 * rng.random((2, 5, 3))
+        return a_mu, a_nu, b_mu, b_nu
+
+    @pytest.mark.parametrize("name", [m.name for m in ALL_BUILTINS] + [PLUGIN])
+    def test_callers_arrays_are_unchanged(self, name):
+        measure = get_measure(name) if name != PLUGIN else plugin()
+        arrays = self.inputs()
+        kept = [x.copy() for x in arrays]
+        batch = measure.evaluate_many(*arrays)
+        single = measure.pair_many(*(x[..., 0] for x in arrays))
+        a = IFS.from_pairs(zip(arrays[0][0], arrays[1][0]))
+        b = IFS.from_pairs(zip(arrays[2][0], arrays[3][0]))
+        assert measure(a, b) == measure.evaluate(a, b) == batch[0]
+        assert single.shape == batch.shape == (5,)
+        assert all(same_bits(x, y) for x, y in zip(arrays, kept))
+        assert (a.mu_values().tolist(), b.nu_values().tolist()) == (
+            kept[0][0].tolist(), kept[3][0].tolist()
+        )
+
+    @pytest.mark.parametrize("measure", ALL_BUILTINS, ids=lambda m: m.name)
+    def test_mixed_broadcasting_keeps_its_results(self, measure):
+        a_mu, a_nu, b_mu, b_nu = self.inputs()
+        old = OLD_KERNELS[measure.name]
+        # the differences as the kernels received them when they allocated
+        # per step: mu (1, 3) against nu (5, 3), then one set against five
+        for arrays in ((a_mu, a_nu, b_mu, b_nu), (a_mu, b_mu, a_nu, b_nu)):
+            want = old(arrays[0] - arrays[2], arrays[1] - arrays[3])
+            assert same_bits(measure.evaluate_many(*arrays), want)
+        want = old(a_mu[..., :1] - b_mu[..., :1], a_nu[..., :1] - b_nu[..., :1])
+        single = measure.pair_many(a_mu[..., 0], a_nu[..., 0], b_mu[..., 0], b_nu[..., 0])
+        assert same_bits(single, want)
+
+    def test_plugin_mixed_broadcasting_matches_its_oracle(self):
+        arrays = self.inputs()
+        assert same_bits(plugin().evaluate_many(*arrays), from_pairs_oracle(minkowski3, *arrays))
+
+    @pytest.mark.parametrize("measure", ALL_BUILTINS, ids=lambda m: m.name)
+    def test_0d_input_raises_numpys_axis_error(self, measure):
+        with pytest.raises(AxisError):
+            measure.evaluate_many(0.2, 0.3, 0.4, 0.1)
+        with pytest.raises(AxisError):
+            measure.evaluate_many(np.array(0.2), 0.3, np.array(0.4), 0.1)
+
+
 class TestRegistry:
     def test_builtins_are_registered(self):
         names = available_measures()
@@ -435,13 +514,13 @@ class TestCheckAxioms:
         # first element only, so d(A, B) = 0 for pairs only the last tells apart
         drawn = []
 
-        def b_differs_in_the_last_element(rng, shape):
-            mu, nu = sample_simplex(rng, shape)
+        def b_differs_in_the_last_element(rng, shape, *, out=None):
+            mu, nu = sample_simplex(rng, shape, out=out)
             drawn.append((mu, nu))
             if len(drawn) % 3 == 2:
                 (a_mu, a_nu), _ = drawn[-2:]
-                mu = np.concatenate([a_mu[:, :-1], mu[:, -1:]], axis=1)
-                nu = np.concatenate([a_nu[:, :-1], nu[:, -1:]], axis=1)
+                mu[:, :-1] = a_mu[:, :-1]
+                nu[:, :-1] = a_nu[:, :-1]
             return mu, nu
 
         first_only = DistanceMeasure(
@@ -508,6 +587,105 @@ class TestCheckAxioms:
         # one chunk draws exactly what a single batch of its size would
         assert small.witnesses
         assert check_axioms(one_sided, samples=64, seed=24) == small
+
+    def test_kernel_measures_keep_their_draws_and_witnesses(self):
+        # Kernel measures run on the probe's work arrays. Over three chunks
+        # and four lengths they report the witnesses that they reported when
+        # every group drew new arrays (values recorded from that version).
+        def squared_euclidean(dmu, dnu):
+            return np.mean(0.5 * (dmu * dmu + dnu * dnu), axis=-1)
+
+        def lopsided(dmu, dnu):
+            # asymmetric on the rare rows whose first mu difference is > 0.95
+            bump = 1e-6 * (dmu[..., 0] > 0.95)
+            return euclidean2._kernel(dmu, dnu) + bump
+
+        squared = check_axioms(
+            DistanceMeasure("squared-euclidean-test", MeasureKind.NONLINEAR, squared_euclidean),
+            samples=40_000, seed=7,
+        )
+        assert squared.symmetry_ok and squared.identity_ok and not squared.triangle_ok
+        assert [(w.axiom, len(w.sets[0]), w.values) for w in squared.witnesses] == [
+            ("triangle", 1, (0.0801716735336428, 0.008957723418635793, 0.04068980955219316)),
+            ("triangle", 1, (0.08661179055507523, 0.007223091901624779, 0.05422373418677001)),
+            ("triangle", 1, (0.28641586644072725, 0.09989316815995888, 0.053715872083352295)),
+            ("triangle", 1, (0.16546148303596817, 0.12686436975984408, 0.008380173690700696)),
+            ("triangle", 1, (0.2270369221958454, 0.06551363865083004, 0.048803167766564695)),
+            ("triangle", 1, (0.2904821326774464, 0.009105638970223047, 0.27550946011787814)),
+            ("triangle", 1, (0.07608675226076206, 0.026372249775530435, 0.017450829249933845)),
+            ("triangle", 1, (0.14022677730959954, 0.06740178512185038, 0.013197820923805163)),
+            ("triangle", 1, (0.20744981735026594, 0.09387520194108115, 0.07097857567943082)),
+            ("triangle", 1, (0.407405644070337, 0.00736462937375889, 0.3968886881040114)),
+        ]
+        assert squared.witnesses[-1].sets == (
+            ((0.9024206551052555, 0.01872477051219723),),
+            ((0.008913286443923862, 0.14700520662221883),),
+            ((0.04553795285051965, 0.26271126764809316),),
+        )
+        # 5, 7 and 9 witnesses after the first, second and third chunk
+        rare = check_axioms(
+            DistanceMeasure("lopsided-test", MeasureKind.NONLINEAR, lopsided),
+            samples=40_000, seed=10,
+        )
+        assert not rare.symmetry_ok and rare.identity_ok and rare.triangle_ok
+        assert [(w.axiom, len(w.sets[0]), w.values) for w in rare.witnesses] == [
+            ("symmetry", 1, (0.785268701701055, 0.785269701701055)),
+            ("symmetry", 1, (0.6977470296016418, 0.6977460296016418)),
+            ("symmetry", 1, (0.7720804714449951, 0.7720814714449952)),
+            ("symmetry", 3, (0.5727386271976134, 0.5727376271976133)),
+            ("symmetry", 4, (0.3962120813971079, 0.39621308139710787)),
+            ("symmetry", 1, (0.6729104885149272, 0.6729094885149272)),
+            ("symmetry", 2, (0.5294412763225218, 0.5294402763225218)),
+            ("symmetry", 3, (0.5325946742231636, 0.5325936742231636)),
+            ("symmetry", 3, (0.5486352023300441, 0.5486362023300442)),
+        ]
+        assert rare.witnesses[-1].sets == (
+            ((0.014260309102142044, 0.7489597243837455), (0.21453430441754096, 0.5808546757851806),
+             (0.5361899687246714, 0.42517305920401005)),
+            ((0.9673871883448909, 0.005108395943238531), (0.3818282403125315, 0.023150086435228756),
+             (0.554738750746738, 0.355372361693853)),
+        )
+
+    def test_a_kernel_may_return_a_view_of_its_inputs(self):
+        def view(dmu, dnu):
+            return np.abs(dmu, out=dmu)[..., 0]
+
+        def fresh(dmu, dnu):
+            return np.abs(dmu[..., 0])
+
+        got, want = (
+            check_axioms(
+                DistanceMeasure("first-mu-test", MeasureKind.NONLINEAR, k), samples=3000, seed=27
+            )
+            for k in (view, fresh)
+        )
+        assert got == want and got.all_ok
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc's malloc only"
+    )
+    def test_page_faults_stay_bounded_under_a_fixed_mmap_threshold(self):
+        # With glibc's mmap threshold fixed at 128 KiB, every array of the
+        # probe's (count, n) groups is mapped and unmapped on its own, so an
+        # array allocated per step faults its pages in again on every use.
+        # The probe's work arrays are allocated once per call: 600-2 000
+        # minor faults a call against 12 500-14 700 with arrays per step.
+        code = (
+            "import resource\n"
+            "from ifhv import check_axioms, euclidean3\n"
+            "check_axioms(euclidean3, samples=100_000, seed=7)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "check_axioms(euclidean3, samples=100_000, seed=7)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(distances.__file__).resolve().parents[1])
+        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_="262144")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 5_000
 
     def test_memory_is_flat_in_samples(self):
         check_axioms(hausdorff, samples=1_000)

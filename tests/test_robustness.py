@@ -364,6 +364,16 @@ class TestAudit:
                 assert 0.0 <= point.nu <= 1.0
                 assert point.mu + point.nu <= 1.0
 
+    def test_chunk_draws_into_work_rows_give_the_same_bits(self):
+        # the audit draws every chunk into the rows of one (4, chunk) array
+        rng, fresh = np.random.default_rng(12), np.random.default_rng(12)
+        work = np.empty((4, 300))
+        for take in (300, 300, 17):
+            got = robustness._draw_attempts(rng, take, work[:, :take])
+            want = robustness._draw_attempts(fresh, take)
+            assert all(x.base is work for x in got)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
 
 class TestIsoNisPairs:
     def test_hamming_equal_nis_implies_equal_pis(self):
@@ -441,10 +451,10 @@ def _squared_euclidean(a, b):
 def _counting_sample_simplex(monkeypatch):
     drawn = []
 
-    def counting(rng, shape):
-        out = sample_simplex(rng, shape)
-        drawn.append(out[0].size)
-        return out
+    def counting(rng, shape, *, out=None):
+        mu, nu = sample_simplex(rng, shape, out=out)
+        drawn.append(mu.size)
+        return mu, nu
 
     monkeypatch.setattr(robustness, "sample_simplex", counting)
     return drawn
