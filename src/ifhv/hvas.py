@@ -100,7 +100,9 @@ class DecisionProblem:
 
         Shapes are (q, m, n, 2), (q, m, 2) and (q, m). Pairs are checked and
         clamped as IFN does (`ifs.check_pairs`); a bad one raises DomainError
-        naming its array, e.g. ``evaluations: IFN components must ...``.
+        naming its array, e.g. ``evaluations: IFN components must ...``. This
+        is also the problem-file reader's value check. The arrays are copied,
+        so a caller's arrays stay writeable.
         """
         problem = cls.__new__(cls)
         problem._set_ids(alternatives, criteria, dms)

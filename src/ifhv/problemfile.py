@@ -22,18 +22,19 @@ size, the text read and decoded. `problem_from_dict` compacts the evaluation
 rows and importance objects of an in-memory document through the same
 function, so both take one array path.
 
-The reader fills the problem's float arrays in one walk over the decision
-makers, in the order of the `dms` list, and builds no IFN. Each decision
-maker's evaluation rows and importance pairs are checked as whole arrays
-(`ifs.check_pairs`); only a decision maker that fails is walked by
-(criterion, field), in the order of the `criteria` and `alternatives` lists,
-so the first invalid field in walk order is reported, with its path inside
-the document, e.g. ``evaluations.dm1.c1.X2``. Wherever the walk or a message
+The reader fills the problem's three float arrays in the order of the
+`dms`, `criteria` and `alternatives` lists, and builds no IFN. It rejects
+only what the arrays cannot hold, a missing or extra key or a value that is
+not a number, and leaves every value rule to `DecisionProblem.from_arrays`,
+the one check of a problem's pairs and weights. When anything fails, one
+walk over the document by (decision maker, criterion, field), in the order
+of the same lists, reports the first invalid field with its path inside the
+document, e.g. ``evaluations.dm1.c1.X2``. Wherever the walk or a message
 looks at a compacted object, it sees the object it came from, so errors read
 as they would for the decoded dict. Unknown fields and ids, repeated ids and
 repeated JSON keys are rejected too. `parse_problem` and `serialize_problem`
-are inverses on valid problems. `write_problem` writes
-the bytes of `json.dumps(..., indent=2)` through `report.json_text`.
+are inverses on valid problems. `write_problem` writes the bytes of
+`json.dumps(..., indent=2)` through `report.json_text`.
 """
 
 from __future__ import annotations
@@ -126,11 +127,6 @@ def _ordered(obj, keys: list) -> np.ndarray:
     return pairs.array[order]
 
 
-def _check(pairs: np.ndarray) -> None:
-    """Check an array of [mu, nu] pairs under IFN's rules, clamping nu in place."""
-    pairs[..., 1] = check_pairs(pairs[..., 0], pairs[..., 1])
-
-
 def _require(data: dict, key: str, kind, path: str):
     if key not in data:
         raise ValidationError(f"{path}.{key}: missing required field")
@@ -181,72 +177,67 @@ def _pair(parent: dict, key: str, path: str) -> None:
     if key not in parent:  # only an alternative can be missing here
         raise ValidationError(f"{path}.{key}: missing alternative")
     try:
-        _check(_ordered({key: parent[key]}, [key]))
+        check_pairs(*_ordered({key: parent[key]}, [key]).T)
     except DomainError as exc:
         raise ValidationError(f"{path}.{key}: {exc}") from None
 
 
-def _dm_arrays(per_dm: list[dict], ids: list, alternatives: list, evaluations, importance):
-    """Fill one decision maker's (m, n, 2) evaluations and (m, 2) importance
-    with checked pairs, and return its m expertise weights. KeyError or
-    DomainError on anything `_walk_dm` rejects, without a path."""
-    eval_dm, imp_dm, exp_dm = per_dm
-    weights = [exp_dm[cid] for cid in ids]
-    if not (
-        all(map(_is_number_type, set(map(type, weights))))
-        and all(0.0 <= weight <= 1.0 for weight in weights)
-    ):
-        raise DomainError("expected weights in [0, 1]")
-    for row, cid in zip(evaluations, ids):
-        row[:] = _ordered(eval_dm[cid], alternatives)
-    importance[:] = _ordered(imp_dm, ids)
-    _check(evaluations)
-    _check(importance)
-    return weights
+def _keyed(obj, keys: list) -> list:
+    """obj's values in the order of keys; KeyError unless obj is an object
+    whose keys are exactly `keys`."""
+    if not isinstance(obj, dict) or len(obj) != len(keys):
+        raise KeyError(keys)
+    return [obj[key] for key in keys]
 
 
-def _walk_dm(per_dm: list[dict], dm_paths: list[str], ids: list, alternatives: list) -> None:
-    """Check one decision maker field by field, in the order of (criterion,
-    section, alternative); the first invalid field raises with its path."""
-    eval_dm, imp_dm, exp_dm = per_dm
-    eval_path, imp_path, exp_path = dm_paths
-    alt_set = set(alternatives)
-    for cid in ids:
-        for section, path in zip(per_dm, dm_paths):
-            if cid not in section:
-                raise ValidationError(f"{path}.{cid}: missing criterion")
-        row = _object(eval_dm, cid, eval_path, "criterion", "alternative", alt_set)
-        for alt in alternatives:
-            _pair(row, alt, f"{eval_path}.{cid}")
-        _pair(imp_dm, cid, imp_path)
-        weight = exp_dm[cid]
-        if not _is_number_type(type(weight)) or not 0.0 <= weight <= 1.0:
-            raise ValidationError(
-                f"{exp_path}.{cid}: expected a weight in [0, 1], got {weight!r}"
-            )
-
-
-def _read_arrays(source: str, sections: list[dict], dms, criteria, alternatives):
-    """The evaluation, importance and expertise arrays, read and checked in one walk."""
-    ids = [criterion.id for criterion in criteria]
-    dm_set, id_set = set(dms), set(ids)
-    paths = [f"{source}.{name}" for name in _SECTIONS]
-    for section, path in zip(sections, paths):
-        _known(section, dm_set, path, "decision maker")
+def _read_arrays(sections: list[dict], dms: list, ids: list, alternatives: list):
+    """The problem's evaluation, importance and expertise arrays, filled but
+    unchecked. KeyError, DomainError or OverflowError, without a path, on what
+    the arrays cannot hold: a missing or extra key, a value that is not a
+    [mu, nu] pair of numbers, a weight that is not a number, or an integer
+    beyond the float range."""
     q, m, n = len(dms), len(ids), len(alternatives)
     evaluations, importance = np.empty((q, m, n, 2)), np.empty((q, m, 2))
     expertise = np.empty((q, m))
-    for l, dm in enumerate(dms):
-        per_dm = [
+    per_dm = zip(*(_keyed(section, dms) for section in sections))
+    for l, (eval_dm, imp_dm, exp_dm) in enumerate(per_dm):
+        for row, cells in zip(evaluations[l], _keyed(eval_dm, ids)):
+            row[:] = _ordered(cells, alternatives)
+        importance[l] = _ordered(imp_dm, ids)
+        weights = _keyed(exp_dm, ids)
+        if not all(map(_is_number_type, set(map(type, weights)))):
+            raise DomainError("expected weights that are numbers")
+        expertise[l] = weights
+    return evaluations, importance, expertise
+
+
+def _walk(source: str, sections: list[dict], dms: list, ids: list, alternatives: list) -> None:
+    """Check the sections' decision makers, then each decision maker field by
+    field, in the order of (criterion, section, alternative); the first
+    invalid field raises with its path."""
+    paths = [f"{source}.{name}" for name in _SECTIONS]
+    dm_set, id_set, alt_set = set(dms), set(ids), set(alternatives)
+    for section, path in zip(sections, paths):
+        _known(section, dm_set, path, "decision maker")
+    for dm in dms:
+        eval_dm, imp_dm, exp_dm = per_dm = [
             _object(section, dm, path, "decision maker", "criterion", id_set)
             for section, path in zip(sections, paths)
         ]
-        try:
-            expertise[l] = _dm_arrays(per_dm, ids, alternatives, evaluations[l], importance[l])
-        except (KeyError, DomainError):
-            _walk_dm(per_dm, [f"{path}.{dm}" for path in paths], ids, alternatives)
-            raise  # the walk accepted what the array check rejected: a bug, not bad input
-    return evaluations, importance, expertise
+        eval_path, imp_path, exp_path = dm_paths = [f"{path}.{dm}" for path in paths]
+        for cid in ids:
+            for section, path in zip(per_dm, dm_paths):
+                if cid not in section:
+                    raise ValidationError(f"{path}.{cid}: missing criterion")
+            row = _object(eval_dm, cid, eval_path, "criterion", "alternative", alt_set)
+            for alt in alternatives:
+                _pair(row, alt, f"{eval_path}.{cid}")
+            _pair(imp_dm, cid, imp_path)
+            weight = exp_dm[cid]
+            if not _is_number_type(type(weight)) or not 0.0 <= weight <= 1.0:
+                raise ValidationError(
+                    f"{exp_path}.{cid}: expected a weight in [0, 1], got {weight!r}"
+                )
 
 
 def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
@@ -287,8 +278,13 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
     dms = _ids(data, "dms", source)
 
     sections = [_require(data, name, dict, source) for name in _SECTIONS]
-    arrays = _read_arrays(source, sections, dms, criteria, alternatives)
-    return DecisionProblem.from_arrays(alternatives, criteria, dms, *arrays)
+    ids = [criterion.id for criterion in criteria]
+    try:
+        arrays = _read_arrays(sections, dms, ids, alternatives)
+        return DecisionProblem.from_arrays(alternatives, criteria, dms, *arrays)
+    except (KeyError, DomainError, OverflowError):
+        _walk(source, sections, dms, ids, alternatives)
+        raise  # the walk accepted what the arrays rejected: a bug, not bad input
 
 
 def _unique_keys(pairs: list, path: Path) -> dict:

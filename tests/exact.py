@@ -1,4 +1,5 @@
-"""Exact-arithmetic reference of the HVAS pipeline, steps 1-5, in `Fraction`.
+"""Exact-arithmetic references in `Fraction`: the HVAS pipeline, steps 1-5,
+and the hypervolume of a point set.
 
 HVAS uses only +, -, * and /, so from exact inputs every step is exact and no
 pair needs clamping. A problem is read either from its JSON text, where
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 from typing import NamedTuple
 
 from ifhv import CriterionKind, DecisionProblem, HVConfig
@@ -111,3 +114,15 @@ def hamming(a: list[Pair], b: list[Pair]) -> Fraction:
     """(1/(2n)) * sum_i (|dmu_i| + |dnu_i|), as `ifhv.hamming` defines it."""
     total = sum(abs(x[0] - y[0]) + abs(x[1] - y[1]) for x, y in zip(a, b))
     return total / (2 * len(a))
+
+
+def hv_inclusion_exclusion(points, r) -> Fraction:
+    """The union volume of the boxes [r, p], by inclusion-exclusion over all
+    non-empty subsets of points, each coordinate converted exactly."""
+    offsets = [[Fraction(x) - Fraction(y) for x, y in zip(p, r)] for p in points]
+    total = Fraction(0)
+    for size in range(1, len(offsets) + 1):
+        for subset in combinations(offsets, size):
+            box = prod(min(column) for column in zip(*subset))
+            total += box if size % 2 else -box
+    return total

@@ -19,6 +19,8 @@ from ifhv import (
     serialize_problem,
     write_problem,
 )
+from ifhv import hvas as hvas_mod
+from ifhv import problemfile as problemfile_mod
 from ifhv.fixtures import table1_path
 from gen import random_problem
 
@@ -46,6 +48,20 @@ class TestParse:
         path.write_text('{"schema_version": 1,,}')
         with pytest.raises(ParseError, match=r":1:"):
             parse_problem(path)
+
+    def test_pairs_checked_once_per_array(self, tmp_path, monkeypatch):
+        # DecisionProblem.from_arrays is the one value check: one call for
+        # the evaluations and one for the importance, whatever the DM count
+        path = tmp_path / "three.problem"
+        write_problem(random_problem(np.random.default_rng(5), 4, 3, n_dms=3), path)
+        calls = []
+        for module in (problemfile_mod, hvas_mod):
+            original = module.check_pairs
+            monkeypatch.setattr(
+                module, "check_pairs", lambda *args, f=original: calls.append(1) or f(*args)
+            )
+        parse_problem(path)
+        assert len(calls) == 2
 
 
 class TestValidation:
@@ -140,6 +156,28 @@ class TestValidation:
             problem_from_dict(doc)
         doc["evaluations"][dm2][ids[2]][alternatives[1]] = [0.5, 0.5]
         with pytest.raises(ValidationError, match=rf"^<problem>\.expertise\.{dm3}\.{ids[0]}: "):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc, dm: doc["evaluations"].pop(dm),
+            lambda doc, dm: doc["evaluations"].update({dm: []}),
+            lambda doc, dm: doc["importance"].update({dm: "high"}),
+        ],
+        ids=["missing evaluations", "evaluations a list", "importance a string"],
+    )
+    def test_bad_value_of_first_dm_before_structure_of_second(self, edit):
+        doc = serialize_problem(random_problem(np.random.default_rng(3), 4, 3, n_dms=3))
+        alternatives, ids = doc["alternatives"], [c["id"] for c in doc["criteria"]]
+        dm1, dm2 = doc["dms"][:2]
+        doc["evaluations"][dm1][ids[1]][alternatives[2]] = [0.9, 0.9]
+        edit(doc, dm2)
+        with pytest.raises(
+            ValidationError,
+            match=rf"^<problem>\.evaluations\.{dm1}\.{ids[1]}\.{alternatives[2]}: "
+            r"IFN requires mu \+ nu <= 1",
+        ):
             problem_from_dict(doc)
 
     def test_overshoot_within_tolerance_is_clamped(self, table1_doc):
