@@ -185,7 +185,14 @@ def _points_array(
     points: Sequence[Point], r: Point, row_name=lambda i: f"point {i}"
 ) -> tuple[np.ndarray, np.ndarray]:
     """The points as a (k, m) array, and the reference as an array. An error
-    names the first bad row i as `row_name(i)`, which the CLI makes file:line."""
+    names the first bad row i as `row_name(i)`, which the CLI makes file:line.
+
+    The box from the reference to the points' componentwise maximum must have
+    a finite volume over every subset of its coordinates: the product of its
+    widths, each width below 1 counted as 1. Every volume that `hv_set`,
+    `hv_point` and `mc_oracle` form, and the one they return, is at most that
+    product.
+    """
     ra = np.asarray(r, dtype=float)
     if ra.ndim != 1 or ra.size == 0 or not np.isfinite(ra).all():
         raise DomainError(f"reference must be a non-empty sequence of finite numbers: {r}")
@@ -208,6 +215,13 @@ def _points_array(
     ):
         if bad.any():
             raise DomainError(f"{row_name(int(np.argmax(bad)))}: {problem}")
+    with np.errstate(over="ignore"):
+        bound = np.prod(np.maximum(arr.max(axis=0) - ra, 1.0))
+    if not np.isfinite(bound):
+        raise DomainError(
+            "the box from the reference to the points' componentwise maximum "
+            "is too large: its volume over some of its coordinates exceeds the float range"
+        )
     return arr, ra
 
 
@@ -335,10 +349,10 @@ def mc_oracle(
 class HVConfig:
     """Configuration for net-hypervolume scoring.
 
-    reference: coordinates of the reference point, all <= 0; None means -1
-    in every dimension. alpha: perception factor in [-1, 1] applied to the
-    hesitancy-space hypervolume. tie_tolerance: absolute tolerance used when
-    grouping equal ranking scores.
+    reference: coordinates of the reference point, all <= 0 and with
+    2 * prod(1 - r) finite; None means -1 in every dimension. alpha:
+    perception factor in [-1, 1] applied to the hesitancy-space hypervolume.
+    tie_tolerance: absolute tolerance used when grouping equal ranking scores.
     """
 
     reference: tuple[float, ...] | None = None
@@ -354,6 +368,12 @@ class HVConfig:
                 raise DomainError("reference coordinates must be finite")
             if any(c > 0.0 for c in ref):
                 raise DomainError("reference coordinates must be <= 0")
+            # each space's hypervolume lies in [0, prod(1 - r)], so |hv_net| <= 2 prod(1 - r)
+            if not math.isfinite(2.0 * math.prod(1.0 - c for c in ref)):
+                raise DomainError(
+                    "net hypervolumes against this reference can exceed the float range: "
+                    "2 * prod(1 - r) overflows"
+                )
             object.__setattr__(self, "reference", ref)
         alpha = as_float("alpha", self.alpha)
         if not -1.0 <= alpha <= 1.0:

@@ -26,8 +26,9 @@ entry point `evaluate_many`, which broadcasts the solution profiles against
 the alternatives and calls a plugin measure once per pair. CODAS forms no
 pairs: H_i = n E_i - sum(E) + c_i T_i - (T summed over the window of i), where
 the window is the c_i alternatives k with |E_i - E_k| < tau as floats decide
-it. That is one slice of the E-sorted order, found by `searchsorted` and
-prefix sums of T, so CODAS costs O(n log n) time and O(n) memory.
+it. That is one slice of the E-sorted order, whose two ends one bisection
+finds with the same float test, and prefix sums of T give its sum, so CODAS
+costs O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -180,40 +181,35 @@ def _codas_assessments(primary: np.ndarray, secondary: np.ndarray, tau: float) -
     """H_i = sum_k (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau), for
     E = primary and T = secondary, by sorting and prefix sums.
 
-    abs(E_i - E_k) < tau holds where both E_i - E_k < tau (false, then true
-    along the sorted E) and E_k - E_i < tau (true, then false) hold, so the
-    window of i is one slice [start, stop) of the sorted order.
+    abs(E_i - E_k) < tau holds where both E_i - E_k < tau and E_k - E_i < tau
+    hold. Float subtraction is monotone in each operand, so along the sorted E
+    the first test is false and then true, and the second true and then false:
+    the window of i is one slice [start, stop) of the sorted order. Bisection
+    finds each end as the first index where the float test flips, so a window
+    holds exactly the k that the pairwise test admits.
     """
     order = np.argsort(primary, kind="stable")
     ranked = primary[order]
-    start = _first_passing(
-        ranked, np.searchsorted(ranked, primary - tau, "right"), lambda e: primary - e < tau
-    )
-    stop = _first_passing(
-        ranked, np.searchsorted(ranked, primary + tau, "left"), lambda e: e - primary >= tau
-    )
+    start = _first_true(ranked, lambda e: primary - e < tau)
+    stop = _first_true(ranked, lambda e: e - primary >= tau)
     stop = np.maximum(start, stop)  # an empty window, as at tau = 0
     prefix = np.concatenate(([0.0], np.cumsum(secondary[order])))
     tie_break = (stop - start) * secondary - (prefix[stop] - prefix[start])
     return len(primary) * primary - primary.sum() + tie_break
 
 
-def _first_passing(ranked: np.ndarray, guess: np.ndarray, passes) -> np.ndarray:
+def _first_true(ranked: np.ndarray, passes) -> np.ndarray:
     """For each i, the first index k of the sorted array `ranked` at which
-    passes(ranked[k])[i] holds, for a test that is false and then true along
-    `ranked`. Each index moves from its guess over whole runs of equal values,
-    so a guess a few values off costs a few steps."""
-    last = len(ranked) - 1
-    first = guess
-    while True:
-        before = ranked[np.maximum(first - 1, 0)]
-        left = (first > 0) & passes(before)
-        at = ranked[np.minimum(first, last)]
-        right = ~left & (first <= last) & ~passes(at)
-        if not (left.any() or right.any()):
-            return first
-        first = np.where(left, np.searchsorted(ranked, before, "left"), first)
-        first = np.where(right, np.searchsorted(ranked, at, "right"), first)
+    passes(ranked[k])[i] holds, or len(ranked) where none does, for a test
+    that is false and then true along `ranked`. One lower-bound bisection for
+    all i: each answer stays within [first, first + size]."""
+    first = np.zeros(len(ranked), dtype=np.intp)
+    size = len(ranked)
+    while size > 1:
+        half = size // 2
+        first = np.where(passes(ranked[first + half]), first, first + half)
+        size -= half
+    return first + ~passes(ranked[first])
 
 
 _COMPARATORS = {

@@ -6,6 +6,14 @@ element (1, 0)) smaller distances are better, against the negative ideal
 (every element (0, 1)) larger distances are better. A measure is robust when
 both choices yield the same order for every collection.
 
+Each built-in measure relates the two distances in closed form. With
+S = mean(mu - nu) over a set's elements: `hamming` has d_PIS = (1 - S) / 2
+and d_NIS = (1 + S) / 2, so it is robust; `euclidean2` and `euclidean3` have
+d_PIS^2 = d_NIS^2 - S, as the hesitancy difference is pi against both ideals;
+`hausdorff` has d_PIS = 1 - mean(mu) and d_NIS = 1 - mean(nu), as mu + nu <= 1,
+so a NIS ranking under it ignores mu entirely. The two rankings agree exactly
+when the orders these give agree.
+
 `audit` searches a measure for witness pairs that break robustness: two
 single-element sets at (numerically) equal distance from the negative ideal
 whose distances to the positive ideal differ. Equal-distance pairs have

@@ -1,5 +1,6 @@
 """Exact-arithmetic references in `Fraction`: the HVAS pipeline, steps 1-5,
-and the hypervolume of a point set.
+the built-in distance measures (the Euclidean ones squared), the hypervolume
+of a point set, and CODAS's assessments.
 
 HVAS uses only +, -, * and /, so from exact inputs every step is exact and no
 pair needs clamping. A problem is read either from its JSON text, where
@@ -116,6 +117,22 @@ def hamming(a: list[Pair], b: list[Pair]) -> Fraction:
     return total / (2 * len(a))
 
 
+def euclidean_squared(a: list[Pair], b: list[Pair], hesitancy: bool) -> Fraction:
+    """The square of `ifhv.euclidean3` (with the hesitancy difference) or of
+    `ifhv.euclidean2` (without): (1/(2n)) * sum_i (dmu_i^2 + dnu_i^2 [+ dpi_i^2])."""
+    total = Fraction(0)
+    for (mu_a, nu_a), (mu_b, nu_b) in zip(a, b):
+        total += (mu_a - mu_b) ** 2 + (nu_a - nu_b) ** 2
+        if hesitancy:
+            total += (nu_b + mu_b - nu_a - mu_a) ** 2
+    return total / (2 * len(a))
+
+
+def hausdorff(a: list[Pair], b: list[Pair]) -> Fraction:
+    """(1/n) * sum_i max(|dmu_i|, |dnu_i|), as `ifhv.hausdorff` defines it."""
+    return sum(max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x, y in zip(a, b)) / len(a)
+
+
 def hv_inclusion_exclusion(points, r) -> Fraction:
     """The union volume of the boxes [r, p], by inclusion-exclusion over all
     non-empty subsets of points, each coordinate converted exactly."""
@@ -126,3 +143,18 @@ def hv_inclusion_exclusion(points, r) -> Fraction:
             box = prod(min(column) for column in zip(*subset))
             total += box if size % 2 else -box
     return total
+
+
+def codas_assessments(primary, secondary, tau: float) -> list[Fraction]:
+    """H_i = sum_k (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau), by
+    the pairwise definition, for float E = primary, T = secondary and tau,
+    each converted exactly. The window test is the float one that
+    `ifhv.mcdm` makes, so the two differ only in how they round the sums."""
+    e, t = [float(x) for x in primary], [float(x) for x in secondary]
+    exact_e, exact_t = [Fraction(x) for x in e], [Fraction(x) for x in t]
+    total = sum(exact_e)
+    return [
+        len(e) * exact_e[i] - total
+        + sum(exact_t[i] - exact_t[k] for k in range(len(e)) if abs(e[i] - e[k]) < tau)
+        for i in range(len(e))
+    ]

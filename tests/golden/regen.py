@@ -52,6 +52,8 @@ POINT_FILES = {
     "ragged.txt": "0.5,0.2\n\n0.1,0.2,0.3\n",
     "words.txt": "0.5,0.2\nx,0.3\n",
     "empty.txt": "\n\n",
+    # the box from the default reference to (1e200, 1e200) has no float volume
+    "overflow.txt": "1e200,1e200\n",
 }
 
 
@@ -174,9 +176,12 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
     cases["hv_tied2d_reference0.json"] = (
         INPUTS / "tied2d.txt", ["hv", "--reference", "0,0", "--format", "json"]
     )
-    for points in ("nan.txt", "below.txt", "ragged.txt", "words.txt", "empty.txt"):
+    for points in ("nan.txt", "below.txt", "ragged.txt", "words.txt", "empty.txt", "overflow.txt"):
         cases[f"hv_{points.removesuffix('.txt')}.err"] = (INPUTS / points, ["hv"])
     cases["hv_tied2d_reference3.err"] = (INPUTS / "tied2d.txt", ["hv", "--reference", "0,0,0"])
+    cases["hv_tied2d_reference_far.err"] = (
+        INPUTS / "tied2d.txt", ["hv", "--reference=-1e308,-1e308"]
+    )
     cases["rank_table1_reference3.err"] = (TABLE1, ["rank", "--reference=-1,-1,-1"])
     for problem in BAD_PROBLEMS:
         cases[f"rank_{problem.removesuffix('.problem')}.err"] = (INPUTS / problem, ["rank"])
@@ -185,6 +190,7 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
         "rank_table1_alpha2.err": ["rank", "--alpha", "2"],
         "rank_table1_tolerance_nan.err": ["rank", "--tie-tolerance", "nan"],
         "rank_table1_reference_positive.err": ["rank", "--reference", "1,1"],
+        "rank_table1_reference_far.err": ["rank", "--reference=-1e308,-1e308"],
         "compare_table1_tau2.err": ["compare", "--tau", "2"],
         "compare_table1_v_nan.err": ["compare", "--v", "nan"],
         "compare_table1_methods_saw.err": ["compare", "--methods", "saw"],

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from ifhv import HVConfig, hv_set, parse_problem, rank
+from ifhv.mcdm import _codas_assessments
 from ifhv.fixtures import table1_path
 import exact
 from gen import random_problem
@@ -92,3 +93,46 @@ def test_hv_set_within_relative_bound_of_exact_on_floats():
         expected = exact.hv_inclusion_exclusion(points, r)
         error = abs(Fraction(hv_set(points, r)) - expected)
         assert error <= Fraction(HV_RELATIVE_BOUND) * expected, (points, r)
+
+
+def codas_bound(primary, secondary, windows) -> list[Fraction]:
+    """A bound on |float H_i - exact H_i| for `_codas_assessments`, from its
+    operation count (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., ch. 3), with u = 2**-53 and
+    gamma_k = k u / (1 - k u):
+
+        gamma_{n+2} * (n |E_i| + sum |E| + c_i |T_i| + 2 sum |T|)
+
+    where c_i is the size of the window of i. Each sum of n terms, in any
+    order, carries gamma_{n-1} times the sum of its magnitudes; the
+    differences of two prefix sums of T carry twice that; and the products
+    n E_i and c_i T_i and the three differences and sums that combine the
+    terms add one rounding each."""
+    n = len(primary)
+    u = Fraction(1, 2**53)
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    sum_e = sum(abs(Fraction(float(x))) for x in primary)
+    sum_t = sum(abs(Fraction(float(x))) for x in secondary)
+    return [
+        gamma * (n * abs(Fraction(float(e))) + sum_e + c * abs(Fraction(float(t))) + 2 * sum_t)
+        for e, t, c in zip(primary, secondary, windows)
+    ]
+
+
+def test_codas_assessments_within_derived_bound_of_exact():
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        n = int(rng.integers(1, 50))
+        primary = rng.random(n) * rng.choice([1e-3, 0.3, 1.0])
+        primary[rng.integers(0, n, n // 3)] = primary[rng.integers(0, n)]  # a run of equal values
+        secondary = rng.random(n)
+        i, k = rng.integers(0, n, 2)
+        # a computed gap puts the float test on a window edge; 0 empties every window
+        for tau in (min(abs(float(primary[i] - primary[k])), 1.0), 0.0, 0.02):
+            got = _codas_assessments(primary, secondary, tau)
+            expected = exact.codas_assessments(primary, secondary, tau)
+            windows = (np.abs(primary[:, None] - primary[None, :]) < tau).sum(axis=1)
+            for value, reference, bound in zip(
+                got, expected, codas_bound(primary, secondary, windows)
+            ):
+                assert abs(Fraction(float(value)) - reference) <= bound

@@ -242,6 +242,32 @@ class TestHvSet:
         with pytest.raises(DomainError, match="^point 0: coordinates must be finite$"):
             check([(math.inf, 0.2)], (0, 0))
 
+    @pytest.mark.parametrize(
+        "check",
+        (hv_set, hv_inclusion_exclusion, mc_oracle, lambda points, r: hv_point(points[0], r)),
+        ids=("hv_set", "hv_inclusion_exclusion", "mc_oracle", "hv_point"),
+    )
+    @pytest.mark.parametrize(
+        "points, r",
+        [
+            ([(1e200, 1e200)], (-1, -1)),  # the box's volume overflows
+            ([(0.5, 0.2)], (-1e308, -1e308)),  # the reference alone makes it overflow
+            # a finite volume of 1e100, but the first two widths' area overflows
+            ([(1e200, 1e200, 1e-300)], (0, 0, 0)),
+            ([(1e308, 0.5)], (-1e308, 0)),  # a width that overflows by itself
+        ],
+    )
+    def test_a_box_beyond_the_float_range_is_rejected(self, check, points, r):
+        with pytest.raises(DomainError, match="exceeds the float range$"):
+            check(points, r)
+
+    def test_a_box_just_within_the_float_range_is_measured(self):
+        points = [(2.0**512, 2.0**510), (2.0**511, 2.0**511)]  # a box of 2**1023
+        assert hv_set(points, (0, 0)) == 3 * 2.0**1021
+        estimate, stderr = mc_oracle(points, (0, 0), samples=1000, seed=0)
+        assert math.isfinite(estimate) and math.isfinite(stderr)
+        assert hv_point((1e300, 1e-300), (0, 0)) == pytest.approx(1.0)
+
 
 class TestInclusionExclusion:
     def test_small_cases(self):
@@ -326,6 +352,19 @@ class TestHVConfig:
     def test_positive_reference_rejected(self):
         with pytest.raises(DomainError):
             HVConfig(reference=(0.5, -1.0))
+
+    @pytest.mark.parametrize(
+        "reference", [(-1e308, -1e308), (-(2.0**1023),), (-2.0,) * 1024]
+    )
+    def test_reference_whose_net_hypervolume_overflows_rejected(self, reference):
+        # 2 * prod(1 - r) bounds |hv_net|
+        with pytest.raises(DomainError, match=r"can exceed the float range: 2 \* prod"):
+            HVConfig(reference=reference)
+
+    def test_reference_at_the_overflow_bound_allowed(self):
+        cfg = HVConfig(reference=(-(2.0**1022),), alpha=-1.0)
+        parts = hv_net(IFS.from_pairs([(1.0, 0.0)]), cfg)
+        assert astuple(parts) == (2.0**1022,) * 4  # 1 + 2**1022 rounds to 2**1022
 
     def test_zero_reference_allowed(self):
         assert HVConfig(reference=(0.0, -1.0)).reference == (0.0, -1.0)
