@@ -208,10 +208,10 @@ def audit(measure, budget, eps, delta, seed, fmt, output):
     _run(build, fmt, output)
 
 
-def _walk_points(path: Path, lines: list[str]) -> np.ndarray:
-    """The rows of a points file's lines, read one line at a time: the first
-    bad line raises with its file:line."""
-    rows = []
+def _walk_points(path: Path, lines: list[str]) -> None:
+    """Read a points file's lines one at a time, with the rule of the bulk
+    parse, so that the first bad line raises with its file:line."""
+    width = None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -220,12 +220,10 @@ def _walk_points(path: Path, lines: list[str]) -> np.ndarray:
             row = tuple(float(part) for part in stripped.split(","))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected comma-separated numbers") from None
-        if rows and len(row) != len(rows[0]):
-            raise ValidationError(
-                f"{path}:{lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
-            )
-        rows.append(row)
-    return np.array(rows)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValidationError(f"{path}:{lineno}: expected {width} coordinates, got {len(row)}")
 
 
 def _read_points(
@@ -234,9 +232,9 @@ def _read_points(
     """The points of a points file as a (k, m) array, and the reference
     (default -1 per dimension). A bad row is reported as file:line.
 
-    All rows are parsed as one array; only when that fails, or the rows differ
-    in length, does `_walk_points` read the lines one at a time to report the
-    first bad one.
+    All fields are parsed with `float` into one array; only when that fails,
+    or the rows differ in length, does `_walk_points` read the lines one at a
+    time to report the first bad one.
     """
     lines = _read_text(path).splitlines()
     rows = [line for line in map(str.strip, lines) if line]
@@ -245,9 +243,11 @@ def _read_points(
     try:
         if len({row.count(",") for row in rows}) > 1:
             raise ValueError("rows differ in length")
-        points = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
+        fields = ",".join(rows).split(",")
+        points = np.fromiter(map(float, fields), float, len(fields)).reshape(len(rows), -1)
     except ValueError:  # a field that is not a number, or a ragged row
-        points = _walk_points(path, lines)
+        _walk_points(path, lines)
+        raise  # the walk accepted what the bulk parse rejected: a bug, not bad input
     ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * points.shape[1]
 
     def row_name(i: int) -> str:

@@ -412,12 +412,21 @@ class HVNetResult:
 
 def _hv_spaces(mu: np.ndarray, nu: np.ndarray, cfg: HVConfig):
     """(hv_mu, hv_nu, hv_pi, hv_net) arrays over the columns of (m, n) mu and
-    nu arrays, each column an IFS of length m."""
+    nu arrays, each column an IFS of length m. DomainError when any value is
+    beyond the float range, which a product of many coordinates above 1 can be
+    against the default reference (1.9 ** 1200 is)."""
     reference = np.array(cfg.reference_for(mu.shape[0]))[:, None]
-    hv_mu = np.prod(mu - reference, axis=0)
-    hv_nu = np.prod(nu - reference, axis=0)
-    hv_pi = np.prod((1.0 - mu - nu) - reference, axis=0)
-    return hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv_mu = np.prod(mu - reference, axis=0)
+        hv_nu = np.prod(nu - reference, axis=0)
+        hv_pi = np.prod((1.0 - mu - nu) - reference, axis=0)
+        spaces = hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi
+    if not np.isfinite(spaces).all():
+        raise DomainError(
+            f"hypervolumes over {mu.shape[0]} coordinates against this reference "
+            "exceed the float range"
+        )
+    return spaces
 
 
 def hv_net(x: IFS, config: HVConfig | None = None) -> HVNetResult:

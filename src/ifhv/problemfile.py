@@ -13,39 +13,42 @@ linguistic labels. Layout:
       "expertise":   {dm: {criterion: weight}}
     }
 
-Every JSON object whose values are all [mu, nu] pairs of numbers is
-compacted as the decoder emits it: its keys in document order and one
-unchecked (k, 2) float array (`_Pairs`), so a row's lists and floats are
-freed as soon as they are decoded, and the file's text is dropped before the
-arrays are assembled. The reader's peak memory is about twice the file's
-size, the text read and decoded. `problem_from_dict` compacts the evaluation
-rows and importance objects of an in-memory document through the same
-function, so both take one array path.
+`parse_problem` reads a valid file once. That reading compacts every JSON
+object whose values are all [mu, nu] pairs of numbers as the decoder emits
+it: its keys in document order and one unchecked (k, 2) float array
+(`_Pairs`), so a row's lists and floats are freed as soon as they are
+decoded, and the file's text is dropped before the arrays are assembled; the
+peak memory is about twice the file's size, the text read and decoded. When
+it fails, the compacted document is freed and the file is read again as
+plain JSON, so every error is named by `problem_from_dict` on a decoded dict,
+as for an in-memory document. `problem_from_dict` compacts the evaluation
+rows and importance objects of a plain document through the same function,
+so both readings take one array path.
 
-The reader fills the problem's three float arrays in the order of the
-`dms`, `criteria` and `alternatives` lists, and builds no IFN. It rejects
-only what the arrays cannot hold, a missing or extra key or a value that is
-not a number, and leaves every value rule to `DecisionProblem.from_arrays`,
-the one check of a problem's pairs and weights. When anything fails, one
-walk over the document by (decision maker, criterion, field), in the order
-of the same lists, reports the first invalid field with its path inside the
-document, e.g. ``evaluations.dm1.c1.X2``. Wherever the walk or a message
-looks at a compacted object, it sees the object it came from, so errors read
-as they would for the decoded dict. Unknown fields and ids, repeated ids and
-repeated JSON keys are rejected too. `parse_problem` and `serialize_problem`
-are inverses on valid problems. `write_problem` writes the bytes of
-`json.dumps(..., indent=2)` through `report.json_text`.
+`problem_from_dict` fills the problem's three float arrays in the order of
+the `dms`, `criteria` and `alternatives` lists, and builds no IFN. It
+rejects only what the arrays cannot hold, a missing or extra key or a value
+that is not a number, and leaves every value rule to
+`DecisionProblem.from_arrays`, the one check of a problem's pairs and
+weights. When anything fails, one walk over the document by (decision maker,
+criterion, field), in the order of the same lists, reports the first invalid
+field with its path inside the document, e.g. ``evaluations.dm1.c1.X2``.
+Unknown fields and ids, repeated ids and repeated JSON keys are rejected too.
+`parse_problem` and `serialize_problem` are inverses on valid problems.
+`write_problem` writes the bytes of `json.dumps(..., indent=2)` through
+`report.json_text`.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ValidationError, VersionError
+from .errors import DomainError, IfhvError, ParseError, ValidationError, VersionError
 from .hvas import CriterionKind, CriterionSpec, DecisionProblem
 from .ifs import check_pairs
 from .report import json_text
@@ -59,27 +62,12 @@ _CRITERION_FIELDS = {"id", "kind"}
 class _Pairs:
     """A JSON object whose values are all [mu, nu] pairs of numbers, compacted:
     its keys in document order and their pairs as one unchecked (k, 2) float
-    array. `ints` maps the flat position of each integer number to itself."""
+    array. It cannot name an error, so only a valid file is read from it."""
 
-    __slots__ = ("keys", "array", "ints")
+    __slots__ = ("keys", "array")
 
-    def __init__(self, keys: list, array: np.ndarray, ints: dict) -> None:
-        self.keys, self.array, self.ints = keys, array, ints
-
-    def plain(self) -> dict:
-        """The object as it was decoded: {key: [mu, nu]}."""
-        cells = self.array.tolist()
-        for index, number in self.ints.items():
-            cells[index // 2][index % 2] = number
-        return dict(zip(self.keys, cells))
-
-    def __repr__(self) -> str:
-        return repr(self.plain())
-
-
-def _plain(value):
-    """value, or the object a `_Pairs` value was compacted from."""
-    return value.plain() if isinstance(value, _Pairs) else value
+    def __init__(self, keys: list, array: np.ndarray) -> None:
+        self.keys, self.array = keys, array
 
 
 def _is_number_type(kind: type) -> bool:
@@ -104,11 +92,7 @@ def _compact(obj):
         array = np.fromiter(chain.from_iterable(values), float, 2 * len(obj))
     except OverflowError:  # an integer beyond the float range
         return obj
-    ints = {}
-    if not all(issubclass(kind, float) for kind in kinds):
-        numbers = chain.from_iterable(values)
-        ints = {index: x for index, x in enumerate(numbers) if isinstance(x, int)}
-    return _Pairs(list(obj), array.reshape(-1, 2), ints)
+    return _Pairs(list(obj), array.reshape(-1, 2))
 
 
 def _ordered(obj, keys: list) -> np.ndarray:
@@ -130,7 +114,7 @@ def _ordered(obj, keys: list) -> np.ndarray:
 def _require(data: dict, key: str, kind, path: str):
     if key not in data:
         raise ValidationError(f"{path}.{key}: missing required field")
-    value = _plain(data[key])
+    value = data[key]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(
             f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
@@ -166,7 +150,7 @@ def _object(parent: dict, key: str, path: str, what: str, keyed_by: str, ids: se
     """parent[key], the object of one `what`, keyed by `keyed_by` ids."""
     if key not in parent:
         raise ValidationError(f"{path}.{key}: missing {what}")
-    obj = _plain(parent[key])
+    obj = parent[key]
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}.{key}: expected an object keyed by {keyed_by}")
     return _known(obj, ids, f"{path}.{key}", keyed_by)
@@ -259,7 +243,6 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
     criteria: list[CriterionSpec] = []
     for index, entry in enumerate(raw_criteria):
         path = f"{source}.criteria[{index}]"
-        entry = _plain(entry)
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: expected an object with id and kind")
         _known(entry, _CRITERION_FIELDS, path, "field")
@@ -304,16 +287,27 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
 
 
-def parse_problem(path: str | Path) -> DecisionProblem:
-    """Load and validate a problem file."""
-    path = Path(path)
+def _decode(path: Path, hook):
+    """The JSON document in the file at path, each object built by
+    hook(pairs); ParseError with the line and column of a JSON error."""
     try:
-        data = json.loads(
-            _read_text(path), object_pairs_hook=lambda pairs: _compact(_unique_keys(pairs, path))
-        )
+        return json.loads(_read_text(path), object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return problem_from_dict(_plain(data), source=path.name)
+
+
+def parse_problem(path: str | Path) -> DecisionProblem:
+    """Load and validate a problem file. A file that fails is read and
+    decoded again, without compaction, to name its first error."""
+    path = Path(path)
+    unique = partial(_unique_keys, path=path)
+    data = _decode(path, lambda pairs: _compact(unique(pairs)))
+    try:
+        return problem_from_dict(data, source=path.name)
+    except IfhvError:
+        pass
+    del data  # so that the two documents are never held at once
+    return problem_from_dict(_decode(path, unique), source=path.name)
 
 
 def serialize_problem(problem: DecisionProblem) -> dict:

@@ -1,6 +1,6 @@
 """Exact-arithmetic references in `Fraction`: the HVAS pipeline, steps 1-5,
 the built-in distance measures (the Euclidean ones squared), the hypervolume
-of a point set, and CODAS's assessments.
+of a point set, CODAS's assessments, and TOPSIS and VIKOR under `hamming`.
 
 HVAS uses only +, -, * and /, so from exact inputs every step is exact and no
 pair needs clamping. A problem is read either from its JSON text, where
@@ -20,6 +20,7 @@ from math import prod
 from typing import NamedTuple
 
 from ifhv import CriterionKind, DecisionProblem, HVConfig
+from ifhv.ifs import _extremes
 
 Pair = tuple[Fraction, Fraction]
 
@@ -157,4 +158,56 @@ def codas_assessments(primary, secondary, tau: float) -> list[Fraction]:
         len(e) * exact_e[i] - total
         + sum(exact_t[i] - exact_t[k] for k in range(len(e)) if abs(e[i] - e[k]) < tau)
         for i in range(len(e))
+    ]
+
+
+def solution_profiles(problem: DecisionProblem) -> tuple[list[list[Pair]], list[Pair], list[Pair]]:
+    """Each alternative's profile in `problem`'s float weighted matrix, and the
+    positive and negative solution profiles of the columns that
+    `ifs._extremes` picks from it, each float converted exactly."""
+    mu, nu = problem.weighted
+    matrix = [
+        [(Fraction(x), Fraction(y)) for x, y in zip(row_mu, row_nu)]
+        for row_mu, row_nu in zip(mu.tolist(), nu.tolist())
+    ]
+    best, worst = _extremes(mu, nu)
+    ps = [row[j] for row, j in zip(matrix, best.tolist())]
+    ns = [row[j] for row, j in zip(matrix, worst.tolist())]
+    return columns(matrix), ps, ns
+
+
+def topsis_hamming(problem: DecisionProblem) -> list[Fraction]:
+    """TOPSIS's closeness d(A, NS) / (d(A, PS) + d(A, NS)) under `hamming`,
+    for every alternative of `solution_profiles(problem)`."""
+    profiles, ps, ns = solution_profiles(problem)
+    return [hamming(a, ns) / (hamming(a, ps) + hamming(a, ns)) for a in profiles]
+
+
+def vikor_indices(problem: DecisionProblem) -> tuple[list[Fraction], list[Fraction]]:
+    """VIKOR's group utility S and individual regret R under `hamming`, for
+    every alternative of `solution_profiles(problem)`: the sum and the
+    maximum of its gaps d(A_j, PS_j) / d(PS_j, NS_j), 0 where the span is 0."""
+    profiles, ps, ns = solution_profiles(problem)
+    spans = [hamming([p], [q]) for p, q in zip(ps, ns)]
+    gaps = [
+        [hamming([x], [p]) / span if span else Fraction(0) for x, p, span in zip(a, ps, spans)]
+        for a in profiles
+    ]
+    return [sum(row) for row in gaps], [max(row) for row in gaps]
+
+
+def vikor_q(utilities: list[Fraction], regrets: list[Fraction], v: float) -> list[Fraction]:
+    """VIKOR's Q: v and 1 - v weigh S and R each normalised over its span,
+    a term without span is dropped and the remaining weight renormalised,
+    as `ifhv.vikor` does; Q is 0 where nothing is left."""
+    terms = []
+    for weight, values in ((Fraction(v), utilities), (1 - Fraction(v), regrets)):
+        best, worst = min(values), max(values)
+        if worst > best:
+            terms.append((weight, [(x - best) / (worst - best) for x in values]))
+    total = sum(weight for weight, _ in terms)
+    if total == 0:
+        return [Fraction(0)] * len(utilities)
+    return [
+        sum(weight * values[i] for weight, values in terms) / total for i in range(len(utilities))
     ]

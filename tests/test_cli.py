@@ -4,7 +4,11 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +126,35 @@ class TestRankCommand:
         degenerate.write_text(json.dumps(doc))
         result = runner.invoke(main, ["rank", str(degenerate)])
         assert result.exit_code == 4
+
+    def test_overflowing_hypervolume_is_one_error_line(self, tmp_path):
+        # every weighted cell is [1, 0], so against the default reference each
+        # score is 2 ** 1100; run as a user runs it, so that a numpy warning
+        # would reach stderr rather than be raised by the test's filters
+        ids = [f"c{j}" for j in range(1100)]
+        doc = {
+            "schema_version": 1,
+            "alternatives": ["X1", "X2"],
+            "criteria": [{"id": cid, "kind": "benefit"} for cid in ids],
+            "dms": ["dm1"],
+            "evaluations": {"dm1": {cid: {"X1": [1, 0], "X2": [1, 0]} for cid in ids}},
+            "importance": {"dm1": {cid: [1, 0] for cid in ids}},
+            "expertise": {"dm1": {cid: 1 for cid in ids}},
+        }
+        path = tmp_path / "wide.problem"
+        path.write_text(json.dumps(doc))
+        src = str(Path(hvas_mod.__file__).resolve().parents[1])
+        path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "ifhv.cli", "rank", str(path)],
+            env={**os.environ, "PYTHONPATH": path_var}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [
+            "error: hypervolumes over 1100 coordinates against this reference "
+            "exceed the float range"
+        ]
+        assert done.stdout == ""
 
     def test_deterministic_bytes(self, runner, table1):
         first = runner.invoke(main, ["rank", table1, "--format", "json"])

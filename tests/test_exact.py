@@ -1,10 +1,21 @@
-"""HVAS and `hv_set` against their exact-arithmetic references (`exact.py`)."""
+"""HVAS, `hv_set`, CODAS, and TOPSIS and VIKOR under `hamming`, against their
+exact-arithmetic references (`exact.py`)."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from ifhv import HVConfig, hv_set, parse_problem, rank
+from ifhv import (
+    CompareConfig,
+    DegenerateError,
+    HVConfig,
+    hamming,
+    hv_set,
+    parse_problem,
+    rank,
+    topsis,
+    vikor,
+)
 from ifhv.mcdm import _codas_assessments
 from ifhv.fixtures import table1_path
 import exact
@@ -136,3 +147,84 @@ def test_codas_assessments_within_derived_bound_of_exact():
                 got, expected, codas_bound(primary, secondary, windows)
             ):
                 assert abs(Fraction(float(value)) - reference) <= bound
+
+
+def gamma(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u), for u = 2**-53."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+def vikor_bound(utilities, regrets, v: float, m: int, q) -> list[Fraction]:
+    """A bound on |float Q_i - exact Q_i| for `ifhv.vikor` under `hamming` on
+    m criteria, from its operation count (Higham, ch. 3), with the exact S, R
+    and Q of `exact.vikor_indices` and `exact.vikor_q`.
+
+    A gap is a one-element distance over a span, each two roundings, then a
+    division: relative error gamma_5. So R carries gamma_5 and the sum S
+    gamma_{m+4}; both are sums or maxima of non-negative terms. With g that
+    bound, the normalised term t = (x - best) / (worst - best) is computed
+    from a numerator and a denominator off by at most g (x + best) and
+    g sigma, sigma = worst + best, and three roundings, so
+
+        |t_float - t| <= eta + gamma_3 (t + eta),
+        eta = 2 g sigma / (worst - best - g sigma).
+
+    Weighting, summing and renormalising add at most six roundings to a sum
+    of non-negative terms, so with e the weighted mean of the two terms'
+    bounds, |Q_float - Q| <= e + gamma_6 (Q + e)."""
+    terms = []
+    for weight, values, g in (
+        (Fraction(v), utilities, gamma(m + 4)),
+        (1 - Fraction(v), regrets, gamma(5)),
+    ):
+        best, worst = min(values), max(values)
+        if worst > best:
+            sigma = worst + best
+            assert worst - best > g * sigma  # the bound needs the span to exceed its error
+            eta = 2 * g * sigma / (worst - best - g * sigma)
+            terms.append(
+                (weight, [eta + gamma(3) * ((x - best) / (worst - best) + eta) for x in values])
+            )
+    total = sum(weight for weight, _ in terms)
+    if total == 0:
+        return [Fraction(0)] * len(q)
+    errors = [sum(weight * bounds[i] for weight, bounds in terms) / total for i in range(len(q))]
+    return [e + gamma(6) * (value + e) for e, value in zip(errors, q)]
+
+
+def hamming_problems():
+    """Table1 and 200 seeded problems, each with a VIKOR v: the default for
+    table1 and every other problem, a uniform draw otherwise."""
+    yield parse_problem(table1_path()), 0.5
+    rng = np.random.default_rng(27)
+    for index in range(200):
+        yield random_problem(rng), 0.5 if index % 2 else float(rng.random())
+
+
+def test_topsis_and_vikor_under_hamming_within_derived_bound_of_exact():
+    # TOPSIS: each distance is a mean of m non-negative terms of two roundings,
+    # relative error gamma_{m+2}; the sum of the two distances adds one and
+    # the division another, so |C_float - C| <= gamma_{2m+6} C.
+    checked = 0
+    for problem, v in hamming_problems():
+        cfg = CompareConfig(v=v, measure_primary=hamming, tie_tolerance=0.0)
+        try:
+            closeness, compromise = topsis(problem, cfg), vikor(problem, cfg)
+        except DegenerateError:
+            continue
+        checked += 1
+        m, labels = problem.n_criteria, problem.alternatives
+        for label, value in zip(labels, exact.topsis_hamming(problem)):
+            assert abs(Fraction(closeness.scores[label]) - value) <= gamma(2 * m + 6) * value
+        utilities, regrets = exact.vikor_indices(problem)
+        q = exact.vikor_q(utilities, regrets, v)
+        for label, value, bound in zip(labels, q, vikor_bound(utilities, regrets, v, m, q)):
+            assert abs(Fraction(compromise.scores[label]) - value) <= bound, (label, v)
+    assert checked == 201  # table1 and every seeded problem
+
+
+def test_table1_vikor_under_hamming_is_exactly_utility_alone():
+    utilities, regrets = exact.vikor_indices(parse_problem(table1_path()))
+    assert len(set(regrets)) == 1  # R has no span, so Q is S normalised
+    assert exact.vikor_q(utilities, regrets, 0.5) == [0, 1, 0]

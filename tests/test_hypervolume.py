@@ -472,3 +472,16 @@ class TestHvNet:
         x1, _, _ = reference_sets
         with pytest.raises(MismatchError):
             hv_net(x1, HVConfig(reference=(-1.0, -1.0, -1.0)))
+
+    @pytest.mark.parametrize(
+        "pair, k, alpha",
+        [
+            ((0.9, 0.05), 1200, 0.0),  # hv_mu = 1.9 ** 1200
+            ((0.5, 0.0), 1750, -1.0),  # each space 1.44e308, hv_mu + hv_pi beyond
+        ],
+    )
+    def test_hypervolume_beyond_the_float_range_rejected(self, pair, k, alpha):
+        # with warnings as errors, a numpy overflow warning would fail this too
+        x = IFS.from_pairs([pair] * k)
+        with pytest.raises(DomainError, match=f"over {k} coordinates .* exceed the float range"):
+            hv_net(x, HVConfig(alpha=alpha))

@@ -199,6 +199,32 @@ class TestVikor:
         with pytest.raises(DegenerateError):
             vikor(problem)
 
+    @pytest.mark.parametrize(
+        "v, scores",
+        [
+            (1.0, {"X1": 0.0, "X2": 1.0, "X3": 0.0}),  # (S - S*) / (S- - S*)
+            (0.0, {"X1": 1.0, "X2": 0.0, "X3": 1.0}),  # (R - R*) / (R- - R*)
+            (0.5, {"X1": 0.5, "X2": 0.5, "X3": 0.5}),
+        ],
+    )
+    def test_table1_three_way_tie_is_exact_under_euclidean2(self, v, scores):
+        # X1 and X3 have S = S* and R = R-, X2 has S = S- and R = R*, so each
+        # Q is v * 0 + (1 - v) * 1 or v * 1 + (1 - v) * 0: exactly 0.5 at the
+        # default v, in floats too
+        assert vikor(parse_problem(table1_path()), CompareConfig(v=v)).scores == scores
+
+    @pytest.mark.parametrize(
+        "v, order", [(0.3, (("X2",), ("X1", "X3"))), (0.7, (("X1", "X3"), ("X2",)))]
+    )
+    def test_table1_tie_splits_away_from_the_default_v(self, v, order):
+        result = vikor(parse_problem(table1_path()), CompareConfig(v=v, tie_tolerance=0.0))
+        assert result.order == order
+
+    def test_table1_under_hamming_is_an_exact_x1_x3_tie(self):
+        # R has no span under hamming, so Q = (S - S*) / (S- - S*)
+        result = vikor(parse_problem(table1_path()), CompareConfig(measure_primary=hamming))
+        assert result.scores == {"X1": 0.0, "X2": 1.0, "X3": 0.0}
+
 
 class TestCodas:
     def test_dominant_first(self, dominant_problem):

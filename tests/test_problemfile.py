@@ -63,6 +63,22 @@ class TestParse:
         parse_problem(path)
         assert len(calls) == 2
 
+    def test_a_valid_file_is_read_once_and_a_failing_one_twice(
+        self, table1_doc, tmp_path, monkeypatch
+    ):
+        # the second, plain reading is only there to name the first error
+        reads = []
+        original = problemfile_mod._read_text
+        monkeypatch.setattr(problemfile_mod, "_read_text", lambda p: reads.append(p) or original(p))
+        parse_problem(table1_path())
+        assert len(reads) == 1
+        table1_doc["evaluations"]["dm1"]["c2"]["X3"] = {"mu": 0.2}
+        path = tmp_path / "bad.problem"
+        path.write_text(json.dumps(table1_doc))
+        with pytest.raises(ValidationError, match=r"^bad\.problem\.evaluations\.dm1\.c2\.X3: "):
+            parse_problem(path)
+        assert reads[1:] == [path, path]
+
 
 class TestValidation:
     def test_invalid_ifn_cites_cell(self, table1_doc, tmp_path):
