@@ -222,7 +222,8 @@ METHOD_NAMES = ("hvas",) + tuple(_COMPARATORS)
 
 
 def check_methods(methods: Sequence[str]) -> None:
-    """Reject an empty list of methods, or one that names an unknown method."""
+    """Reject an empty list of methods, or one that names an unknown method or
+    a method twice."""
     if not methods:
         raise DomainError("at least one method is required")
     unknown = [name for name in methods if name not in METHOD_NAMES]
@@ -230,6 +231,9 @@ def check_methods(methods: Sequence[str]) -> None:
         raise DomainError(
             f"unknown method(s) {', '.join(unknown)}; available: {', '.join(METHOD_NAMES)}"
         )
+    repeated = next((name for i, name in enumerate(methods) if name in methods[:i]), None)
+    if repeated is not None:
+        raise DomainError(f"method '{repeated}' is named more than once")
 
 
 def run_methods(

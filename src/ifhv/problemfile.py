@@ -35,8 +35,8 @@ criterion, field), in the order of the same lists, reports the first invalid
 field with its path inside the document, e.g. ``evaluations.dm1.c1.X2``.
 Unknown fields and ids, repeated ids and repeated JSON keys are rejected too.
 `parse_problem` and `serialize_problem` are inverses on valid problems.
-`write_problem` writes the bytes of `json.dumps(..., indent=2)` through
-`report.json_text`.
+`write_problem` writes `json.dumps(..., indent=2)`: a problem file is a
+document that people read and edit, unlike a report, which is one line.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import numpy as np
 from .errors import DomainError, IfhvError, ParseError, ValidationError, VersionError
 from .hvas import CriterionKind, CriterionSpec, DecisionProblem
 from .ifs import check_pairs
-from .report import json_text
 
 SCHEMA_VERSION = 1
 _SECTIONS = ("evaluations", "importance", "expertise")
@@ -198,7 +197,8 @@ def _read_arrays(sections: list[dict], dms: list, ids: list, alternatives: list)
 def _walk(source: str, sections: list[dict], dms: list, ids: list, alternatives: list) -> None:
     """Check the sections' decision makers, then each decision maker field by
     field, in the order of (criterion, section, alternative); the first
-    invalid field raises with its path."""
+    invalid field raises with its path. An evaluation row is checked whole,
+    and walked cell by cell only when it fails."""
     paths = [f"{source}.{name}" for name in _SECTIONS]
     dm_set, id_set, alt_set = set(dms), set(ids), set(alternatives)
     for section, path in zip(sections, paths):
@@ -214,8 +214,11 @@ def _walk(source: str, sections: list[dict], dms: list, ids: list, alternatives:
                 if cid not in section:
                     raise ValidationError(f"{path}.{cid}: missing criterion")
             row = _object(eval_dm, cid, eval_path, "criterion", "alternative", alt_set)
-            for alt in alternatives:
-                _pair(row, alt, f"{eval_path}.{cid}")
+            try:
+                check_pairs(*_ordered(row, alternatives).T)
+            except (KeyError, DomainError):  # only then is a cell named
+                for alt in alternatives:
+                    _pair(row, alt, f"{eval_path}.{cid}")
             _pair(imp_dm, cid, imp_path)
             weight = exp_dm[cid]
             if not _is_number_type(type(weight)) or not 0.0 <= weight <= 1.0:
@@ -335,6 +338,7 @@ def serialize_problem(problem: DecisionProblem) -> dict:
 
 
 def write_problem(problem: DecisionProblem, path: str | Path) -> None:
-    """Write a problem file: the bytes of `json.dumps(serialize_problem(problem),
-    indent=2)` and a newline."""
-    Path(path).write_text(json_text(serialize_problem(problem)) + "\n", encoding="utf-8")
+    """Write a problem file: `json.dumps(serialize_problem(problem), indent=2)`
+    and a newline, indented for people to read and edit."""
+    text = json.dumps(serialize_problem(problem), indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -6,11 +6,8 @@ A report is a command's `machine` payload: a dict of exact scalars whose
 digits, while json and csv keep full precision. Rendering is a pure function
 of (machine, format): the same input always produces the same bytes.
 
-The json rendering is the bytes of `json.dumps(machine, indent=2)`, produced
-through the C encoder: `json_text` hands each container of scalars, and each
-container of same-kind containers of scalars, to one C encoder call and
-indents its output with a few `str.replace` passes, where `indent=2` alone
-would run the pure-Python encoder over every value.
+The json rendering is `json.dumps(machine)` and a newline: one line, with
+the C encoder's default separators, for the programs that read it.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from functools import cache
-from itertools import chain
 from typing import IO
 
 from .errors import DomainError
@@ -247,92 +242,10 @@ _RENDERERS = {
 }
 
 
-_SCALAR_TYPES = (str, int, float, type(None))
-_ARRAY_TYPES = (list, tuple)
-
-
-def _scalars_only(values) -> bool:
-    return all(issubclass(kind, _SCALAR_TYPES) for kind in set(map(type, values)))
-
-
-@cache
-def _flat_encoder(level: int):
-    """encode() of a container of scalars at nesting `level`, as indent=2 puts it."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (level + 1), ": ")).encode
-
-
-# The C encoder escapes every control character inside a string, so a raw
-# \x00 or \x01 in its output is one of these separators: \x00 ends an item,
-# \x01 a key.
-_marked_encode = json.JSONEncoder(separators=(",\x00", ":\x01")).encode
-
-
-def _two_level(obj, level: int, child_open: str) -> str:
-    """obj, a container of non-empty same-kind containers of scalars, in one
-    C encoder call whose separators are then indented."""
-    child_close = "]" if child_open == "[" else "}"
-    inner, outer, close = ("\n" + "  " * (level + i) for i in (2, 1, 0))
-    text = _marked_encode(obj)
-    if isinstance(obj, dict):
-        text = text.replace(":\x01" + child_open, ": " + child_open + inner)
-        text = text.replace(child_close + ",\x00", outer + child_close + "," + outer)
-        head = text[0] + outer
-        body = text[1:-2]
-    else:
-        text = text.replace(
-            child_close + ",\x00" + child_open,
-            outer + child_close + "," + outer + child_open + inner,
-        )
-        head = text[0] + outer + child_open + inner
-        body = text[2:-2]
-    body = body.replace(",\x00", "," + inner)
-    if child_open == "{":
-        body = body.replace(":\x01", ": ")
-    return head + body + outer + child_close + close + text[-1]
-
-
-def _indented(obj, level: int) -> str:
-    """json.dumps(obj, indent=2) of obj at nesting `level`."""
-    if isinstance(obj, dict):
-        values, brackets = obj.values(), "{}"
-    elif isinstance(obj, _ARRAY_TYPES):
-        values, brackets = obj, "[]"
-    else:
-        return _flat_encoder(level)(obj)
-    if not obj:
-        return brackets
-    outer, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-    kinds = set(map(type, values))
-    if all(issubclass(kind, _SCALAR_TYPES) for kind in kinds):
-        text = _flat_encoder(level)(obj)
-        return text[0] + outer + text[1:-1] + close + text[-1]
-    if all(issubclass(kind, dict) for kind in kinds):
-        child_open, grandchildren = "{", chain.from_iterable(map(dict.values, values))
-    elif all(issubclass(kind, _ARRAY_TYPES) for kind in kinds):
-        child_open, grandchildren = "[", chain.from_iterable(values)
-    else:
-        child_open = None
-    if child_open and all(values) and _scalars_only(grandchildren):
-        return _two_level(obj, level, child_open)
-    if isinstance(obj, dict):
-        if not all(issubclass(kind, str) for kind in set(map(type, obj))):
-            # json's own conversion of non-str keys, for this subtree
-            return json.dumps(obj, indent=2).replace("\n", close)
-        items = (f"{json.dumps(key)}: {_indented(value, level + 1)}" for key, value in obj.items())
-    else:
-        items = (_indented(value, level + 1) for value in obj)
-    return brackets[0] + outer + ("," + outer).join(items) + close + brackets[1]
-
-
-def json_text(obj) -> str:
-    """The text of `json.dumps(obj, indent=2)`, built through the C encoder."""
-    return _indented(obj, 0)
-
-
 def render(machine: dict, fmt: str) -> str:
     """The report in `fmt`: json, or the renderer `_RENDERERS` holds for its command."""
     if fmt == "json":
-        return json_text(machine) + "\n"
+        return json.dumps(machine) + "\n"
     if fmt not in FORMATS:
         raise DomainError(f"unknown report format '{fmt}'; choose from {', '.join(FORMATS)}")
     renderers = _RENDERERS.get(machine["command"])

@@ -195,6 +195,7 @@ def _cases() -> dict[str, tuple[Path, list[str]]]:
         "compare_table1_v_nan.err": ["compare", "--v", "nan"],
         "compare_table1_methods_saw.err": ["compare", "--methods", "saw"],
         "compare_table1_methods_empty.err": ["compare", "--methods", ","],
+        "compare_table1_methods_twice.err": ["compare", "--methods", "hvas,hvas"],
     }.items():
         cases[name] = (TABLE1, args)
     for fmt in ("md", "json", "csv"):

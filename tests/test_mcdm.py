@@ -27,7 +27,6 @@ from ifhv import (
 from ifhv.fixtures import table1_path
 from ifhv.ifs import _extremes
 from ifhv.ranking import build_ranking
-from ifhv.report import json_text
 import ifhv.hvas as hvas_mod
 import ifhv.mcdm as mcdm_mod
 from gen import random_problem, spread_problem
@@ -108,7 +107,7 @@ class TestConfig:
         result = method(dominant_problem, cfg)
         expected = method(dominant_problem, CompareConfig(**{name: float(given)}, tie_tolerance=0.25))
         assert result == expected
-        assert json.loads(json_text(result.to_dict()))["config"][name] == float(given)
+        assert json.loads(json.dumps(result.to_dict()))["config"][name] == float(given)
 
     def test_config_echo_reports_parameters(self, dominant_problem):
         cfg = CompareConfig(tau=0.05, v=0.3)
@@ -387,6 +386,13 @@ class TestRunMethods:
     def test_no_method(self, dominant_problem):
         with pytest.raises(DomainError, match="at least one method"):
             run_methods(dominant_problem, [])
+
+    @pytest.mark.parametrize("methods", [["hvas", "hvas"], ("topsis", "codas", "topsis")])
+    def test_repeated_method(self, dominant_problem, methods):
+        # A report keyed by method name has one entry per name, so a repeated
+        # name would list a method twice with one result.
+        with pytest.raises(DomainError, match=f"method '{methods[0]}' is named more than once"):
+            run_methods(dominant_problem, methods)
 
     def test_every_name_is_checked_before_any_method_runs(self, dominant_problem, monkeypatch):
         calls = []

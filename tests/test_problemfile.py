@@ -196,6 +196,45 @@ class TestValidation:
         ):
             problem_from_dict(doc)
 
+    def test_bad_last_cell_of_a_large_document(self, monkeypatch):
+        n, m, q = 1000, 10, 5
+        alternatives = [f"A{i + 1}" for i in range(n)]
+        ids, dms = [f"c{j + 1}" for j in range(m)], [f"dm{l + 1}" for l in range(q)]
+        doc = {
+            "schema_version": 1,
+            "alternatives": alternatives,
+            "criteria": [{"id": cid, "kind": "benefit"} for cid in ids],
+            "dms": dms,
+            "evaluations": {
+                dm: {cid: {alt: [0.5, 0.25] for alt in alternatives} for cid in ids}
+                for dm in dms
+            },
+            "importance": {dm: {cid: [0.5, 0.25] for cid in ids} for dm in dms},
+            "expertise": {dm: {cid: 1.0 for cid in ids} for dm in dms},
+        }
+        doc["evaluations"]["dm5"]["c10"]["A1000"] = [0.9, 0.9]
+        calls = []
+        pair = problemfile_mod._pair
+        monkeypatch.setattr(problemfile_mod, "_pair", lambda *args: calls.append(1) or pair(*args))
+        with pytest.raises(
+            ValidationError,
+            match=r"^<problem>\.evaluations\.dm5\.c10\.A1000: IFN requires mu \+ nu <= 1",
+        ):
+            problem_from_dict(doc)
+        # the valid rows are checked whole: only the failing row is walked by cell
+        assert len(calls) == n + q * m - 1
+
+    def test_two_bad_cells_in_one_row_name_the_first_alternative(self, table1_doc):
+        row = table1_doc["evaluations"]["dm1"]["c2"]
+        reversed_row = {alt: row[alt] for alt in reversed(table1_doc["alternatives"])}
+        table1_doc["evaluations"]["dm1"]["c2"] = reversed_row
+        reversed_row.update(X3=[1.5, 0.0], X1=[0.9, 0.9])
+        with pytest.raises(
+            ValidationError,
+            match=r"^<problem>\.evaluations\.dm1\.c2\.X1: IFN requires mu \+ nu <= 1",
+        ):
+            problem_from_dict(table1_doc)
+
     def test_overshoot_within_tolerance_is_clamped(self, table1_doc):
         table1_doc["evaluations"]["dm1"]["c1"]["X1"] = [0.7, 0.3 + 1e-12]
         problem = problem_from_dict(table1_doc)
