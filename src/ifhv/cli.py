@@ -81,11 +81,19 @@ def _checked(build, **values):
 
 
 def _emit(machine: dict, fmt: str, output: Path | None) -> None:
+    """Write the report to stdout or to `output`; a file that cannot be
+    opened or written is a usage error, as click reports an unwritable one."""
     if output is None:
         emit_report(machine, fmt, sys.stdout)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as sink:
             emit_report(machine, fmt, sink)
+    except OSError as exc:
+        raise click.BadParameter(
+            f"File {str(output)!r} cannot be written: {exc.strerror or exc}.",
+            ctx=click.get_current_context(silent=True), param_hint="'--output'",
+        ) from None
 
 
 def _run(builder, fmt: str, output: Path | None) -> None:

@@ -23,12 +23,16 @@ profile PS and negative solution profile NS:
 
 Each core works on whole arrays: distances go through the measures' batch
 entry point `evaluate_many`, which broadcasts the solution profiles against
-the alternatives and calls a plugin measure once per pair. CODAS forms no
-pairs: H_i = n E_i - sum(E) + c_i T_i - (T summed over the window of i), where
-the window is the c_i alternatives k with |E_i - E_k| < tau as floats decide
-it. That is one slice of the E-sorted order, whose two ends one bisection
-finds with the same float test, and prefix sums of T give its sum, so CODAS
-costs O(n log n) time and O(n) memory.
+the alternatives and calls a plugin measure once per pair. The cores read
+`DecisionProblem.weighted` through alternative-major views, its transposes,
+and copy nothing: `evaluate_many` writes the differences into new arrays
+before a kernel reduces them, so the input's layout cannot change a bit.
+CODAS forms no pairs: H_i = n E_i - sum(E) + c_i T_i - (T summed over the
+window of i), where the window is the c_i alternatives k with
+|E_i - E_k| < tau as floats decide it. That is one slice of the E-sorted
+order, whose two ends one bisection finds with the same float test, and
+prefix sums of T give its sum, so CODAS costs O(n log n) time and O(n)
+memory.
 """
 
 from __future__ import annotations
@@ -70,6 +74,9 @@ class CompareConfig:
                 raise DomainError(f"{name} must lie in [0, 1], got {value}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "tie_tolerance", check_tie_tolerance(self.tie_tolerance))
+        for name in ("measure_primary", "measure_secondary"):
+            if not isinstance(getattr(self, name), DistanceMeasure):
+                raise DomainError(f"{name} must be a DistanceMeasure, got {getattr(self, name)!r}")
 
     def echo(self) -> dict:
         """The knobs a ranking echoes; `build_ranking` appends the tie tolerance."""
@@ -81,38 +88,16 @@ class CompareConfig:
         }
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """The weighted matrix in both layouts, with its solution profiles."""
-
-    mu: np.ndarray  # (m, n): a row per criterion
-    nu: np.ndarray
-    # (n, m), a row per alternative, C-contiguous so that a kernel's mean
-    # over a row sums in the order `evaluate` uses on one IFS
-    profiles: tuple[np.ndarray, np.ndarray]
-    ps: tuple[np.ndarray, np.ndarray]  # (m,) mu and nu
-    ns: tuple[np.ndarray, np.ndarray]
-
-    def distances(self, measure: DistanceMeasure, solution) -> np.ndarray:
-        """measure(A_i, solution) for every alternative profile A_i."""
-        return measure.evaluate_many(*self.profiles, *solution)
-
-
-def _prepared(problem: DecisionProblem) -> _Prepared:
+def _solutions(problem: DecisionProblem) -> tuple[tuple, tuple]:
+    """The solution profiles PS and NS, each an (m,) mu and nu pair."""
     mu, nu = problem.weighted
-    best, worst = _extremes(mu, nu)
     rows = np.arange(problem.n_criteria)
-    ps = (mu[rows, best], nu[rows, best])
-    ns = (mu[rows, worst], nu[rows, worst])
-    if (
-        problem.n_alternatives > 1
-        and np.array_equal(ps[0], ns[0])
-        and np.array_equal(ps[1], ns[1])
-    ):
+    ps, ns = ((mu[rows, pick], nu[rows, pick]) for pick in _extremes(mu, nu))
+    if problem.n_alternatives > 1 and all(map(np.array_equal, ps, ns)):
         raise DegenerateError(
             "all alternatives are identical after weighting; nothing to rank"
         )
-    return _Prepared(mu, nu, (mu.T.copy(), nu.T.copy()), ps, ns)
+    return ps, ns
 
 
 def _ranked(
@@ -127,9 +112,10 @@ def _ranked(
 def topsis(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
     """Relative closeness to the negative solution, ranked descending."""
     cfg = cfg if cfg is not None else CompareConfig()
-    prepared = _prepared(problem)
-    to_ps = prepared.distances(cfg.measure_primary, prepared.ps)
-    to_ns = prepared.distances(cfg.measure_primary, prepared.ns)
+    mu, nu = problem.weighted
+    ps, ns = _solutions(problem)
+    to_ps = cfg.measure_primary.evaluate_many(mu.T, nu.T, *ps)
+    to_ns = cfg.measure_primary.evaluate_many(mu.T, nu.T, *ns)
     total = to_ps + to_ns
     zero = np.flatnonzero(total == 0.0)
     if zero.size:
@@ -143,10 +129,10 @@ def topsis(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Rankin
 def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
     """Compromise index Q from group utility and individual regret, ranked ascending."""
     cfg = cfg if cfg is not None else CompareConfig()
-    prepared = _prepared(problem)
+    ps, ns = _solutions(problem)
     measure = cfg.measure_primary
-    spans = measure.pair_many(*prepared.ps, *prepared.ns)[:, None]
-    to_ps = measure.pair_many(prepared.mu, prepared.nu, *(part[:, None] for part in prepared.ps))
+    spans = measure.pair_many(*ps, *ns)[:, None]
+    to_ps = measure.pair_many(*problem.weighted, *(part[:, None] for part in ps))
     # a criterion with a zero span cannot discriminate; its gaps are 0
     gaps = np.divide(to_ps, spans, out=np.zeros(to_ps.shape), where=spans != 0.0)
     utilities = gaps.sum(axis=0)  # criterion by criterion, in order
@@ -170,9 +156,10 @@ def vikor(problem: DecisionProblem, cfg: CompareConfig | None = None) -> Ranking
 def codas(problem: DecisionProblem, cfg: CompareConfig | None = None) -> RankingResult:
     """Combined distance assessment against the negative solution, ranked descending."""
     cfg = cfg if cfg is not None else CompareConfig()
-    prepared = _prepared(problem)
-    primary = prepared.distances(cfg.measure_primary, prepared.ns)
-    secondary = prepared.distances(cfg.measure_secondary, prepared.ns)
+    mu, nu = problem.weighted
+    _, ns = _solutions(problem)
+    primary = cfg.measure_primary.evaluate_many(mu.T, nu.T, *ns)
+    secondary = cfg.measure_secondary.evaluate_many(mu.T, nu.T, *ns)
     assessments = _codas_assessments(primary, secondary, cfg.tau)
     return _ranked("codas", problem, cfg, assessments, higher_is_better=True)
 

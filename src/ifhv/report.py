@@ -29,13 +29,12 @@ def _fmt(value: float) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+    """A markdown table; a `|` inside a cell, as an id may hold, is escaped."""
+
+    def line(cells) -> str:
+        return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+    return "\n".join([line(headers), line("---" for _ in headers), *map(line, rows)])
 
 
 def _render_rank_md(machine: dict) -> str:

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -166,6 +167,41 @@ class TestRankCommand:
         result = runner.invoke(main, ["rank", table1, "--output", str(target)])
         assert result.exit_code == 0
         assert "X3 > X1 > X2" in target.read_text()
+
+    def test_unwritable_output_is_usage_error(self, runner, table1, tmp_path):
+        target = tmp_path / "missing" / "report.md"
+        result = runner.invoke(main, ["rank", table1, "--output", str(target)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--output" in result.output and str(target) in result.output
+        assert "Traceback" not in result.output
+        assert not target.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_usage_error(self, runner, table1):
+        # /dev/full opens, and every write to it fails with ENOSPC
+        result = runner.invoke(main, ["rank", table1, "--output", "/dev/full"])
+        assert result.exit_code == 2
+        assert "'--output': File '/dev/full' cannot be written" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["rank", "compare"])
+    def test_pipe_in_an_id_keeps_markdown_tables_whole(self, runner, table1, tmp_path, command):
+        problem = tmp_path / "pipe.problem"
+        problem.write_text(Path(table1).read_text().replace('"X1"', '"X|1"'))
+        result = runner.invoke(main, [command, str(problem)])
+        assert result.exit_code == 0
+        assert "X\\|1" in result.output
+        tables, header = 0, None
+        for line in result.output.splitlines():
+            if not line.startswith("|"):
+                header = None
+                continue
+            cells = len(re.split(r"(?<!\\)\|", line))
+            if header is None:
+                header, tables = cells, tables + 1
+            assert cells == header
+        assert tables == (1 if command == "rank" else 2)
 
     def test_csv_round_trips(self, runner, table1):
         result = runner.invoke(main, ["rank", table1, "--format", "csv"])

@@ -442,6 +442,22 @@ class TestEvaluateManyContract:
         single = measure.pair_many(a_mu[..., 0], a_nu[..., 0], b_mu[..., 0], b_nu[..., 0])
         assert same_bits(single, want)
 
+    @pytest.mark.parametrize("name", [m.name for m in ALL_BUILTINS] + [PLUGIN])
+    def test_alternative_major_views_keep_every_bit(self, name):
+        # the comparators pass the transposes of the weighted (m, n) matrix;
+        # m runs past 8, where the kernels' mean moves from `_mean_last` to
+        # np.mean, and no distance may depend on the views' layout
+        measure = get_measure(name) if name != PLUGIN else plugin()
+        rng = np.random.default_rng(30)
+        for m in range(1, 21):
+            mu, nu = sample_simplex(rng, (m, 5))
+            ps = sample_simplex(rng, m)
+            views = measure.evaluate_many(mu.T, nu.T, *ps)
+            assert same_bits(views, measure.evaluate_many(mu.T.copy(), nu.T.copy(), *ps))
+            solution = IFS.from_pairs(zip(*ps))
+            columns = (IFS.from_pairs(zip(*column)) for column in zip(mu.T, nu.T))
+            assert same_bits(views, np.array([measure(a, solution) for a in columns]))
+
     def test_plugin_mixed_broadcasting_matches_its_oracle(self):
         arrays = self.inputs()
         assert same_bits(plugin().evaluate_many(*arrays), from_pairs_oracle(minkowski3, *arrays))

@@ -95,6 +95,11 @@ class TestConfig:
         with pytest.raises(DomainError, match="tie_tolerance"):
             CompareConfig(tie_tolerance=value)
 
+    @pytest.mark.parametrize("name", ["measure_primary", "measure_secondary"])
+    def test_measures_must_be_distance_measures(self, name):
+        with pytest.raises(DomainError, match=f"{name} must be a DistanceMeasure, got 'hamming'"):
+            CompareConfig(**{name: "hamming"})
+
     @pytest.mark.parametrize(
         "name, given, method",
         [("tau", "0.1", codas), ("v", "0.5", vikor), ("tau", np.float32(0.1), codas)],
@@ -316,9 +321,10 @@ class TestCodasPrefixSums:
 
     @staticmethod
     def check_problem(problem, cfg):
-        prepared = mcdm_mod._prepared(problem)
-        primary = prepared.distances(cfg.measure_primary, prepared.ns)
-        secondary = prepared.distances(cfg.measure_secondary, prepared.ns)
+        mu, nu = problem.weighted
+        _, ns = mcdm_mod._solutions(problem)
+        primary = cfg.measure_primary.evaluate_many(mu.T, nu.T, *ns)
+        secondary = cfg.measure_secondary.evaluate_many(mu.T, nu.T, *ns)
         expected = pairwise_codas(primary, secondary, cfg.tau)
         result = codas(problem, cfg)
         got = np.array([result.scores[label] for label in problem.alternatives])
