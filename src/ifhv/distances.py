@@ -72,6 +72,12 @@ class DistanceMeasure:
     _func: Callable[[IFS, IFS], float] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise DomainError(f"a measure name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.kind, MeasureKind):
+            raise DomainError(
+                f"measure '{self.name}': kind must be a MeasureKind, got {self.kind!r}"
+            )
         if (self._kernel is None) == (self._func is None):
             raise DomainError("a DistanceMeasure needs exactly one of kernel or function")
 
@@ -105,7 +111,8 @@ class DistanceMeasure:
         are checked in bulk by one `ifs.check_pairs`, which raises IFN's
         own error for the first bad pair in the order pair by pair, a's
         elements before b's, and clamps nu as IFN does. The sets are then
-        built without checking each IFN again, one pair per plugin call.
+        built without checking each IFN again, one pair per plugin call. A
+        result that is not finite raises DomainError naming the measure.
         """
         a_mu, a_nu = np.asarray(a_mu, float), np.asarray(a_nu, float)
         b_mu, b_nu = np.asarray(b_mu, float), np.asarray(b_nu, float)
@@ -127,7 +134,14 @@ class DistanceMeasure:
             (IFS._from_checked(m[0], v[0]), IFS._from_checked(m[1], v[1]))
             for m, v in zip(map(np.ndarray.tolist, mu), map(np.ndarray.tolist, nu))
         )
-        return np.fromiter((self._func(a, b) for a, b in pairs), float, rows).reshape(shape[:-1])
+        out = np.fromiter((self._func(a, b) for a, b in pairs), float, rows)
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise DomainError(
+                f"distance measure '{self.name}' returned {out[np.argmin(finite)]}; "
+                "a distance must be finite"
+            )
+        return out.reshape(shape[:-1])
 
     def _evaluate_into(self, dmu, dnu, a_mu, a_nu, b_mu, b_nu) -> np.ndarray:
         """`evaluate_many` with the kernel's difference arrays supplied: the

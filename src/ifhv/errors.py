@@ -3,6 +3,8 @@ that raise them."""
 
 import operator
 
+import numpy as np
+
 
 class IfhvError(Exception):
     """Base class for all errors raised by this package."""
@@ -34,20 +36,25 @@ class VersionError(ParseError):
 
 
 def as_float(name: str, value) -> float:
-    """`value` converted by `float`; DomainError naming `name` when it cannot be."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    """`value` converted by `float`; DomainError naming `name` when it cannot
+    be, or when it is a bool, which the problem-file reader rejects too."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a number, got {value!r}")
 
 
 def as_count(name: str, value, minimum: int = 1) -> int:
     """`value` converted by `operator.index`, which takes integers only, and
-    at least `minimum`; DomainError naming `name` otherwise."""
+    at least `minimum`; DomainError naming `name` otherwise, or for a bool."""
     try:
-        count = operator.index(value)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        count = None
+    if count is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if count < minimum:
         raise DomainError(f"{name} must be >= {minimum}")
     return count

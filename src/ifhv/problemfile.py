@@ -290,27 +290,31 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
 
 
-def _decode(path: Path, hook):
-    """The JSON document in the file at path, each object built by
-    hook(pairs); ParseError with the line and column of a JSON error."""
+def _decode(path: Path, hook, text: str | None = None):
+    """The JSON document in `text`, or else in the file at path, each object
+    built by hook(pairs); ParseError with the line and column of a JSON
+    error."""
     try:
-        return json.loads(_read_text(path), object_pairs_hook=hook)
+        return json.loads(_read_text(path) if text is None else text, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def parse_problem(path: str | Path) -> DecisionProblem:
-    """Load and validate a problem file. A file that fails is read and
-    decoded again, without compaction, to name its first error."""
+    """Load and validate a problem file. A file that fails is decoded again,
+    without compaction, to name its first error. A regular file is read
+    again for that, so that its text is not held through the first parse;
+    any other path, such as a pipe, is read once and its text kept."""
     path = Path(path)
     unique = partial(_unique_keys, path=path)
-    data = _decode(path, lambda pairs: _compact(unique(pairs)))
+    text = None if path.is_file() else _read_text(path)
+    data = _decode(path, lambda pairs: _compact(unique(pairs)), text)
     try:
         return problem_from_dict(data, source=path.name)
     except IfhvError:
         pass
     del data  # so that the two documents are never held at once
-    return problem_from_dict(_decode(path, unique), source=path.name)
+    return problem_from_dict(_decode(path, unique, text), source=path.name)
 
 
 def serialize_problem(problem: DecisionProblem) -> dict:

@@ -25,6 +25,12 @@ from ifhv.ifs import _extremes
 Pair = tuple[Fraction, Fraction]
 
 
+def gamma(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u), for u = 2**-53."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
 class ExactProblem(NamedTuple):
     alternatives: list[str]
     cost: list[bool]  # per criterion

@@ -58,14 +58,6 @@ def criterion(number: int, description: str):
     return decorate
 
 
-@pytest.fixture(scope="module")
-def reference_sets():
-    x1 = IFS.from_pairs([(0.2, 0.4), (0.1, 0.2)])
-    x2 = IFS.from_pairs([(0.3, 0.6), (0.4, 0.4)])
-    x3 = IFS.from_pairs([(0.2, 0.7), (0.6, 0.3)])
-    return [x1, x2, x3]
-
-
 @criterion(1, "net hypervolumes of the three reference sets at r=(-1,-1), alpha=0")
 def test_criterion_1_net_hypervolume_scores(reference_sets):
     start = time.perf_counter()

@@ -39,17 +39,10 @@ from ifhv import (
 )
 from ifhv.fixtures import table1_path
 from ifhv.ifs import _extremes
-from gen import random_problem
+from gen import minkowski3, random_problem
 
 METHODS = ("hvas", "topsis", "vikor", "codas")
 PLUGIN = "test_minkowski3"
-
-
-def minkowski3(a: IFS, b: IFS) -> float:
-    total = 0.0
-    for x, y in zip(a, b):
-        total += abs(x.mu - y.mu) ** 3 + abs(x.nu - y.nu) ** 3
-    return (total / (2 * len(a))) ** (1.0 / 3.0)
 
 
 def plugin():

@@ -27,6 +27,18 @@ from ifhv.problemfile import _read_text
 SQUARED = "cli-hausdorff-squared"
 
 
+def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """`python -m ifhv.cli *args` in a new interpreter, run as a user runs it,
+    so that a numpy warning reaches stderr rather than being raised by the
+    test's filters."""
+    src = str(Path(hvas_mod.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ifhv.cli", *args], input=stdin,
+        env={**os.environ, "PYTHONPATH": path_var}, capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -130,8 +142,7 @@ class TestRankCommand:
 
     def test_overflowing_hypervolume_is_one_error_line(self, tmp_path):
         # every weighted cell is [1, 0], so against the default reference each
-        # score is 2 ** 1100; run as a user runs it, so that a numpy warning
-        # would reach stderr rather than be raised by the test's filters
+        # score is 2 ** 1100
         ids = [f"c{j}" for j in range(1100)]
         doc = {
             "schema_version": 1,
@@ -144,16 +155,29 @@ class TestRankCommand:
         }
         path = tmp_path / "wide.problem"
         path.write_text(json.dumps(doc))
-        src = str(Path(hvas_mod.__file__).resolve().parents[1])
-        path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-m", "ifhv.cli", "rank", str(path)],
-            env={**os.environ, "PYTHONPATH": path_var}, capture_output=True, text=True, timeout=120,
-        )
+        done = run_cli("rank", str(path))
         assert done.returncode == 3
         assert done.stderr.splitlines() == [
             "error: hypervolumes over 1100 coordinates against this reference "
             "exceed the float range"
+        ]
+        assert done.stdout == ""
+
+    def test_problem_piped_in_ranks(self):
+        done = run_cli("rank", "/dev/stdin", stdin=table1_path().read_text())
+        assert done.returncode == 0
+        assert "X3 > X1 > X2" in done.stdout
+
+    def test_invalid_problem_piped_in_names_its_field(self):
+        # a pipe cannot be read twice, so the text read for the first parse
+        # is the one decoded again to name the bad field
+        text = table1_path().read_text()
+        bad = text.replace('"X2": [0.3, 0.6]', '"X2": [0.6, 0.6]')
+        assert bad != text
+        done = run_cli("rank", "/dev/stdin", stdin=bad)
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [
+            "error: stdin.evaluations.dm1.c1.X2: IFN requires mu + nu <= 1, got 0.6 + 0.6 = 1.2"
         ]
         assert done.stdout == ""
 
@@ -481,6 +505,17 @@ class TestAxiomsCommand:
     def test_unknown_measure(self, runner):
         result = runner.invoke(main, ["axioms", "--measure", "mystery"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_plugin_is_data_error(self, runner, value):
+        name = f"cli-returns-{value}"
+        if name not in available_measures():
+            register_function(name, lambda a, b: float(value))
+        result = runner.invoke(main, ["axioms", "--measure", name, "--samples", "100"])
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [
+            f"error: distance measure '{name}' returned {value}; a distance must be finite"
+        ]
 
 
 class TestUsageErrors:

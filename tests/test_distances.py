@@ -1,5 +1,6 @@
 """Tests for the built-in distance measures, the registry, and check_axioms."""
 
+import math
 import os
 import platform
 import subprocess
@@ -28,15 +29,7 @@ from ifhv import (
 )
 from ifhv.distances import register, sample_simplex
 
-from gen import minkowski3
-
-
-@pytest.fixture
-def reference_sets():
-    x1 = IFS.from_pairs([(0.2, 0.4), (0.1, 0.2)])
-    x2 = IFS.from_pairs([(0.3, 0.6), (0.4, 0.4)])
-    x3 = IFS.from_pairs([(0.2, 0.7), (0.6, 0.3)])
-    return x1, x2, x3
+from gen import hausdorff_squared, minkowski3
 
 
 PIS2 = IFS.positive_ideal(2)
@@ -124,6 +117,16 @@ class TestHausdorff:
     def test_self_distance_zero(self, reference_sets):
         for x in reference_sets:
             assert hausdorff(x, x) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_plain_python_square_keeps_the_bits(self, n):
+        # the tests' plugin `gen.hausdorff_squared`; the first 20 pairs are equal
+        a_mu, a_nu = sample_simplex(np.random.default_rng(70 + n), (500, n))
+        b_mu, b_nu = sample_simplex(np.random.default_rng(80 + n), (500, n))
+        b_mu[:20], b_nu[:20] = a_mu[:20], a_nu[:20]
+        for am, an, bm, bn in zip(*(x.tolist() for x in (a_mu, a_nu, b_mu, b_nu))):
+            a, b = IFS.from_pairs(zip(am, an)), IFS.from_pairs(zip(bm, bn))
+            assert hausdorff_squared(a, b).hex() == (hausdorff(a, b) ** 2).hex()
 
 
 ALL_BUILTINS = (hamming, euclidean2, euclidean3, hausdorff)
@@ -395,6 +398,37 @@ class TestPluginPath:
         assert peak < 4 * 2**20
 
 
+NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFinitePlugin:
+    """A plugin's result that is not a finite distance is an error, wherever
+    the measure is evaluated."""
+
+    @staticmethod
+    def returning(value):
+        return DistanceMeasure("not-finite", MeasureKind.NONLINEAR, None, lambda a, b: value)
+
+    @pytest.mark.parametrize("value", NOT_FINITE, ids=str)
+    def test_evaluate_many_names_measure_and_value(self, value):
+        measure = self.returning(value)
+        with pytest.raises(DomainError, match=f"^distance measure 'not-finite' returned {value};"):
+            measure.evaluate_many(np.full((2, 3), 0.2), np.full((2, 3), 0.3), 1.0, 0.0)
+        with pytest.raises(DomainError, match="'not-finite' returned"):
+            measure(IFS.from_pairs([(0.2, 0.3)]), IFS.positive_ideal(1))
+
+    def test_first_non_finite_result_is_named(self):
+        values = iter([0.5, -math.inf, math.nan])
+        measure = DistanceMeasure("mixed", MeasureKind.NONLINEAR, None, lambda a, b: next(values))
+        with pytest.raises(DomainError, match="^distance measure 'mixed' returned -inf;"):
+            measure.pair_many([0.1, 0.2, 0.3], 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("value", NOT_FINITE, ids=str)
+    def test_check_axioms_raises(self, value):
+        with pytest.raises(DomainError, match="'not-finite' returned"):
+            check_axioms(self.returning(value), samples=50, seed=3)
+
+
 AxisError = getattr(np, "exceptions", np).AxisError  # np.AxisError before numpy 1.25
 
 
@@ -484,6 +518,22 @@ class TestRegistry:
     def test_duplicate_name_rejected(self):
         with pytest.raises(DomainError):
             register(DistanceMeasure("hamming", MeasureKind.LINEAR, None, lambda a, b: 0.0))
+
+    @pytest.mark.parametrize(
+        "name, kind, message",
+        [
+            ("plugin-kind-str", "linear",
+             "measure 'plugin-kind-str': kind must be a MeasureKind, got 'linear'"),
+            ("", MeasureKind.NONLINEAR, "a measure name must be a non-empty string, got ''"),
+            (3, MeasureKind.NONLINEAR, "a measure name must be a non-empty string, got 3"),
+        ],
+        ids=["kind-str", "name-empty", "name-int"],
+    )
+    def test_bad_name_or_kind_is_not_registered(self, name, kind, message):
+        before = available_measures()
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            register_function(name, minkowski3, kind=kind)
+        assert available_measures() == before
 
     def test_plugin_function_round_trip(self):
         name = "plugin-half-hamming"

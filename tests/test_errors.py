@@ -76,6 +76,16 @@ def test_bad_argument_is_an_ifhv_error(call):
         pytest.param(lambda: iso_nis_pairs(hamming, 5, seed=None), "seed", id="iso_nis_pairs-seed-None"),
         pytest.param(lambda: IFN("x", 0.1), "mu", id="IFN-mu-str"),
         pytest.param(lambda: IFN(0.1, None), "nu", id="IFN-nu-None"),
+        # bools convert to 0 and 1, but the problem-file reader rejects them too
+        pytest.param(lambda: audit(hamming, budget=True), "budget", id="audit-budget-bool"),
+        pytest.param(lambda: audit(hamming, eps=True), "eps", id="audit-eps-bool"),
+        pytest.param(lambda: check_axioms(hamming, samples=True), "samples",
+                     id="axioms-samples-bool"),
+        pytest.param(lambda: check_axioms(hamming, seed=False), "seed", id="axioms-seed-bool"),
+        pytest.param(lambda: mc_oracle([(0.5, 0.5)], (-1.0, -1.0), samples=True), "samples",
+                     id="mc_oracle-samples-bool"),
+        pytest.param(lambda: HVConfig(alpha=np.True_), "alpha", id="HVConfig-alpha-numpy-bool"),
+        pytest.param(lambda: IFN(True, 0.0), "mu", id="IFN-mu-bool"),
     ],
 )
 def test_non_numeric_argument_is_a_domain_error_naming_it(call, name):

@@ -19,6 +19,7 @@ from ifhv import (
 from ifhv.mcdm import _codas_assessments
 from ifhv.fixtures import table1_path
 import exact
+from exact import gamma
 from gen import random_problem
 
 # Largest |float score - exact score| allowed, about 45 ulps of 1.0. The
@@ -147,12 +148,6 @@ def test_codas_assessments_within_derived_bound_of_exact():
                 got, expected, codas_bound(primary, secondary, windows)
             ):
                 assert abs(Fraction(float(value)) - reference) <= bound
-
-
-def gamma(k: int) -> Fraction:
-    """Higham's gamma_k = k u / (1 - k u), for u = 2**-53."""
-    u = Fraction(1, 2**53)
-    return k * u / (1 - k * u)
 
 
 def vikor_bound(utilities, regrets, v: float, m: int, q) -> list[Fraction]:

@@ -386,13 +386,6 @@ class TestHVConfig:
 
 
 class TestHvNet:
-    @pytest.fixture
-    def reference_sets(self):
-        x1 = IFS.from_pairs([(0.2, 0.4), (0.1, 0.2)])
-        x2 = IFS.from_pairs([(0.3, 0.6), (0.4, 0.4)])
-        x3 = IFS.from_pairs([(0.2, 0.7), (0.6, 0.3)])
-        return x1, x2, x3
-
     def test_reference_values(self, reference_sets):
         x1, x2, x3 = reference_sets
         assert hv_net(x1).hv_net == pytest.approx(-0.36, abs=1e-12)

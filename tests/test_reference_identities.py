@@ -23,15 +23,10 @@ from ifhv import IFS, audit, euclidean2, euclidean3, hamming, hausdorff, robustn
 from ifhv.distances import sample_simplex
 from ifhv.fixtures import table1_path
 import exact
+from exact import gamma
 
 PIS, NIS = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
 MEASURES = (hamming, euclidean2, euclidean3, hausdorff)
-
-
-def gamma(k: int) -> Fraction:
-    """Higham's gamma_k = k u / (1 - k u), with u = 2**-53."""
-    u = Fraction(1, 2**53)
-    return k * u / (1 - k * u)
 
 
 def relative_bound(n: int) -> Fraction:

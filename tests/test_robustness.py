@@ -35,14 +35,6 @@ from gen import hausdorff_squared, minkowski3
 BUILTINS = (hamming, euclidean2, euclidean3, hausdorff)
 
 
-@pytest.fixture
-def reference_sets():
-    x1 = IFS.from_pairs([(0.2, 0.4), (0.1, 0.2)])
-    x2 = IFS.from_pairs([(0.3, 0.6), (0.4, 0.4)])
-    x3 = IFS.from_pairs([(0.2, 0.7), (0.6, 0.3)])
-    return [x1, x2, x3]
-
-
 class TestRankByReference:
     def test_hamming_pis_order_with_tie(self, reference_sets):
         result = rank_by_reference(reference_sets, hamming, ReferenceKind.PIS)
@@ -240,7 +232,7 @@ class TestRobustnessCheckByTieGroups:
             (
                 lambda sets: robustness_check(sets, NAN_FOR_X2, labels=["A", "B", "C"]),
                 DomainError,
-                "score of 'B' is not finite: nan",
+                "distance measure 'chain' returned nan; a distance must be finite",
             ),
             (
                 lambda sets: robustness_check(sets, hamming, tie_tolerance=-1.0),
@@ -337,6 +329,12 @@ class TestAudit:
         assert report.is_robust_on_budget
         assert report.counterexamples == ()
         assert report.samples_used == 100_000
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf), ids=str)
+    def test_non_finite_plugin_is_an_error(self, value):
+        measure = DistanceMeasure("not-finite", MeasureKind.NONLINEAR, None, lambda a, b: value)
+        with pytest.raises(DomainError, match=f"^distance measure 'not-finite' returned {value};"):
+            audit(measure, budget=200, seed=5)
 
     def test_deterministic_under_seed(self):
         assert audit(euclidean2, budget=2000, seed=10) == audit(euclidean2, budget=2000, seed=10)
