@@ -309,15 +309,11 @@ def sample_simplex(
     therefore sums to at most 1 in floats, and IFN takes it unchanged.
 
     `out`, a pair of float arrays of `shape`, receives the samples instead
-    of two new arrays; the draws are the same bit for bit.
+    of two new arrays.
     """
-    if out is None:
-        mu = rng.random(shape)
-        nu = rng.random(shape)
-    else:
-        mu, nu = out
-        rng.random(out=mu)
-        rng.random(out=nu)
+    mu, nu = (np.empty(shape), np.empty(shape)) if out is None else out
+    rng.random(out=mu)
+    rng.random(out=nu)
     over = mu + nu > 1.0
     for x in (mu, nu):
         np.abs(np.subtract(over, x, out=x), out=x)

@@ -244,14 +244,16 @@ def problem_from_dict(data: dict, source: str = "<problem>") -> DecisionProblem:
     if not raw_criteria:
         raise ValidationError(f"{source}.criteria: expected a non-empty list")
     criteria: list[CriterionSpec] = []
+    seen: set[str] = set()
     for index, entry in enumerate(raw_criteria):
         path = f"{source}.criteria[{index}]"
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: expected an object with id and kind")
         _known(entry, _CRITERION_FIELDS, path, "field")
         cid = _require(entry, "id", str, path)
-        if any(criterion.id == cid for criterion in criteria):
+        if cid in seen:
             raise ValidationError(f"{path}.id: duplicate id '{cid}'")
+        seen.add(cid)
         kind_name = _require(entry, "kind", str, path)
         try:
             kind = CriterionKind(kind_name)
@@ -293,11 +295,13 @@ def _read_text(path: Path) -> str:
 def _decode(path: Path, hook, text: str | None = None):
     """The JSON document in `text`, or else in the file at path, each object
     built by hook(pairs); ParseError with the line and column of a JSON
-    error."""
+    error, or naming the file when the JSON nests too deeply to decode."""
     try:
         return json.loads(_read_text(path) if text is None else text, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def parse_problem(path: str | Path) -> DecisionProblem:

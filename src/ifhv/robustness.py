@@ -234,7 +234,7 @@ def _clean_ray_point(
 
 
 def _nis_distance(measure: DistanceMeasure, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    return measure.pair_many(mu, nu, 0.0, 1.0)
+    return measure.pair_many(mu, nu, *NIS.as_pair())
 
 
 def _bisect(
@@ -272,7 +272,7 @@ def _iso_nis_partners(
     dir_mu: np.ndarray,
     dir_nu: np.ndarray,
     tol: float,
-) -> dict[str, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each anchor, construct a partner at equal NIS-distance on its ray.
 
     Along the ray both coordinate differences to NIS are linear in s, and
@@ -283,8 +283,10 @@ def _iso_nis_partners(
     closed form leaves infeasible or misses by more than `tol` (plugin
     measures that are not homogeneous, or ray ends at float precision) are
     solved again by bisection, feasible when d(p(s_max), NIS) reaches the
-    target. Returns coordinate arrays, the achieved distances and the
-    feasibility mask.
+    target. A row is usable when it is feasible and its partner's
+    NIS-distance is within `tol` of its anchor's. Returns the indices of the
+    usable rows and, for those rows, the partner's coordinates, the anchor's
+    NIS-distance and the partner's.
     """
     target = _nis_distance(measure, a_mu, a_nu)
     drop = 1.0 - dir_nu
@@ -307,12 +309,8 @@ def _iso_nis_partners(
     b_mu[rows], b_nu[rows] = _clean_ray_point(s_rows, dir_mu[rows], dir_nu[rows])
     d_nis_b[rows] = _nis_distance(measure, b_mu[rows], b_nu[rows])
 
-    return {
-        "a_mu": a_mu, "a_nu": a_nu,
-        "b_mu": b_mu, "b_nu": b_nu,
-        "d_nis_a": target, "d_nis_b": d_nis_b,
-        "feasible": feasible,
-    }
+    usable = np.flatnonzero(feasible & (np.abs(target - d_nis_b) <= tol))
+    return usable, b_mu[usable], b_nu[usable], target[usable], d_nis_b[usable]
 
 
 def iso_nis_pairs(
@@ -325,9 +323,10 @@ def iso_nis_pairs(
     """
     count = as_count("count", count)
     rng = np.random.default_rng(as_count("seed", seed, 0))
-    built = _iso_nis_partners(measure, *_draw_attempts(rng, count), tol)
-    keep = built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= tol)
-    return {key: value[keep] for key, value in built.items() if key != "feasible"}
+    a_mu, a_nu, *directions = _draw_attempts(rng, count)
+    rows, *partners = _iso_nis_partners(measure, a_mu, a_nu, *directions, tol)
+    keys = ("a_mu", "a_nu", "b_mu", "b_nu", "d_nis_a", "d_nis_b")
+    return dict(zip(keys, (a_mu[rows], a_nu[rows], *partners)))
 
 
 def audit(
@@ -377,30 +376,27 @@ def audit(
         # pages back in: 3x the page faults and 25% more time for `hamming` at
         # budget 2e5 on glibc.
         while lo < take and len(counterexamples) < MAX_COUNTEREXAMPLES:
-            rows = slice(lo, lo + width)
-            built = _iso_nis_partners(measure, *(x[rows] for x in drawn), eps)
-            ok = np.flatnonzero(
-                built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= eps)
+            a_mu, a_nu, *directions = (x[lo:lo + width] for x in drawn)
+            rows, b_mu, b_nu, d_nis_a, d_nis_b = _iso_nis_partners(
+                measure, a_mu, a_nu, *directions, eps
             )
-            a_mu, a_nu = built["a_mu"][ok], built["a_nu"][ok]
-            b_mu, b_nu = built["b_mu"][ok], built["b_nu"][ok]
-            d_pis_a = measure.pair_many(a_mu, a_nu, 1.0, 0.0)
-            d_pis_b = measure.pair_many(b_mu, b_nu, 1.0, 0.0)
+            a_mu, a_nu = a_mu[rows], a_nu[rows]
+            d_pis_a = measure.pair_many(a_mu, a_nu, *PIS.as_pair())
+            d_pis_b = measure.pair_many(b_mu, b_nu, *PIS.as_pair())
             hits = np.flatnonzero(np.abs(d_pis_a - d_pis_b) > delta)
             for j in hits[: MAX_COUNTEREXAMPLES - len(counterexamples)]:
-                i = ok[j]
                 counterexamples.append(
                     Counterexample(
                         a=IFN(float(a_mu[j]), float(a_nu[j])),
                         b=IFN(float(b_mu[j]), float(b_nu[j])),
-                        d_nis_a=float(built["d_nis_a"][i]),
-                        d_nis_b=float(built["d_nis_b"][i]),
+                        d_nis_a=float(d_nis_a[j]),
+                        d_nis_b=float(d_nis_b[j]),
                         d_pis_a=float(d_pis_a[j]),
                         d_pis_b=float(d_pis_b[j]),
                     )
                 )
                 if len(counterexamples) == MAX_COUNTEREXAMPLES:
-                    samples_used = start + lo + int(i) + 1
+                    samples_used = start + lo + int(rows[j]) + 1
             lo += width
             width = min(2 * width, SAMPLE_CHUNK)
         start += take

@@ -181,6 +181,17 @@ class TestRankCommand:
         ]
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("piped", (False, True), ids=("file", "stdin"))
+    def test_deeply_nested_problem_is_one_error_line(self, tmp_path, piped):
+        text = "[" * 200_000
+        path = tmp_path / "deep.problem"
+        path.write_text(text)
+        name = "/dev/stdin" if piped else str(path)
+        done = run_cli("rank", name, stdin=text if piped else None)
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [f"error: {name}: JSON nested too deeply to decode"]
+        assert done.stdout == ""
+
     def test_deterministic_bytes(self, runner, table1):
         first = runner.invoke(main, ["rank", table1, "--format", "json"])
         second = runner.invoke(main, ["rank", table1, "--format", "json"])

@@ -1,5 +1,6 @@
 """Tests for reference-point ranking, the robustness check, and the auditor."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -373,6 +374,39 @@ class TestAudit:
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
 
+def _squared_euclidean(a, b):
+    return sum((x.mu - y.mu) ** 2 + (x.nu - y.nu) ** 2 for x, y in zip(a, b)) / (2 * len(a))
+
+
+# not homogeneous of degree 1, so the closed form misses and bisection solves
+BISECTION_PLUGIN = DistanceMeasure(
+    "squared-euclidean-pin-test", MeasureKind.NONLINEAR, None, _squared_euclidean
+)
+
+# (measure, count, seed, tol) -> (pairs kept, sha256 over each key and its
+# array's little-endian float64 bytes, in key order)
+FROZEN_PAIRS = {
+    ("hamming", 5000, 0, 1e-12):
+        (4182, "dbe88a19234ac385d8dabf0a28526fbee88ec778c136ed47a5a80a46237536ea"),
+    ("hamming", 777, 21, 1e-9):
+        (662, "9584f859a18d6128cfb47ed5b9acac080f43769a5eaa5d5ca66b3d0a107a27c2"),
+    ("euclidean2", 5000, 1, 1e-12):
+        (4494, "4f1ae4a3900eef0dbcd6904c70218407cf9e23b97e293a6193860b459253078a"),
+    ("euclidean2", 999, 22, 1e-9):
+        (902, "f8bf23f9af51261105473b74da4a51f3273e2c74c8249592f5d47d4d13e16f77"),
+    ("euclidean2", 2000, 25, 1e-16):
+        (1589, "89b871bb1b6de0659cfd687e8e79ddd3254db9bf054c32e3144e626e8823109c"),
+    ("hausdorff", 5000, 2, 1e-12):
+        (5000, "34a79ae1b7849acd5a2f761234db8596923afcc2b358d06645039f1c201619bc"),
+    ("hausdorff", 1234, 23, 1e-6):
+        (1234, "5ba64a3f7915f178182d3a4e287a5981fcb3ba886c3de28fde6e184597d906b1"),
+    (BISECTION_PLUGIN.name, 200, 3, 1e-12):
+        (170, "d9b0b2845b9314ffd74f4395038a0b057b0b1131142ba9e32b730de56ed94a1a"),
+    (BISECTION_PLUGIN.name, 150, 24, 1e-9):
+        (136, "f4af32a4ee1e2f9cff103cc6b119118930c2f518d1e70cccab951226e3605423"),
+}
+
+
 class TestIsoNisPairs:
     def test_hamming_equal_nis_implies_equal_pis(self):
         # the linearity property behind robustness, on constructed pairs
@@ -395,6 +429,20 @@ class TestIsoNisPairs:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             iso_nis_pairs(hamming, count=0)
+
+    @pytest.mark.parametrize("case", FROZEN_PAIRS, ids=lambda case: "-".join(map(str, case)))
+    def test_pairs_are_frozen(self, case):
+        name, count, seed, tol = case
+        kept, digest = FROZEN_PAIRS[case]
+        measure = BISECTION_PLUGIN if name == BISECTION_PLUGIN.name else get_measure(name)
+        built = iso_nis_pairs(measure, count=count, seed=seed, tol=tol)
+        assert list(built) == ["a_mu", "a_nu", "b_mu", "b_nu", "d_nis_a", "d_nis_b"]
+        assert built["a_mu"].size == kept
+        h = hashlib.sha256()
+        for key, value in built.items():
+            h.update(key.encode())
+            h.update(value.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
 
 
 def _reference_partners(measure, a_mu, a_nu, dir_mu, dir_nu):
@@ -440,10 +488,6 @@ def _reference_violations(measure, budget, seed, chunk, eps=1e-9, delta=1e-3):
         for i in np.flatnonzero(ok & (np.abs(gap) > delta)):
             found.append((start + int(i), (a_mu[i], a_nu[i]), (b_mu[i], b_nu[i])))
     return found
-
-
-def _squared_euclidean(a, b):
-    return sum((x.mu - y.mu) ** 2 + (x.nu - y.nu) ** 2 for x, y in zip(a, b)) / (2 * len(a))
 
 
 def _counting_sample_simplex(monkeypatch):
@@ -540,10 +584,12 @@ class TestClosedFormScan:
         squared = DistanceMeasure("squared-euclidean-ray-test", MeasureKind.NONLINEAR, None,
                                   _squared_euclidean)
         one = np.array([0.1]), np.array([0.8])
-        built = robustness._iso_nis_partners(squared, np.zeros(1), np.zeros(1), *one, 1e-12)
-        assert built["feasible"][0]
-        assert built["b_mu"][0] == pytest.approx(0.1 * math.sqrt(20), abs=1e-12)
-        assert abs(built["d_nis_b"][0] - 0.5) <= 1e-12
+        rows, b_mu, _, _, d_nis_b = robustness._iso_nis_partners(
+            squared, np.zeros(1), np.zeros(1), *one, 1e-12
+        )
+        assert rows.tolist() == [0]
+        assert b_mu[0] == pytest.approx(0.1 * math.sqrt(20), abs=1e-12)
+        assert abs(d_nis_b[0] - 0.5) <= 1e-12
 
     def test_non_homogeneous_plugin_keeps_every_reference_pair(self):
         squared = DistanceMeasure("squared-euclidean-pairs-test", MeasureKind.NONLINEAR, None,
@@ -595,29 +641,27 @@ def whole_chunk_audit(measure, budget, seed, eps=1e-9, delta=1e-3):
     start = 0
     while start < budget and len(counterexamples) < 10:
         take = min(robustness.SAMPLE_CHUNK, budget - start)
-        built = robustness._iso_nis_partners(measure, *robustness._draw_attempts(rng, take), eps)
-        ok = np.flatnonzero(
-            built["feasible"] & (np.abs(built["d_nis_a"] - built["d_nis_b"]) <= eps)
+        a_mu, a_nu, *directions = robustness._draw_attempts(rng, take)
+        rows, b_mu, b_nu, d_nis_a, d_nis_b = robustness._iso_nis_partners(
+            measure, a_mu, a_nu, *directions, eps
         )
-        a_mu, a_nu = built["a_mu"][ok], built["a_nu"][ok]
-        b_mu, b_nu = built["b_mu"][ok], built["b_nu"][ok]
+        a_mu, a_nu = a_mu[rows], a_nu[rows]
         d_pis_a = measure.pair_many(a_mu, a_nu, 1.0, 0.0)
         d_pis_b = measure.pair_many(b_mu, b_nu, 1.0, 0.0)
         hits = np.flatnonzero(np.abs(d_pis_a - d_pis_b) > delta)
         for j in hits[: 10 - len(counterexamples)]:
-            i = ok[j]
             counterexamples.append(
                 robustness.Counterexample(
                     a=IFN(float(a_mu[j]), float(a_nu[j])),
                     b=IFN(float(b_mu[j]), float(b_nu[j])),
-                    d_nis_a=float(built["d_nis_a"][i]),
-                    d_nis_b=float(built["d_nis_b"][i]),
+                    d_nis_a=float(d_nis_a[j]),
+                    d_nis_b=float(d_nis_b[j]),
                     d_pis_a=float(d_pis_a[j]),
                     d_pis_b=float(d_pis_b[j]),
                 )
             )
             if len(counterexamples) == 10:
-                samples_used = start + int(i) + 1
+                samples_used = start + int(rows[j]) + 1
         start += take
     return robustness.AuditReport(
         measure=measure.name, budget=budget, eps=eps, delta=delta, seed=seed,
