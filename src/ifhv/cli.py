@@ -12,6 +12,7 @@ All commands are deterministic given their flags, including --seed.
 from __future__ import annotations
 
 import gc
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -23,7 +24,14 @@ from . import mcdm as mcdm_mod
 from . import hvas as hvas_mod
 from . import robustness as robustness_mod
 from .distances import check_axioms, get_measure
-from .errors import DegenerateError, IfhvError, ParseError, ValidationError
+from .errors import (
+    DegenerateError,
+    DomainError,
+    IfhvError,
+    ParseError,
+    ValidationError,
+    require_positive_finite,
+)
 from .hypervolume import DEFAULT_REFERENCE_COORD, HVConfig, _points_array, hv_set, mc_oracle
 from .problemfile import _read_text, parse_problem
 from .ranking import DEFAULT_TIE_TOLERANCE
@@ -52,10 +60,18 @@ def _measure_option(_ctx, _param, value):
         raise click.BadParameter(str(exc)) from None
 
 
+def _default(function, name: str):
+    """The default of `function`'s parameter `name`, so that an option restates
+    no library default."""
+    return inspect.signature(function).parameters[name].default
+
+
 def _positive(name):
     def check(_ctx, _param, value):
-        if not (math.isfinite(value) and value > 0.0):
-            raise click.BadParameter(f"{name} must be a positive finite number")
+        try:
+            require_positive_finite(f"{name} must be a positive finite number", value)
+        except DomainError as exc:
+            raise click.BadParameter(str(exc)) from None
         return value
 
     return check
@@ -124,7 +140,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("problem_file", type=click.Path(path_type=Path))
-@click.option("--alpha", type=float, default=0.0, show_default=True,
+@click.option("--alpha", type=float, default=HVConfig.alpha, show_default=True,
               help="Hesitancy perception factor in [-1, 1].")
 @click.option("--reference", default=None, callback=_parse_reference,
               help="Reference point as comma-separated coordinates, all <= 0 [default: -1 per criterion].")
@@ -159,11 +175,12 @@ def rank(problem_file, alpha, reference, tie_tolerance, fmt, output):
               help="CODAS secondary-distance threshold in [0, 1].")
 @click.option("--v", type=float, default=mcdm_mod.DEFAULT_V, show_default=True,
               help="VIKOR strategy weight in [0, 1].")
-@click.option("--measure", "measure_primary", default="euclidean2", show_default=True,
-              callback=_measure_option, help="Primary distance measure.")
-@click.option("--measure-secondary", default="hamming", show_default=True,
-              callback=_measure_option, help="Secondary distance measure (CODAS).")
-@click.option("--alpha", type=float, default=0.0, show_default=True,
+@click.option("--measure", "measure_primary", default=mcdm_mod.CompareConfig.measure_primary.name,
+              show_default=True, callback=_measure_option, help="Primary distance measure.")
+@click.option("--measure-secondary", default=mcdm_mod.CompareConfig.measure_secondary.name,
+              show_default=True, callback=_measure_option,
+              help="Secondary distance measure (CODAS).")
+@click.option("--alpha", type=float, default=HVConfig.alpha, show_default=True,
               help="Hesitancy perception factor for the hvas method.")
 @click.option("--reference", default=None, callback=_parse_reference,
               help="Reference point for the hvas method [default: -1 per criterion].")
@@ -197,13 +214,17 @@ def compare(problem_file, methods, tau, v, measure_primary, measure_secondary,
 @main.command()
 @click.option("--measure", required=True, callback=_measure_option,
               help="Distance measure to audit.")
-@click.option("--budget", type=click.IntRange(min=1), default=10_000, show_default=True,
+@click.option("--budget", type=click.IntRange(min=1),
+              default=_default(robustness_mod.audit, "budget"), show_default=True,
               help="Number of anchor/direction attempts.")
-@click.option("--eps", type=float, default=1e-9, show_default=True,
-              callback=_positive("eps"), help="Tolerance for equal NIS-distances.")
-@click.option("--delta", type=float, default=1e-3, show_default=True,
-              callback=_positive("delta"), help="PIS-distance gap that counts as a violation.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--eps", type=float, default=_default(robustness_mod.audit, "eps"),
+              show_default=True, callback=_positive("eps"),
+              help="Tolerance for equal NIS-distances.")
+@click.option("--delta", type=float, default=_default(robustness_mod.audit, "delta"),
+              show_default=True, callback=_positive("delta"),
+              help="PIS-distance gap that counts as a violation.")
+@click.option("--seed", type=click.IntRange(min=0),
+              default=_default(robustness_mod.audit, "seed"), show_default=True)
 @format_option
 @output_option
 def audit(measure, budget, eps, delta, seed, fmt, output):
@@ -270,9 +291,10 @@ def _read_points(
 @click.argument("points_file", type=click.Path(path_type=Path))
 @click.option("--reference", default=None, callback=_parse_reference,
               help="Reference point as comma-separated coordinates [default: -1 per dimension].")
-@click.option("--samples", type=click.IntRange(min=1), default=100_000, show_default=True,
-              help="Monte Carlo samples for the cross-check.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=_default(mc_oracle, "samples"),
+              show_default=True, help="Monte Carlo samples for the cross-check.")
+@click.option("--seed", type=click.IntRange(min=0), default=_default(mc_oracle, "seed"),
+              show_default=True)
 @format_option
 @output_option
 def hv(points_file, reference, samples, seed, fmt, output):
@@ -302,8 +324,10 @@ def hv(points_file, reference, samples, seed, fmt, output):
 @main.command()
 @click.option("--measure", required=True, callback=_measure_option,
               help="Distance measure to probe.")
-@click.option("--samples", type=click.IntRange(min=1), default=10_000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=_default(check_axioms, "samples"),
+              show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=_default(check_axioms, "seed"),
+              show_default=True)
 @format_option
 @output_option
 def axioms(measure, samples, seed, fmt, output):

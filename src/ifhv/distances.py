@@ -320,7 +320,9 @@ def sample_simplex(
     return mu, nu
 
 
-_MAX_WITNESSES = 10
+# At most this many examples are kept: axiom witnesses here, counterexamples
+# in `robustness.audit`.
+MAX_EXAMPLES = 10
 
 
 def check_axioms(
@@ -402,7 +404,7 @@ def check_axioms(
                 if not np.any(bad):
                     continue
                 holds[axiom] = False
-                for i in np.flatnonzero(bad)[: _MAX_WITNESSES - len(witnesses)]:
+                for i in np.flatnonzero(bad)[: MAX_EXAMPLES - len(witnesses)]:
                     points = tuple(
                         tuple((float(mu[i, j]), float(nu[i, j])) for j in range(n))
                         for mu, nu in sets

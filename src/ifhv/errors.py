@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument conversions
 that raise them."""
 
+import math
 import operator
 
 import numpy as np
@@ -58,3 +59,9 @@ def as_count(name: str, value, minimum: int = 1) -> int:
     if count < minimum:
         raise DomainError(f"{name} must be >= {minimum}")
     return count
+
+
+def require_positive_finite(message: str, *values: float) -> None:
+    """DomainError with `message` unless every value is finite and > 0."""
+    if not all(math.isfinite(value) and value > 0.0 for value in values):
+        raise DomainError(message)

@@ -37,7 +37,7 @@ memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,8 +63,8 @@ class CompareConfig:
 
     tau: float = DEFAULT_TAU
     v: float = DEFAULT_V
-    measure_primary: DistanceMeasure = field(default_factory=lambda: euclidean2)
-    measure_secondary: DistanceMeasure = field(default_factory=lambda: hamming)
+    measure_primary: DistanceMeasure = euclidean2
+    measure_secondary: DistanceMeasure = hamming
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE
 
     def __post_init__(self) -> None:

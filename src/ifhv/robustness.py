@@ -39,7 +39,6 @@ re-verified from its own coordinates, so reports are self-checking.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -47,8 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import SAMPLE_CHUNK, DistanceMeasure, sample_simplex
-from .errors import DomainError, MismatchError, as_count, as_float
+from .distances import MAX_EXAMPLES, SAMPLE_CHUNK, DistanceMeasure, sample_simplex
+from .errors import DomainError, MismatchError, as_count, as_float, require_positive_finite
 from .ifs import IFN, IFS, NIS, PIS
 from .ranking import (
     DEFAULT_TIE_TOLERANCE,
@@ -58,7 +57,6 @@ from .ranking import (
     check_tie_tolerance,
 )
 
-MAX_COUNTEREXAMPLES = 10
 _BISECTION_STEPS = 100
 # Attempts in the audit's first slice of a chunk; later slices double, up to
 # a whole chunk.
@@ -316,12 +314,15 @@ def _iso_nis_partners(
 def iso_nis_pairs(
     measure: DistanceMeasure, count: int, seed: int = 0, tol: float = 1e-12
 ) -> dict[str, np.ndarray]:
-    """Construct IFN pairs whose NIS-distances agree within `tol`.
+    """Construct IFN pairs whose NIS-distances agree within `tol`, a positive
+    finite number.
 
     Returns coordinate arrays filtered to successful constructions; intended
     for property checks over large sample counts.
     """
     count = as_count("count", count)
+    tol = as_float("tol", tol)
+    require_positive_finite(f"tol must be a positive finite number, got {tol}", tol)
     rng = np.random.default_rng(as_count("seed", seed, 0))
     a_mu, a_nu, *directions = _draw_attempts(rng, count)
     rows, *partners = _iso_nis_partners(measure, a_mu, a_nu, *directions, tol)
@@ -356,8 +357,7 @@ def audit(
     """
     budget = as_count("budget", budget)
     eps, delta = as_float("eps", eps), as_float("delta", delta)
-    if not (math.isfinite(eps) and eps > 0.0 and math.isfinite(delta) and delta > 0.0):
-        raise DomainError("eps and delta must be positive finite numbers")
+    require_positive_finite("eps and delta must be positive finite numbers", eps, delta)
     seed = as_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     counterexamples: list[Counterexample] = []
@@ -366,7 +366,7 @@ def audit(
     start = 0
     # every chunk draws into the first chunk's rows, the largest it needs
     work = np.empty((4, min(SAMPLE_CHUNK, budget)))
-    while start < budget and len(counterexamples) < MAX_COUNTEREXAMPLES:
+    while start < budget and len(counterexamples) < MAX_EXAMPLES:
         take = min(SAMPLE_CHUNK, budget - start)
         drawn = _draw_attempts(rng, take, work[:, :take])
         lo = 0
@@ -375,7 +375,7 @@ def audit(
         # trim the heap, and a robust measure's scan then faults each chunk's
         # pages back in: 3x the page faults and 25% more time for `hamming` at
         # budget 2e5 on glibc.
-        while lo < take and len(counterexamples) < MAX_COUNTEREXAMPLES:
+        while lo < take and len(counterexamples) < MAX_EXAMPLES:
             a_mu, a_nu, *directions = (x[lo:lo + width] for x in drawn)
             rows, b_mu, b_nu, d_nis_a, d_nis_b = _iso_nis_partners(
                 measure, a_mu, a_nu, *directions, eps
@@ -384,7 +384,7 @@ def audit(
             d_pis_a = measure.pair_many(a_mu, a_nu, *PIS.as_pair())
             d_pis_b = measure.pair_many(b_mu, b_nu, *PIS.as_pair())
             hits = np.flatnonzero(np.abs(d_pis_a - d_pis_b) > delta)
-            for j in hits[: MAX_COUNTEREXAMPLES - len(counterexamples)]:
+            for j in hits[: MAX_EXAMPLES - len(counterexamples)]:
                 counterexamples.append(
                     Counterexample(
                         a=IFN(float(a_mu[j]), float(a_nu[j])),
@@ -395,7 +395,7 @@ def audit(
                         d_pis_b=float(d_pis_b[j]),
                     )
                 )
-                if len(counterexamples) == MAX_COUNTEREXAMPLES:
+                if len(counterexamples) == MAX_EXAMPLES:
                     samples_used = start + lo + int(rows[j]) + 1
             lo += width
             width = min(2 * width, SAMPLE_CHUNK)

@@ -1,14 +1,22 @@
-"""Exact-arithmetic references in `Fraction`: the HVAS pipeline, steps 1-5,
+"""One reference per step of the decision pipeline, and exact references for
 the built-in distance measures (the Euclidean ones squared), the hypervolume
-of a point set, CODAS's assessments, and TOPSIS and VIKOR under `hamming`.
+of a point set and CODAS's assessments.
 
-HVAS uses only +, -, * and /, so from exact inputs every step is exact and no
-pair needs clamping. A problem is read either from its JSON text, where
-`parse_float=Fraction` keeps every decimal as written (`from_text`), or from
-a `DecisionProblem`'s float arrays, each float converted exactly
-(`from_problem`). Both give an `ExactProblem` of nested lists indexed as the
-arrays are: evaluations [dm][criterion][alternative], importance
-[dm][criterion], expertise [dm][criterion].
+Steps 1-4 (`weighted`), step 5 (`hv_spaces`), the solution profiles, TOPSIS's
+closeness and VIKOR's S, R and Q are generic over the number type: in
+`Fraction` every step is exact, for the derived error bounds; in `float` they
+run in the operation order of `ifhv`'s array core, which must match them bit
+for bit. Their sums are explicit loops from the int 0, as the array core
+adds; the built-in `sum` compensates float rounding from Python 3.12 on. A
+config's float constants are converted by the `number` argument. Only public
+names come from `ifhv`.
+
+A problem is read either from its JSON text, where `parse_float=Fraction`
+keeps every decimal as written (`from_text`), or from a `DecisionProblem`'s
+float arrays, each float converted by `number` (`from_problem`). Both give a
+`Problem` of nested lists indexed as the arrays are: evaluations
+[dm][criterion][alternative], importance [dm][criterion], expertise
+[dm][criterion].
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ from itertools import combinations
 from math import prod
 from typing import NamedTuple
 
-from ifhv import CriterionKind, DecisionProblem, HVConfig
-from ifhv.ifs import _extremes
+import numpy as np
 
-Pair = tuple[Fraction, Fraction]
+from ifhv import CriterionKind, DecisionProblem, HVConfig
+
+Pair = tuple  # (mu, nu), both Fraction or both float
 
 
 def gamma(k: int) -> Fraction:
@@ -31,21 +40,21 @@ def gamma(k: int) -> Fraction:
     return k * u / (1 - k * u)
 
 
-class ExactProblem(NamedTuple):
+class Problem(NamedTuple):
     alternatives: list[str]
     cost: list[bool]  # per criterion
     evaluations: list[list[list[Pair]]]
     importance: list[list[Pair]]
-    expertise: list[list[Fraction]]
+    expertise: list[list]
 
 
-def from_text(text: str) -> ExactProblem:
-    """The problem of a problem file's JSON text, in the keyed layout that
-    `serialize_problem` writes."""
+def from_text(text: str) -> Problem:
+    """The exact problem of a problem file's JSON text, in the keyed layout
+    that `serialize_problem` writes."""
     data = json.loads(text, parse_float=Fraction, parse_int=Fraction)
     alternatives, dms = data["alternatives"], data["dms"]
     ids = [criterion["id"] for criterion in data["criteria"]]
-    return ExactProblem(
+    return Problem(
         alternatives,
         [criterion["kind"] == "cost" for criterion in data["criteria"]],
         [[[tuple(data["evaluations"][dm][c][a]) for a in alternatives] for c in ids] for dm in dms],
@@ -54,13 +63,13 @@ def from_text(text: str) -> ExactProblem:
     )
 
 
-def from_problem(problem: DecisionProblem) -> ExactProblem:
-    """The problem of `problem`'s float arrays, each float converted exactly."""
+def from_problem(problem: DecisionProblem, number=Fraction) -> Problem:
+    """The problem of `problem`'s float arrays, each float converted by `number`."""
 
     def pair(values: list[float]) -> Pair:
-        return Fraction(values[0]), Fraction(values[1])
+        return number(values[0]), number(values[1])
 
-    return ExactProblem(
+    return Problem(
         list(problem.alternatives),
         [criterion.kind is CriterionKind.COST for criterion in problem.criteria],
         [
@@ -68,20 +77,47 @@ def from_problem(problem: DecisionProblem) -> ExactProblem:
             for per_dm in problem.evaluation_array.tolist()
         ],
         [[pair(values) for values in per_dm] for per_dm in problem.importance_array.tolist()],
-        [[Fraction(x) for x in per_dm] for per_dm in problem.expertise_array.tolist()],
+        [[number(x) for x in per_dm] for per_dm in problem.expertise_array.tolist()],
     )
 
 
-def _mean(pairs: list[Pair], weights: list[Fraction]) -> Pair:
-    total = sum(weights)
-    return (
-        sum(mu * w for (mu, _), w in zip(pairs, weights)) / total,
-        sum(nu * w for (_, nu), w in zip(pairs, weights)) / total,
-    )
+def weighted_of(problem: DecisionProblem, number=Fraction) -> list[list[Pair]]:
+    """`problem`'s float weighted matrix, [criterion][alternative], each float
+    converted by `number`."""
+    mu, nu = problem.weighted
+    return [
+        [(number(x), number(y)) for x, y in zip(row_mu, row_nu)]
+        for row_mu, row_nu in zip(mu.tolist(), nu.tolist())
+    ]
 
 
-def weighted(problem: ExactProblem) -> list[list[Pair]]:
-    """Steps 1-4: the weighted pair of each [criterion][alternative]."""
+def _summed(values):
+    """The sum of `values`, added from left to right."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def _clamped(mu, nu) -> Pair:
+    """The pair with nu clamped as `IFN` clamps an overshoot of mu + nu over 1."""
+    return mu, (1 - mu if mu + nu > 1 else nu)
+
+
+def _mean(pairs: list[Pair], weights: list) -> Pair:
+    """The weighted mean of the DMs' pairs: each part summed DM by DM, then
+    divided once by the summed weights."""
+    total = mu = nu = 0
+    for (a, b), weight in zip(pairs, weights):
+        total += weight
+        mu += a * weight
+        nu += b * weight
+    return _clamped(mu / total, nu / total)
+
+
+def weighted(problem: Problem) -> list[list[Pair]]:
+    """Steps 1-4: the weighted pair of each [criterion][alternative], the mean
+    evaluation (swapped on a cost criterion) times the mean importance."""
     matrix = []
     for j, cost in enumerate(problem.cost):
         weights = [per_dm[j] for per_dm in problem.expertise]
@@ -91,20 +127,22 @@ def weighted(problem: ExactProblem) -> list[list[Pair]]:
             mu, nu = _mean([per_dm[j][i] for per_dm in problem.evaluations], weights)
             if cost:
                 mu, nu = nu, mu
-            row.append((mu * w_mu, nu + w_nu - nu * w_nu))
+            row.append(_clamped(mu * w_mu, w_nu + nu * (1 - w_nu)))
         matrix.append(row)
     return matrix
 
 
-def hv_net(profile: list[Pair], cfg: HVConfig) -> Fraction:
-    """Step 5 for one alternative: hv_mu - hv_nu - alpha * hv_pi."""
-    hv_mu = hv_nu = hv_pi = Fraction(1)
+def hv_spaces(profile: list[Pair], cfg: HVConfig, number=Fraction) -> tuple:
+    """Step 5 for one alternative: (hv_mu, hv_nu, hv_pi, hv_net), each space's
+    hypervolume a product over the criteria in order, and
+    hv_net = hv_mu - hv_nu - alpha * hv_pi."""
+    hv_mu = hv_nu = hv_pi = 1
     for (mu, nu), r in zip(profile, cfg.reference_for(len(profile))):
-        r = Fraction(r)
+        r = number(r)
         hv_mu *= mu - r
         hv_nu *= nu - r
         hv_pi *= 1 - mu - nu - r
-    return hv_mu - hv_nu - Fraction(cfg.alpha) * hv_pi
+    return hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - number(cfg.alpha) * hv_pi
 
 
 def columns(matrix: list[list[Pair]]) -> list[list[Pair]]:
@@ -112,10 +150,96 @@ def columns(matrix: list[list[Pair]]) -> list[list[Pair]]:
     return [list(column) for column in zip(*matrix)]
 
 
-def hvas_scores(problem: ExactProblem, cfg: HVConfig | None = None) -> list[Fraction]:
-    """The exact HVAS score of every alternative, in input order."""
+def hvas_scores(problem: Problem, cfg: HVConfig | None = None) -> list[Fraction]:
+    """The exact HVAS score of every alternative of a `Fraction` problem, in input order."""
     cfg = cfg if cfg is not None else HVConfig()
-    return [hv_net(profile, cfg) for profile in columns(weighted(problem))]
+    return [hv_spaces(profile, cfg)[3] for profile in columns(weighted(problem))]
+
+
+def extremes(row: list[Pair]) -> tuple[int, int]:
+    """The first column of the greatest and of the smallest pair in `row`,
+    pairs compared on (mu - nu, mu + nu)."""
+    key = [(mu - nu, mu + nu) for mu, nu in row]
+    return key.index(max(key)), key.index(min(key))
+
+
+def solution_profiles(matrix: list[list[Pair]]) -> tuple[list[list[Pair]], list[Pair], list[Pair]]:
+    """Each alternative's profile in a [criterion][alternative] matrix, and the
+    positive and negative solution profiles PS and NS: each criterion's
+    greatest and smallest pair."""
+    picks = [extremes(row) for row in matrix]
+    ps = [row[best] for row, (best, _) in zip(matrix, picks)]
+    ns = [row[worst] for row, (_, worst) in zip(matrix, picks)]
+    return columns(matrix), ps, ns
+
+
+def closeness(profiles: list[list[Pair]], ps: list[Pair], ns: list[Pair], d) -> list:
+    """TOPSIS's closeness d(A, NS) / (d(A, PS) + d(A, NS)) of every profile A,
+    for a distance `d` between two profiles; ZeroDivisionError where both
+    distances of an A are 0."""
+    result = []
+    for a in profiles:
+        to_ps, to_ns = d(a, ps), d(a, ns)
+        result.append(to_ns / (to_ps + to_ns))
+    return result
+
+
+def vikor_indices(profiles: list[list[Pair]], ps: list[Pair], ns: list[Pair], d) -> tuple:
+    """VIKOR's group utility S and individual regret R of every profile, for a
+    distance `d` between two profiles: the sum, criterion by criterion, and
+    the maximum of its gaps d(A_j, PS_j) / d(PS_j, NS_j), each 0 (the span
+    itself) where the span is 0."""
+    spans = [d([p], [q]) for p, q in zip(ps, ns)]
+    utilities, regrets = [], []
+    for a in profiles:
+        gaps = [d([x], [p]) / span if span else span for x, p, span in zip(a, ps, spans)]
+        utilities.append(_summed(gaps))
+        regrets.append(max(gaps))
+    return utilities, regrets
+
+
+def vikor_q(utilities: list, regrets: list, v: float, number=Fraction) -> list:
+    """VIKOR's Q: v and 1 - v weigh S and R each normalised over its span,
+    a term without span is dropped and the remaining weight renormalised,
+    as `ifhv.vikor` does; Q is 0 where nothing is left."""
+    v = number(v)
+    terms = []
+    for weight, values in ((v, utilities), (1 - v, regrets)):
+        best, worst = min(values), max(values)
+        if worst > best:
+            terms.append((weight, [(x - best) / (worst - best) for x in values]))
+    total = _summed(weight for weight, _ in terms)
+    if total == 0:
+        return [number(0)] * len(utilities)
+    return [
+        _summed(weight * values[i] for weight, values in terms) / total
+        for i in range(len(utilities))
+    ]
+
+
+def pairwise_codas(primary: np.ndarray, secondary: np.ndarray, tau: float) -> np.ndarray:
+    """CODAS assessments of float arrays by the pairwise definition, O(n^2):
+    the sum over k of h_ik = (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau)."""
+    h = primary[:, None] - primary[None, :]
+    tie_break = secondary[:, None] - secondary[None, :]
+    tie_break *= np.abs(h) < tau
+    h += tie_break
+    return h.sum(axis=1)
+
+
+def codas_assessments(primary, secondary, tau: float) -> list[Fraction]:
+    """H_i = sum_k (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau), by
+    the pairwise definition, for float E = primary, T = secondary and tau,
+    each converted exactly. The window test is the float one that
+    `ifhv.mcdm` makes, so the two differ only in how they round the sums."""
+    e, t = [float(x) for x in primary], [float(x) for x in secondary]
+    exact_e, exact_t = [Fraction(x) for x in e], [Fraction(x) for x in t]
+    total = sum(exact_e)
+    return [
+        len(e) * exact_e[i] - total
+        + sum(exact_t[i] - exact_t[k] for k in range(len(e)) if abs(e[i] - e[k]) < tau)
+        for i in range(len(e))
+    ]
 
 
 def hamming(a: list[Pair], b: list[Pair]) -> Fraction:
@@ -150,70 +274,3 @@ def hv_inclusion_exclusion(points, r) -> Fraction:
             box = prod(min(column) for column in zip(*subset))
             total += box if size % 2 else -box
     return total
-
-
-def codas_assessments(primary, secondary, tau: float) -> list[Fraction]:
-    """H_i = sum_k (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau), by
-    the pairwise definition, for float E = primary, T = secondary and tau,
-    each converted exactly. The window test is the float one that
-    `ifhv.mcdm` makes, so the two differ only in how they round the sums."""
-    e, t = [float(x) for x in primary], [float(x) for x in secondary]
-    exact_e, exact_t = [Fraction(x) for x in e], [Fraction(x) for x in t]
-    total = sum(exact_e)
-    return [
-        len(e) * exact_e[i] - total
-        + sum(exact_t[i] - exact_t[k] for k in range(len(e)) if abs(e[i] - e[k]) < tau)
-        for i in range(len(e))
-    ]
-
-
-def solution_profiles(problem: DecisionProblem) -> tuple[list[list[Pair]], list[Pair], list[Pair]]:
-    """Each alternative's profile in `problem`'s float weighted matrix, and the
-    positive and negative solution profiles of the columns that
-    `ifs._extremes` picks from it, each float converted exactly."""
-    mu, nu = problem.weighted
-    matrix = [
-        [(Fraction(x), Fraction(y)) for x, y in zip(row_mu, row_nu)]
-        for row_mu, row_nu in zip(mu.tolist(), nu.tolist())
-    ]
-    best, worst = _extremes(mu, nu)
-    ps = [row[j] for row, j in zip(matrix, best.tolist())]
-    ns = [row[j] for row, j in zip(matrix, worst.tolist())]
-    return columns(matrix), ps, ns
-
-
-def topsis_hamming(problem: DecisionProblem) -> list[Fraction]:
-    """TOPSIS's closeness d(A, NS) / (d(A, PS) + d(A, NS)) under `hamming`,
-    for every alternative of `solution_profiles(problem)`."""
-    profiles, ps, ns = solution_profiles(problem)
-    return [hamming(a, ns) / (hamming(a, ps) + hamming(a, ns)) for a in profiles]
-
-
-def vikor_indices(problem: DecisionProblem) -> tuple[list[Fraction], list[Fraction]]:
-    """VIKOR's group utility S and individual regret R under `hamming`, for
-    every alternative of `solution_profiles(problem)`: the sum and the
-    maximum of its gaps d(A_j, PS_j) / d(PS_j, NS_j), 0 where the span is 0."""
-    profiles, ps, ns = solution_profiles(problem)
-    spans = [hamming([p], [q]) for p, q in zip(ps, ns)]
-    gaps = [
-        [hamming([x], [p]) / span if span else Fraction(0) for x, p, span in zip(a, ps, spans)]
-        for a in profiles
-    ]
-    return [sum(row) for row in gaps], [max(row) for row in gaps]
-
-
-def vikor_q(utilities: list[Fraction], regrets: list[Fraction], v: float) -> list[Fraction]:
-    """VIKOR's Q: v and 1 - v weigh S and R each normalised over its span,
-    a term without span is dropped and the remaining weight renormalised,
-    as `ifhv.vikor` does; Q is 0 where nothing is left."""
-    terms = []
-    for weight, values in ((Fraction(v), utilities), (1 - Fraction(v), regrets)):
-        best, worst = min(values), max(values)
-        if worst > best:
-            terms.append((weight, [(x - best) / (worst - best) for x in values]))
-    total = sum(weight for weight, _ in terms)
-    if total == 0:
-        return [Fraction(0)] * len(utilities)
-    return [
-        sum(weight * values[i] for weight, values in terms) / total for i in range(len(utilities))
-    ]

@@ -1,13 +1,13 @@
-"""The array core of the decision pipeline against a reference chain of float loops.
+"""The array core of the decision pipeline against the float references of `exact.py`.
 
-The reference runs the pipeline one pair at a time, as plain float loops in
+The references run the pipeline one pair at a time, as plain float loops in
 the operation order of the array core: per-DM accumulation of the weighted
 sums and one division, the cost swap, the product formula, the net
 hypervolume as a product over criteria in order, and the first maximum and
-first minimum by the (mu - nu, mu + nu) tuple. The comparators use
-`DistanceMeasure.evaluate` per alternative, with their formulas written as
-plain loops. So HVAS, TOPSIS and VIKOR scores must be bit-equal. CODAS sums
-its pairwise assessments in another order, so its scores may differ by ulps.
+first minimum by the (mu - nu, mu + nu) tuple. The comparators take each
+distance one alternative at a time, as `DistanceMeasure.evaluate` does. So
+HVAS, TOPSIS and VIKOR scores must be bit-equal. CODAS's reference sums its
+pairwise assessments in another order, so its scores may differ by ulps.
 """
 
 import tracemalloc
@@ -39,6 +39,7 @@ from ifhv import (
 )
 from ifhv.fixtures import table1_path
 from ifhv.ifs import _extremes
+import exact
 from gen import minkowski3, random_problem
 
 METHODS = ("hvas", "topsis", "vikor", "codas")
@@ -55,113 +56,31 @@ def plugin():
 
 # -- the reference chain -------------------------------------------------------
 
-def clamped(mu: float, nu: float) -> tuple[float, float]:
-    """The pair with nu clamped as IFN clamps a rounding overshoot of mu + nu."""
-    return mu, (1.0 - mu if mu + nu > 1.0 else nu)
+def distance(measure):
+    """`measure` between two profiles of (mu, nu) floats: `evaluate_many` on
+    their mu and nu columns, the arithmetic of `DistanceMeasure.evaluate`."""
+    def columns(profile):
+        return np.ascontiguousarray(np.array(profile, dtype=float).T)
 
-
-def mean(pairs, weights) -> tuple[float, float]:
-    """Weighted mean of (mu, nu) pairs: accumulate DM by DM, then one division."""
-    total = mu = nu = 0.0
-    for (a, b), weight in zip(pairs, weights):
-        total += weight
-        mu += a * weight
-        nu += b * weight
-    return clamped(mu / total, nu / total)
-
-
-def reference_matrix(problem: DecisionProblem) -> list[list[tuple[float, float]]]:
-    """Steps 1-4: the weighted (mu, nu) pair of each criterion and alternative."""
-    evaluations = problem.evaluation_array.tolist()
-    importance = problem.importance_array.tolist()
-    expertise = problem.expertise_array.tolist()
-    q, n = problem.n_dms, problem.n_alternatives
-    matrix = []
-    for j, criterion in enumerate(problem.criteria):
-        weights = [expertise[l][j] for l in range(q)]
-        w_mu, w_nu = mean([importance[l][j] for l in range(q)], weights)
-        row = []
-        for i in range(n):
-            mu, nu = mean([evaluations[l][j][i] for l in range(q)], weights)
-            if criterion.kind is CriterionKind.COST:
-                mu, nu = nu, mu
-            row.append(clamped(mu * w_mu, w_nu + nu * (1.0 - w_nu)))
-        matrix.append(row)
-    return matrix
-
-
-def reference_hv(profile, cfg: HVConfig) -> HVNetResult:
-    """Step 5: per-space hypervolumes as products over the criteria in order."""
-    hv_mu = hv_nu = hv_pi = 1.0
-    for (mu, nu), r in zip(profile, cfg.reference_for(len(profile))):
-        hv_mu *= mu - r
-        hv_nu *= nu - r
-        hv_pi *= (1.0 - mu - nu) - r
-    return HVNetResult(hv_mu, hv_nu, hv_pi, hv_mu - hv_nu - cfg.alpha * hv_pi)
-
-
-def reference_extremes(row) -> tuple[int, int]:
-    """First column of the greatest and of the smallest pair by (score, accuracy)."""
-    key = [(mu - nu, mu + nu) for mu, nu in row]
-    return key.index(max(key)), key.index(min(key))
+    return lambda a, b: float(measure.evaluate_many(*columns(a), *columns(b)))
 
 
 def reference_scores(problem, cfg: CompareConfig, hv_cfg: HVConfig) -> dict[str, list[float]]:
     """Scores of every method, or DegenerateError for a method that has none."""
-    matrix = reference_matrix(problem)
-    n, m = problem.n_alternatives, problem.n_criteria
-    columns = [[row[i] for row in matrix] for i in range(n)]
-    scores: dict = {"hvas": [reference_hv(column, hv_cfg).hv_net for column in columns]}
-
-    profiles = [IFS.from_pairs(column) for column in columns]
-    extremes = [reference_extremes(row) for row in matrix]
-    ps = IFS.from_pairs(row[best] for row, (best, _) in zip(matrix, extremes))
-    ns = IFS.from_pairs(row[worst] for row, (_, worst) in zip(matrix, extremes))
-    if ps == ns and n > 1:
+    matrix = exact.weighted(exact.from_problem(problem, float))
+    profiles, ps, ns = exact.solution_profiles(matrix)
+    scores: dict = {"hvas": [exact.hv_spaces(a, hv_cfg, float)[3] for a in profiles]}
+    if ps == ns and problem.n_alternatives > 1:
         return {**scores, **{name: DegenerateError for name in METHODS[1:]}}
-    d1, d2 = cfg.measure_primary.evaluate, cfg.measure_secondary.evaluate
-
-    closeness = []
-    for p in profiles:
-        to_ps, to_ns = d1(p, ps), d1(p, ns)
-        if to_ps + to_ns == 0.0:
-            closeness = DegenerateError
-            break
-        closeness.append(to_ns / (to_ps + to_ns))
-    scores["topsis"] = closeness
-
-    spans = [d1(IFS((ps[j],)), IFS((ns[j],))) for j in range(m)]
-    utilities, regrets = [], []
-    for i in range(n):
-        gaps = [
-            0.0 if spans[j] == 0.0 else d1(IFS((profiles[i][j],)), IFS((ps[j],))) / spans[j]
-            for j in range(m)
-        ]
-        utilities.append(sum(gaps))
-        regrets.append(max(gaps))
-    s_best, s_worst, r_best, r_worst = min(utilities), max(utilities), min(regrets), max(regrets)
-    terms = []
-    if s_worst > s_best:
-        terms.append((cfg.v, [(s - s_best) / (s_worst - s_best) for s in utilities]))
-    if r_worst > r_best:
-        terms.append((1.0 - cfg.v, [(r - r_best) / (r_worst - r_best) for r in regrets]))
-    total = sum(weight for weight, _ in terms)
-    scores["vikor"] = (
-        [0.0] * n if total == 0.0
-        else [sum(weight * values[i] for weight, values in terms) / total for i in range(n)]
-    )
-
-    primary = [d1(p, ns) for p in profiles]
-    secondary = [d2(p, ns) for p in profiles]
-    assessments = []
-    for i in range(n):
-        h = 0.0
-        for k in range(n):
-            h += primary[i] - primary[k]
-            if abs(primary[i] - primary[k]) < cfg.tau:
-                h += secondary[i] - secondary[k]
-        assessments.append(h)
-    scores["codas"] = assessments
+    d1, d2 = distance(cfg.measure_primary), distance(cfg.measure_secondary)
+    try:
+        scores["topsis"] = exact.closeness(profiles, ps, ns, d1)
+    except ZeroDivisionError:
+        scores["topsis"] = DegenerateError
+    scores["vikor"] = exact.vikor_q(*exact.vikor_indices(profiles, ps, ns, d1), cfg.v, float)
+    primary = np.array([d1(a, ns) for a in profiles])
+    secondary = np.array([d2(a, ns) for a in profiles])
+    scores["codas"] = exact.pairwise_codas(primary, secondary, cfg.tau)
     return scores
 
 
@@ -238,23 +157,22 @@ class TestAgainstReferenceChain:
         rng = np.random.default_rng(2026)
         problems = [parse_problem(table1_path())] + [random_problem(rng) for _ in range(50)]
         for problem in problems:
-            expected = reference_matrix(problem)
+            expected = exact.weighted(exact.from_problem(problem, float))
             mu, nu = problem.weighted
             assert mu.tolist() == [[value[0] for value in row] for row in expected]
             assert nu.tolist() == [[value[1] for value in row] for row in expected]
             for row, *picks in zip(expected, *_extremes(mu, nu)):
-                assert tuple(picks) == reference_extremes(row)
+                assert tuple(picks) == exact.extremes(row)
 
     def test_score_details_match_hv_net(self):
         rng = np.random.default_rng(2027)
         for _ in range(50):
             problem = random_problem(rng)
             cfg = HVConfig(alpha=float(rng.uniform(-1.0, 1.0)))
-            matrix = reference_matrix(problem)
+            matrix = exact.weighted(exact.from_problem(problem, float))
             details = score_details(problem, cfg)
-            for i, label in enumerate(problem.alternatives):
-                column = [row[i] for row in matrix]
-                assert details[label] == reference_hv(column, cfg)
+            for label, column in zip(problem.alternatives, exact.columns(matrix)):
+                assert details[label] == HVNetResult(*exact.hv_spaces(column, cfg, float))
                 assert details[label] == hv_net(IFS.from_pairs(column), cfg)
 
     def test_extremes_keep_first_occurrence(self):

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import inspect
 import io
 import json
 import os
@@ -17,7 +18,15 @@ from click.testing import CliRunner
 
 import ifhv.hvas as hvas_mod
 from gen import hausdorff_squared
-from ifhv import available_measures, register_function
+from ifhv import (
+    CompareConfig,
+    HVConfig,
+    audit,
+    available_measures,
+    check_axioms,
+    mc_oracle,
+    register_function,
+)
 from ifhv.cli import _read_points, _run, main
 from ifhv.errors import DegenerateError, IfhvError, ParseError, ValidationError
 from ifhv.fixtures import table1_path
@@ -535,6 +544,36 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, runner, table1):
         assert runner.invoke(main, ["rank", table1, "--no-such-flag"]).exit_code == 2
+
+
+# the same lookup as `cli._default`: the rows that use it only catch a literal coming back
+def parameter_default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+@pytest.mark.parametrize(
+    "command, option, library",
+    [
+        ("rank", "alpha", HVConfig().alpha),
+        ("rank", "tie_tolerance", HVConfig().tie_tolerance),
+        ("compare", "tau", CompareConfig().tau),
+        ("compare", "v", CompareConfig().v),
+        ("compare", "measure_primary", CompareConfig().measure_primary.name),
+        ("compare", "measure_secondary", CompareConfig().measure_secondary.name),
+        ("compare", "alpha", HVConfig().alpha),
+        ("audit", "budget", parameter_default(audit, "budget")),
+        ("audit", "eps", parameter_default(audit, "eps")),
+        ("audit", "delta", parameter_default(audit, "delta")),
+        ("audit", "seed", parameter_default(audit, "seed")),
+        ("hv", "samples", parameter_default(mc_oracle, "samples")),
+        ("hv", "seed", parameter_default(mc_oracle, "seed")),
+        ("axioms", "samples", parameter_default(check_axioms, "samples")),
+        ("axioms", "seed", parameter_default(check_axioms, "seed")),
+    ],
+)
+def test_option_default_is_the_library_default(command, option, library):
+    (param,) = [param for param in main.commands[command].params if param.name == option]
+    assert (param.default, type(param.default)) == (library, type(library))
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,9 @@ from ifhv.report import render
         pytest.param(lambda: audit(hamming, eps=0.0), id="audit-eps-zero"),
         pytest.param(lambda: audit(hamming, delta=math.inf), id="audit-delta-inf"),
         pytest.param(lambda: audit(hamming, delta=-1e-3), id="audit-delta-negative"),
+        pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=0.0), id="iso_nis_pairs-tol-zero"),
+        pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=math.nan), id="iso_nis_pairs-tol-nan"),
+        pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=math.inf), id="iso_nis_pairs-tol-inf"),
     ],
 )
 def test_bad_argument_is_an_ifhv_error(call):
@@ -74,6 +77,7 @@ def test_bad_argument_is_an_ifhv_error(call):
         pytest.param(lambda: audit(hamming, seed="x"), "seed", id="audit-seed-str"),
         pytest.param(lambda: check_axioms(hamming, seed=1.5), "seed", id="axioms-seed-float"),
         pytest.param(lambda: iso_nis_pairs(hamming, 5, seed=None), "seed", id="iso_nis_pairs-seed-None"),
+        pytest.param(lambda: iso_nis_pairs(hamming, 5, tol="x"), "tol", id="iso_nis_pairs-tol-str"),
         pytest.param(lambda: IFN("x", 0.1), "mu", id="IFN-mu-str"),
         pytest.param(lambda: IFN(0.1, None), "nu", id="IFN-nu-None"),
         # bools convert to 0 and 1, but the problem-file reader rejects them too
@@ -82,6 +86,7 @@ def test_bad_argument_is_an_ifhv_error(call):
         pytest.param(lambda: check_axioms(hamming, samples=True), "samples",
                      id="axioms-samples-bool"),
         pytest.param(lambda: check_axioms(hamming, seed=False), "seed", id="axioms-seed-bool"),
+        pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=True), "tol", id="iso_nis_pairs-tol-bool"),
         pytest.param(lambda: mc_oracle([(0.5, 0.5)], (-1.0, -1.0), samples=True), "samples",
                      id="mc_oracle-samples-bool"),
         pytest.param(lambda: HVConfig(alpha=np.True_), "alpha", id="HVConfig-alpha-numpy-bool"),
@@ -110,6 +115,8 @@ def test_non_numeric_argument_is_a_domain_error_naming_it(call, name):
         pytest.param(lambda: check_axioms(hamming, seed=-1), "seed must be >= 0", id="axioms-seed"),
         pytest.param(lambda: iso_nis_pairs(hamming, 5, seed=-1), "seed must be >= 0",
                      id="iso_nis_pairs-seed"),
+        pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=-1),
+                     "tol must be a positive finite number, got -1.0", id="iso_nis_pairs-tol"),
         pytest.param(lambda: mc_oracle([], (-1.0, -1.0), seed=-1), "seed must be >= 0",
                      id="mc_oracle-seed"),
         pytest.param(lambda: IFN(1.5, 0.0), r"IFN components must lie in \[0, 1\], got \(1.5, 0.0\)",

@@ -210,9 +210,10 @@ def test_topsis_and_vikor_under_hamming_within_derived_bound_of_exact():
             continue
         checked += 1
         m, labels = problem.n_criteria, problem.alternatives
-        for label, value in zip(labels, exact.topsis_hamming(problem)):
+        profiles, ps, ns = exact.solution_profiles(exact.weighted_of(problem))
+        for label, value in zip(labels, exact.closeness(profiles, ps, ns, exact.hamming)):
             assert abs(Fraction(closeness.scores[label]) - value) <= gamma(2 * m + 6) * value
-        utilities, regrets = exact.vikor_indices(problem)
+        utilities, regrets = exact.vikor_indices(profiles, ps, ns, exact.hamming)
         q = exact.vikor_q(utilities, regrets, v)
         for label, value, bound in zip(labels, q, vikor_bound(utilities, regrets, v, m, q)):
             assert abs(Fraction(compromise.scores[label]) - value) <= bound, (label, v)
@@ -220,6 +221,7 @@ def test_topsis_and_vikor_under_hamming_within_derived_bound_of_exact():
 
 
 def test_table1_vikor_under_hamming_is_exactly_utility_alone():
-    utilities, regrets = exact.vikor_indices(parse_problem(table1_path()))
+    profiles, ps, ns = exact.solution_profiles(exact.weighted_of(parse_problem(table1_path())))
+    utilities, regrets = exact.vikor_indices(profiles, ps, ns, exact.hamming)
     assert len(set(regrets)) == 1  # R has no span, so Q is S normalised
     assert exact.vikor_q(utilities, regrets, 0.5) == [0, 1, 0]

@@ -19,6 +19,7 @@ from ifhv import (
     score_details,
 )
 import ifhv.hvas as hvas_mod
+from exact import weighted_of
 from gen import random_ifn, random_problem
 
 B = CriterionKind.BENEFIT
@@ -124,15 +125,9 @@ class TestProblemValidation:
         )
 
 
-def weighted_pairs(problem):
-    """The weighted matrix as nested (mu, nu) tuples, one row per criterion."""
-    mu, nu = problem.weighted
-    return [list(zip(row_mu, row_nu)) for row_mu, row_nu in zip(mu.tolist(), nu.tolist())]
-
-
 class TestAggregation:
     def test_single_dm_identity(self, three_set_problem):
-        matrix = weighted_pairs(three_set_problem)
+        matrix = weighted_of(three_set_problem, float)
         assert matrix[0][0] == (0.2, 0.4)
         assert matrix[1][2] == (0.6, 0.3)
 
@@ -145,7 +140,7 @@ class TestAggregation:
             importance=((IFN(1, 0),), (IFN(1, 0),)),
             expertise=((0.5,), (0.5,)),
         )
-        [[value]] = weighted_pairs(problem)
+        [[value]] = weighted_of(problem, float)
         assert value == pytest.approx((0.6, 0.1))
 
     def test_zero_expertise_column_names_criterion(self, monkeypatch):
@@ -175,23 +170,23 @@ class TestAggregation:
             importance=((IFN(1, 0),), (IFN(0, 1),)),
             expertise=((0.5,), (0.5,)),
         )
-        [[value]] = weighted_pairs(problem)
+        [[value]] = weighted_of(problem, float)
         assert value == pytest.approx((0.5, 0.5))
 
 
 class TestNormalize:
     def test_benefit_row_unchanged(self):
-        assert weighted_pairs(single_dm_problem([[(0.7, 0.2)]], [B])) == [[(0.7, 0.2)]]
+        assert weighted_of(single_dm_problem([[(0.7, 0.2)]], [B]), float) == [[(0.7, 0.2)]]
 
     def test_cost_row_swapped(self):
-        assert weighted_pairs(single_dm_problem([[(0.7, 0.2)]], [C])) == [[(0.2, 0.7)]]
+        assert weighted_of(single_dm_problem([[(0.7, 0.2)]], [C]), float) == [[(0.2, 0.7)]]
 
     def test_cost_swap_is_involution(self):
         rng = np.random.default_rng(50)
         for _ in range(200):
             row = [random_ifn(rng).as_pair() for _ in range(3)]
-            swapped = weighted_pairs(single_dm_problem([row], [C]))
-            assert weighted_pairs(single_dm_problem(swapped, [C])) == [row]
+            swapped = weighted_of(single_dm_problem([row], [C]), float)
+            assert weighted_of(single_dm_problem(swapped, [C]), float) == [row]
 
     def test_row_count_check(self):
         # one evaluation row, two criteria
@@ -226,14 +221,15 @@ class TestNormalize:
 class TestWeightMatrix:
     def test_identity_weights(self):
         rows = [[(0.5, 0.3)], [(0.2, 0.6)]]
-        assert weighted_pairs(single_dm_problem(rows, importance=[(1, 0), (1, 0)])) == rows
+        assert weighted_of(single_dm_problem(rows, importance=[(1, 0), (1, 0)]), float) == rows
 
     def test_absorbing_weights(self):
         problem = single_dm_problem([[(0.5, 0.3)]], importance=[(0, 1)])
-        assert weighted_pairs(problem) == [[(0.0, 1.0)]]
+        assert weighted_of(problem, float) == [[(0.0, 1.0)]]
 
     def test_componentwise_product(self):
-        [[value]] = weighted_pairs(single_dm_problem([[(0.5, 0.3)]], importance=[(0.4, 0.2)]))
+        problem = single_dm_problem([[(0.5, 0.3)]], importance=[(0.4, 0.2)])
+        [[value]] = weighted_of(problem, float)
         assert value == pytest.approx((0.2, 0.44))
 
     def test_length_check(self):

@@ -25,22 +25,20 @@ from ifhv import (
     vikor,
 )
 from ifhv.fixtures import table1_path
-from ifhv.ifs import _extremes
 from ifhv.ranking import build_ranking
 import ifhv.hvas as hvas_mod
 import ifhv.mcdm as mcdm_mod
+import exact
+from exact import pairwise_codas
 from gen import random_problem, spread_problem
 
 B = CriterionKind.BENEFIT
 
 
 def solution_profiles(problem):
-    """Positive and negative solution profiles picked by `_extremes`, as IFS."""
-    mu, nu = problem.weighted
-    rows = np.arange(problem.n_criteria)
-    return tuple(
-        IFS.from_pairs(zip(mu[rows, pick], nu[rows, pick])) for pick in _extremes(mu, nu)
-    )
+    """Positive and negative solution profiles of `problem`'s weighted matrix, as IFS."""
+    _, ps, ns = exact.solution_profiles(exact.weighted_of(problem, float))
+    return IFS.from_pairs(ps), IFS.from_pairs(ns)
 
 
 def single_dm_problem(rows, alternatives=None):
@@ -276,16 +274,6 @@ class TestCodas:
         problem = single_dm_problem([[(0.5, 0.3)]])
         assert codas(problem).order == (("A1",),)
         assert vikor(problem).order == (("A1",),)
-
-
-def pairwise_codas(primary, secondary, tau):
-    """CODAS assessments by the pairwise definition, O(n^2): the sum over k of
-    h_ik = (E_i - E_k) + (T_i - T_k where abs(E_i - E_k) < tau)."""
-    h = primary[:, None] - primary[None, :]
-    tie_break = secondary[:, None] - secondary[None, :]
-    tie_break *= np.abs(h) < tau
-    h += tie_break
-    return h.sum(axis=1)
 
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"

@@ -591,6 +591,19 @@ class TestClosedFormScan:
         assert b_mu[0] == pytest.approx(0.1 * math.sqrt(20), abs=1e-12)
         assert abs(d_nis_b[0] - 0.5) <= 1e-12
 
+    def test_infeasible_row_is_not_usable_within_tol(self):
+        # d(a, b) = |a.mu - b.mu|: the anchor's NIS-distance is 1e-13, but the
+        # ray through (0, 0.5) keeps mu at 0 and never reaches it: the closed
+        # form's unit distance is 0 and the ray's end misses too. The partner
+        # left at s = 0 is NIS itself, 1e-13 from the target and so within tol:
+        # only feasibility rejects the row.
+        first_mu = DistanceMeasure("first-mu-test", MeasureKind.NONLINEAR, None,
+                                   lambda a, b: abs(a[0].mu - b[0].mu))
+        rows, *_ = robustness._iso_nis_partners(
+            first_mu, np.array([1e-13]), np.array([0.5]), np.array([0.0]), np.array([0.5]), 1e-12
+        )
+        assert rows.tolist() == []
+
     def test_non_homogeneous_plugin_keeps_every_reference_pair(self):
         squared = DistanceMeasure("squared-euclidean-pairs-test", MeasureKind.NONLINEAR, None,
                                   _squared_euclidean)
