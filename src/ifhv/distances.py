@@ -80,6 +80,11 @@ class DistanceMeasure:
             )
         if (self._kernel is None) == (self._func is None):
             raise DomainError("a DistanceMeasure needs exactly one of kernel or function")
+        compute = self._func if self._kernel is None else self._kernel
+        if not callable(compute):
+            raise DomainError(
+                f"measure '{self.name}': the kernel or function must be callable, got {compute!r}"
+            )
 
     def __call__(self, a: IFS, b: IFS) -> float:
         return self.evaluate(a, b)
@@ -240,6 +245,13 @@ def register_function(
     return register(DistanceMeasure(name, kind, None, func))
 
 
+def require_measure(name: str, value) -> None:
+    """DomainError naming `name` when `value` is not a DistanceMeasure, as a
+    measure's registered name is not; `get_measure` looks one up."""
+    if not isinstance(value, DistanceMeasure):
+        raise DomainError(f"{name} must be a DistanceMeasure, got {value!r}")
+
+
 def get_measure(name: str) -> DistanceMeasure:
     try:
         return _REGISTRY[name]
@@ -345,6 +357,7 @@ def check_axioms(
     chunk's largest group needs more. So memory is O(`SAMPLE_CHUNK` x
     largest length) and flat in `samples`.
     """
+    require_measure("measure", measure)
     samples = as_count("samples", samples)
     seed = as_count("seed", seed, 0)
     try:

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -361,6 +361,10 @@ class HVConfig:
 
     def __post_init__(self) -> None:
         if self.reference is not None:
+            if not isinstance(self.reference, (Sequence, np.ndarray)):
+                raise DomainError(
+                    f"reference must be a sequence of numbers, got {self.reference!r}"
+                )
             ref = tuple(as_float("reference", c) for c in self.reference)
             if len(ref) == 0:
                 raise DomainError("reference must have at least one coordinate")

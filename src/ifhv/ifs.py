@@ -193,7 +193,7 @@ def ifa_aggregate(values: Sequence[IFN], weights: Sequence[float]) -> IFN:
         raise MismatchError(
             f"got {len(values)} values but {len(weights)} weights"
         )
-    floats = [float(weight) for weight in weights]
+    floats = [as_float("weights", weight) for weight in weights]
     for weight, w in zip(weights, floats):
         if not math.isfinite(w) or w < 0.0:
             raise DomainError(f"weights must be finite and non-negative, got {weight}")

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import DistanceMeasure, euclidean2, hamming
+from .distances import DistanceMeasure, euclidean2, hamming, require_measure
 from .errors import DegenerateError, DomainError, as_float
 from .hvas import DecisionProblem, rank as hvas_rank
 from .ifs import _extremes
@@ -75,8 +75,7 @@ class CompareConfig:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "tie_tolerance", check_tie_tolerance(self.tie_tolerance))
         for name in ("measure_primary", "measure_secondary"):
-            if not isinstance(getattr(self, name), DistanceMeasure):
-                raise DomainError(f"{name} must be a DistanceMeasure, got {getattr(self, name)!r}")
+            require_measure(name, getattr(self, name))
 
     def echo(self) -> dict:
         """The knobs a ranking echoes; `build_ranking` appends the tie tolerance."""

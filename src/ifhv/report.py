@@ -28,11 +28,20 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+# Each line separator `str.splitlines` knows, written as its Python escape
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _one_line(text: str) -> str:
+    """`text` with its line breaks escaped, as an id may hold them."""
+    return text.translate(_LINE_BREAKS)
+
+
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    """A markdown table; a `|` inside a cell, as an id may hold, is escaped."""
+    """A markdown table; a `|` or line break inside a cell, as an id may hold, is escaped."""
 
     def line(cells) -> str:
-        return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+        return "| " + " | ".join(_one_line(cell).replace("|", "\\|") for cell in cells) + " |"
 
     return "\n".join([line(headers), line("---" for _ in headers), *map(line, rows)])
 
@@ -53,7 +62,7 @@ def _render_rank_md(machine: dict) -> str:
             "",
             _table(["alternative", "rank", *spaces, "score"], rows),
             "",
-            f"Ranking order: {result['order_string']}",
+            f"Ranking order: {_one_line(result['order_string'])}",
             "",
         ]
     )

@@ -46,7 +46,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import MAX_EXAMPLES, SAMPLE_CHUNK, DistanceMeasure, sample_simplex
+from .distances import (
+    MAX_EXAMPLES,
+    SAMPLE_CHUNK,
+    DistanceMeasure,
+    require_measure,
+    sample_simplex,
+)
 from .errors import DomainError, MismatchError, as_count, as_float, require_positive_finite
 from .ifs import IFN, IFS, NIS, PIS
 from .ranking import (
@@ -103,6 +109,9 @@ def rank_by_reference(
     `tie_tolerance` form tie groups. The sets are stacked into (sets, n)
     mu/nu arrays and measured in one `evaluate_many` call.
     """
+    require_measure("measure", measure)
+    if not isinstance(ref, ReferenceKind):
+        raise DomainError(f"ref must be a ReferenceKind, got {ref!r}")
     mu, nu, labels = _stacked(sets, labels)
     return build_ranking(
         method=f"{measure.name}/{ref.value}",
@@ -123,6 +132,7 @@ def robustness_check(
     """True iff ranking against PIS and against NIS produce identical orders,
     tie structure included: the sets are stacked once, measured once per
     reference, and the tie groups of `build_ranking`'s rule compared."""
+    require_measure("measure", measure)
     mu, nu, labels = _stacked(sets, labels)
     pis, nis = (
         _tie_groups(
@@ -320,6 +330,7 @@ def iso_nis_pairs(
     Returns coordinate arrays filtered to successful constructions; intended
     for property checks over large sample counts.
     """
+    require_measure("measure", measure)
     count = as_count("count", count)
     tol = as_float("tol", tol)
     require_positive_finite(f"tol must be a positive finite number, got {tol}", tol)
@@ -355,6 +366,7 @@ def audit(
     budgets up to one chunk draw exactly what a single batch would. An empty
     report is a valid outcome and yields is_robust_on_budget=True.
     """
+    require_measure("measure", measure)
     budget = as_count("budget", budget)
     eps, delta = as_float("eps", eps), as_float("delta", delta)
     require_positive_finite("eps and delta must be positive finite numbers", eps, delta)

@@ -1,10 +1,55 @@
-"""Random-problem generators shared by the test suites."""
+"""Problem generators, plugin measures and probes shared by the test suites."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 
-from ifhv import IFN, IFS, CriterionKind, CriterionSpec, DecisionProblem
+import ifhv
+from ifhv import (
+    IFN,
+    IFS,
+    CriterionKind,
+    CriterionSpec,
+    DecisionProblem,
+    DistanceMeasure,
+    available_measures,
+    get_measure,
+    register_function,
+)
+
+
+def traced_peak(func, *args, **kwargs):
+    """`func(*args, **kwargs)` and the peak bytes `tracemalloc` traced during the call."""
+    tracemalloc.start()
+    try:
+        result = func(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def run_python(*args: str, stdin: str | None = None, env: dict | None = None):
+    """`python *args` in a new interpreter that imports `ifhv` from the `src/`
+    the tests import, with `env` added to the environment."""
+    src = str(Path(ifhv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def registered(name: str, func) -> DistanceMeasure:
+    """The per-pair plugin measure `name` over `func`, registered on first use."""
+    if name not in available_measures():
+        register_function(name, func)
+    return get_measure(name)
 
 
 def minkowski3(a: IFS, b: IFS) -> float:
@@ -56,6 +101,13 @@ def random_problem(
     n = n_alternatives if n_alternatives is not None else int(rng.integers(2, 5))
     m = n_criteria if n_criteria is not None else int(rng.integers(2, 4))
     q = n_dms if n_dms is not None else int(rng.integers(1, 3))
+    return _problem(rng, n, m, q, lambda kind, i: random_ifn(rng))
+
+
+def _problem(rng: np.random.Generator, n: int, m: int, q: int, entry) -> DecisionProblem:
+    """A problem with alternatives A1.., criteria c1.. and DMs dm1..; each
+    evaluation is `entry(kind, i)` for its criterion's kind and alternative.
+    Draws the criterion kinds, then every evaluation, importance and expertise."""
     criteria = tuple(
         CriterionSpec(
             f"c{j + 1}",
@@ -68,13 +120,42 @@ def random_problem(
         criteria=criteria,
         dms=tuple(f"dm{l + 1}" for l in range(q)),
         evaluations=tuple(
-            tuple(tuple(random_ifn(rng) for _ in range(n)) for _ in range(m))
+            tuple(tuple(entry(criteria[j].kind, i) for i in range(n)) for j in range(m))
             for _ in range(q)
         ),
         importance=tuple(tuple(random_importance(rng) for _ in range(m)) for _ in range(q)),
         expertise=tuple(
             tuple(float(rng.uniform(0.2, 1.0)) for _ in range(m)) for _ in range(q)
         ),
+    )
+
+
+def single_dm_problem(rows, kinds=None, importance=None, alternatives=None) -> DecisionProblem:
+    """One DM, unit expertise; rows are criteria x alternatives (mu, nu) pairs.
+    Criteria are benefits and importance (1, 0) unless given; alternatives are
+    A1.. unless given."""
+    m, n = len(rows), len(rows[0])
+    kinds = kinds or [CriterionKind.BENEFIT] * m
+    importance = importance or [(1.0, 0.0)] * m
+    return DecisionProblem(
+        alternatives=tuple(alternatives or (f"A{i + 1}" for i in range(n))),
+        criteria=tuple(CriterionSpec(f"c{j + 1}", kinds[j]) for j in range(m)),
+        dms=("dm1",),
+        evaluations=(tuple(tuple(IFN(*pair) for pair in row) for row in rows),),
+        importance=(tuple(IFN(*pair) for pair in importance),),
+        expertise=((1.0,) * m,),
+    )
+
+
+def permuted(problem: DecisionProblem, perm) -> DecisionProblem:
+    """`problem` with its alternatives, labels and evaluations, in the order `perm`."""
+    return DecisionProblem.from_arrays(
+        alternatives=tuple(problem.alternatives[i] for i in perm),
+        criteria=problem.criteria,
+        dms=problem.dms,
+        evaluations=problem.evaluation_array[:, :, perm],
+        importance=problem.importance_array,
+        expertise=problem.expertise_array,
     )
 
 
@@ -155,32 +236,7 @@ def spread_problem(
     middles = n_middle if n_middle is not None else int(rng.integers(1, 4))
     m = n_criteria if n_criteria is not None else int(rng.integers(2, 5))
     q = n_dms if n_dms is not None else int(rng.integers(1, 3))
-    n = middles + 2
     roles = ["middle"] * middles + ["strong", "weak"]
     rng.shuffle(roles)
-    strong_index = roles.index("strong")
-    weak_index = roles.index("weak")
-    criteria = tuple(
-        CriterionSpec(
-            f"c{j + 1}",
-            CriterionKind.BENEFIT if rng.random() < 0.5 else CriterionKind.COST,
-        )
-        for j in range(m)
-    )
-    problem = DecisionProblem(
-        alternatives=tuple(f"A{i + 1}" for i in range(n)),
-        criteria=criteria,
-        dms=tuple(f"dm{l + 1}" for l in range(q)),
-        evaluations=tuple(
-            tuple(
-                tuple(_entry(rng, criteria[j].kind, roles[i]) for i in range(n))
-                for j in range(m)
-            )
-            for _ in range(q)
-        ),
-        importance=tuple(tuple(random_importance(rng) for _ in range(m)) for _ in range(q)),
-        expertise=tuple(
-            tuple(float(rng.uniform(0.2, 1.0)) for _ in range(m)) for _ in range(q)
-        ),
-    )
-    return problem, f"A{strong_index + 1}", f"A{weak_index + 1}"
+    problem = _problem(rng, middles + 2, m, q, lambda kind, i: _entry(rng, kind, roles[i]))
+    return problem, f"A{roles.index('strong') + 1}", f"A{roles.index('weak') + 1}"

@@ -32,6 +32,7 @@ from ifhv import (
 )
 from ifhv.distances import sample_simplex
 from gen import (
+    permuted,
     problem_with_dominated_pair,
     random_ifn,
     random_problem,
@@ -188,18 +189,10 @@ def test_criterion_6_property_suites():
             assert flipped.scores[label] == pytest.approx(base.scores[label], abs=1e-12)
 
         perm = list(rng.permutation(problem.n_alternatives))
-        permuted_problem = type(problem).from_arrays(
-            alternatives=tuple(problem.alternatives[i] for i in perm),
-            criteria=problem.criteria,
-            dms=problem.dms,
-            evaluations=problem.evaluation_array[:, :, perm],
-            importance=problem.importance_array,
-            expertise=problem.expertise_array,
-        )
-        permuted = rank(permuted_problem)
+        shuffled = rank(permuted(problem, perm))
         for label in problem.alternatives:
-            assert permuted.scores[label] == pytest.approx(base.scores[label], abs=1e-12)
-        assert [sorted(g) for g in permuted.order] == [sorted(g) for g in base.order]
+            assert shuffled.scores[label] == pytest.approx(base.scores[label], abs=1e-12)
+        assert [sorted(g) for g in shuffled.order] == [sorted(g) for g in base.order]
 
 
 @criterion(7, "all four methods agree on the best and worst of synthetic problems")

@@ -10,8 +10,6 @@ HVAS, TOPSIS and VIKOR scores must be bit-equal. CODAS's reference sums its
 pairwise assessments in another order, so its scores may differ by ulps.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -25,14 +23,12 @@ from ifhv import (
     DegenerateError,
     HVConfig,
     HVNetResult,
-    available_measures,
     build_ranking,
     codas,
     euclidean3,
     hausdorff,
     hv_net,
     parse_problem,
-    register_function,
     run_methods,
     score_details,
     select_extremes,
@@ -40,18 +36,9 @@ from ifhv import (
 from ifhv.fixtures import table1_path
 from ifhv.ifs import _extremes
 import exact
-from gen import minkowski3, random_problem
+from gen import minkowski3, random_problem, registered, traced_peak
 
 METHODS = ("hvas", "topsis", "vikor", "codas")
-PLUGIN = "test_minkowski3"
-
-
-def plugin():
-    from ifhv import get_measure
-
-    if PLUGIN not in available_measures():
-        register_function(PLUGIN, minkowski3)
-    return get_measure(PLUGIN)
 
 
 # -- the reference chain -------------------------------------------------------
@@ -146,7 +133,7 @@ class TestAgainstReferenceChain:
         assert checked == 241
 
     def test_plugin_measure_through_run_methods(self):
-        measure = plugin()
+        measure = registered("test_minkowski3", minkowski3)
         rng = np.random.default_rng(2025)
         problems = [parse_problem(table1_path())] + [random_problem(rng) for _ in range(20)]
         for problem in problems:
@@ -203,11 +190,6 @@ def test_codas_memory_stays_linear():
         np.array([[[0.8, 0.1], [0.6, 0.3]]]),
         np.ones((1, 2)),
     )
-    tracemalloc.start()
-    try:
-        result = codas(problem)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(codas, problem)
     assert len(result.scores) == n
     assert peak < 4 * 2**20

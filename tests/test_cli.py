@@ -7,9 +7,7 @@ import io
 import json
 import os
 import re
-import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,35 +15,27 @@ import pytest
 from click.testing import CliRunner
 
 import ifhv.hvas as hvas_mod
-from gen import hausdorff_squared
+from gen import hausdorff_squared, registered, run_python, traced_peak
 from ifhv import (
     CompareConfig,
     HVConfig,
     audit,
-    available_measures,
     check_axioms,
     mc_oracle,
-    register_function,
 )
 from ifhv.cli import _read_points, _run, main
 from ifhv.errors import DegenerateError, IfhvError, ParseError, ValidationError
 from ifhv.fixtures import table1_path
 from ifhv.hypervolume import DEFAULT_REFERENCE_COORD, _points_array
 from ifhv.problemfile import _read_text
+from ifhv.report import _one_line
 
-SQUARED = "cli-hausdorff-squared"
 
-
-def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str, stdin: str | None = None):
     """`python -m ifhv.cli *args` in a new interpreter, run as a user runs it,
     so that a numpy warning reaches stderr rather than being raised by the
     test's filters."""
-    src = str(Path(hvas_mod.__file__).resolve().parents[1])
-    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "ifhv.cli", *args], input=stdin,
-        env={**os.environ, "PYTHONPATH": path_var}, capture_output=True, text=True, timeout=120,
-    )
+    return run_python("-m", "ifhv.cli", *args, stdin=stdin)
 
 
 @pytest.fixture
@@ -229,13 +219,27 @@ class TestRankCommand:
         assert "'--output': File '/dev/full' cannot be written" in result.output
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("command", ["rank", "compare"])
-    def test_pipe_in_an_id_keeps_markdown_tables_whole(self, runner, table1, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, label, shown",
+        [
+            pytest.param(command, label, shown, id=prefix + command)
+            for prefix, label, shown in
+            [("", "X|1", "X\\|1"), ("lf-", "X\n1", "X\\n1"), ("crlf-", "X\r\n1", "X\\r\\n1")]
+            for command in ("rank", "compare")
+        ],
+    )
+    def test_pipe_in_an_id_keeps_markdown_tables_whole(
+        self, runner, table1, tmp_path, command, label, shown
+    ):
         problem = tmp_path / "pipe.problem"
-        problem.write_text(Path(table1).read_text().replace('"X1"', '"X|1"'))
+        problem.write_text(Path(table1).read_text().replace('"X1"', json.dumps(label)))
         result = runner.invoke(main, [command, str(problem)])
         assert result.exit_code == 0
-        assert "X\\|1" in result.output
+        assert shown in result.output
+        # table1 ranks X1 between X3 and X2, so a split order line loses one
+        order = [line for line in result.output.splitlines() if line.startswith("Ranking order:")]
+        assert len(order) == (1 if command == "rank" else 0)
+        assert all("X3" in line and "X2" in line for line in order)
         tables, header = 0, None
         for line in result.output.splitlines():
             if not line.startswith("|"):
@@ -246,6 +250,10 @@ class TestRankCommand:
                 header, tables = cells, tables + 1
             assert cells == header
         assert tables == (1 if command == "rank" else 2)
+
+    def test_no_line_separator_survives_the_markdown_escape(self):
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert len(_one_line(every_char).splitlines()) == 1
 
     def test_csv_round_trips(self, runner, table1):
         result = runner.invoke(main, ["rank", table1, "--format", "csv"])
@@ -336,12 +344,9 @@ class TestAuditCommand:
     def test_memory_is_flat_in_budget(self, runner):
         # the library's bound holds with the collector paused for the command
         runner.invoke(main, ["audit", "--measure", "hamming", "--budget", "1000"])
-        tracemalloc.start()
-        try:
-            result = runner.invoke(main, ["audit", "--measure", "hamming", "--budget", "2000000"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(
+            runner.invoke, main, ["audit", "--measure", "hamming", "--budget", "2000000"]
+        )
         assert result.exit_code == 0
         assert peak < 8 * 2**20
 
@@ -515,9 +520,8 @@ class TestAxiomsCommand:
         assert "symmetry" in result.output
 
     def test_markdown_counts_witnesses(self, runner):
-        if SQUARED not in available_measures():
-            register_function(SQUARED, hausdorff_squared)
-        result = runner.invoke(main, ["axioms", "--measure", SQUARED, "--samples", "200"])
+        name = registered("cli-hausdorff-squared", hausdorff_squared).name
+        result = runner.invoke(main, ["axioms", "--measure", name, "--samples", "200"])
         assert result.exit_code == 0
         assert "| triangle | False |" in result.output
         assert "Witnesses: 10 recorded (see json format)." in result.output
@@ -529,8 +533,7 @@ class TestAxiomsCommand:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_plugin_is_data_error(self, runner, value):
         name = f"cli-returns-{value}"
-        if name not in available_measures():
-            register_function(name, lambda a, b: float(value))
+        registered(name, lambda a, b: float(value))
         result = runner.invoke(main, ["axioms", "--measure", name, "--samples", "100"])
         assert result.exit_code == 3
         assert result.output.splitlines() == [

@@ -1,12 +1,8 @@
 """Tests for the built-in distance measures, the registry, and check_axioms."""
 
 import math
-import os
 import platform
-import subprocess
 import sys
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,19 +25,12 @@ from ifhv import (
 )
 from ifhv.distances import register, sample_simplex
 
-from gen import hausdorff_squared, minkowski3
+from gen import hausdorff_squared, minkowski3, registered, run_python, traced_peak
 
 
 PIS2 = IFS.positive_ideal(2)
 NIS2 = IFS.negative_ideal(2)
 PLUGIN = "plugin-minkowski3"
-
-
-def plugin() -> DistanceMeasure:
-    """A per-pair plugin measure, registered on first use."""
-    if PLUGIN not in available_measures():
-        register_function(PLUGIN, minkowski3)
-    return get_measure(PLUGIN)
 
 
 class TestHamming:
@@ -57,10 +46,6 @@ class TestHamming:
         assert hamming(x1, NIS2) == pytest.approx(0.4250, abs=1e-12)
         assert hamming(x2, NIS2) == pytest.approx(0.4250, abs=1e-12)
         assert hamming(x3, NIS2) == pytest.approx(0.4500, abs=1e-12)
-
-    def test_self_distance_zero(self, reference_sets):
-        for x in reference_sets:
-            assert hamming(x, x) == 0.0
 
     def test_complement_sum_is_one(self):
         # linearity: d(A, PIS-seq) + d(A, NIS-seq) = 1 for every A
@@ -85,10 +70,6 @@ class TestEuclidean2:
         # sqrt((0 + 0.25) / 2)
         assert euclidean2(a, IFS.negative_ideal(1)) == pytest.approx(0.35355, abs=5e-6)
 
-    def test_self_distance_zero(self, reference_sets):
-        for x in reference_sets:
-            assert euclidean2(x, x) == 0.0
-
 
 class TestEuclidean3:
     def test_full_hesitancy_to_ideal(self):
@@ -101,10 +82,6 @@ class TestEuclidean3:
         # sqrt((0.64 + 0.16 + 0.16) / 2)
         assert euclidean3(a, IFS.positive_ideal(1)) == pytest.approx(0.69282, abs=5e-6)
 
-    def test_self_distance_zero(self, reference_sets):
-        for x in reference_sets:
-            assert euclidean3(x, x) == 0.0
-
 
 class TestHausdorff:
     def test_against_ideals(self, reference_sets):
@@ -113,10 +90,6 @@ class TestHausdorff:
         assert hausdorff(x1, PIS2) == pytest.approx(0.85, abs=1e-12)
         # (max(0.2, 0.6) + max(0.1, 0.8)) / 2
         assert hausdorff(x1, NIS2) == pytest.approx(0.70, abs=1e-12)
-
-    def test_self_distance_zero(self, reference_sets):
-        for x in reference_sets:
-            assert hausdorff(x, x) == 0.0
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_plain_python_square_keeps_the_bits(self, n):
@@ -133,6 +106,11 @@ ALL_BUILTINS = (hamming, euclidean2, euclidean3, hausdorff)
 
 
 class TestCommonBehavior:
+    @pytest.mark.parametrize("measure", ALL_BUILTINS, ids=lambda m: m.name)
+    def test_self_distance_zero(self, measure, reference_sets):
+        for x in reference_sets:
+            assert measure(x, x) == 0.0
+
     @pytest.mark.parametrize("measure", ALL_BUILTINS, ids=lambda m: m.name)
     def test_length_mismatch_rejected(self, measure):
         with pytest.raises(MismatchError):
@@ -158,7 +136,7 @@ class TestCommonBehavior:
     def test_batch_entry_points_match_evaluate(self, name):
         # evaluate, pair_many and evaluate_many are one path: bit-equal on
         # 1-D, 2-D and 3-D inputs, for kernels and per-pair plugins alike
-        measure = get_measure(name) if name != PLUGIN else plugin()
+        measure = get_measure(name) if name != PLUGIN else registered(PLUGIN, minkowski3)
         rng = np.random.default_rng(13)
         a_mu, a_nu = sample_simplex(rng, (5, 10, 3))
         b_mu, b_nu = sample_simplex(rng, (5, 10, 3))
@@ -385,14 +363,9 @@ class TestPluginPath:
         rng = np.random.default_rng(33)
         a_mu, a_nu = sample_simplex(rng, 20_000)
         b_mu, b_nu = sample_simplex(rng, 20_000)
-        measure = plugin()
+        measure = registered(PLUGIN, minkowski3)
         measure.pair_many(a_mu[:10], a_nu[:10], b_mu[:10], b_nu[:10])
-        tracemalloc.start()
-        try:
-            out = measure.pair_many(a_mu, a_nu, b_mu, b_nu)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(measure.pair_many, a_mu, a_nu, b_mu, b_nu)
         assert out.shape == (20_000,)
         # the inputs are 4 x 160 KB; all 40 000 sets at once take about 24 MB
         assert peak < 4 * 2**20
@@ -449,7 +422,7 @@ class TestEvaluateManyContract:
 
     @pytest.mark.parametrize("name", [m.name for m in ALL_BUILTINS] + [PLUGIN])
     def test_callers_arrays_are_unchanged(self, name):
-        measure = get_measure(name) if name != PLUGIN else plugin()
+        measure = get_measure(name) if name != PLUGIN else registered(PLUGIN, minkowski3)
         arrays = self.inputs()
         kept = [x.copy() for x in arrays]
         batch = measure.evaluate_many(*arrays)
@@ -481,7 +454,7 @@ class TestEvaluateManyContract:
         # the comparators pass the transposes of the weighted (m, n) matrix;
         # m runs past 8, where the kernels' mean moves from `_mean_last` to
         # np.mean, and no distance may depend on the views' layout
-        measure = get_measure(name) if name != PLUGIN else plugin()
+        measure = get_measure(name) if name != PLUGIN else registered(PLUGIN, minkowski3)
         rng = np.random.default_rng(30)
         for m in range(1, 21):
             mu, nu = sample_simplex(rng, (m, 5))
@@ -494,7 +467,8 @@ class TestEvaluateManyContract:
 
     def test_plugin_mixed_broadcasting_matches_its_oracle(self):
         arrays = self.inputs()
-        assert same_bits(plugin().evaluate_many(*arrays), from_pairs_oracle(minkowski3, *arrays))
+        measure = registered(PLUGIN, minkowski3)
+        assert same_bits(measure.evaluate_many(*arrays), from_pairs_oracle(minkowski3, *arrays))
 
     @pytest.mark.parametrize("measure", ALL_BUILTINS, ids=lambda m: m.name)
     def test_0d_input_raises_numpys_axis_error(self, measure):
@@ -520,28 +494,27 @@ class TestRegistry:
             register(DistanceMeasure("hamming", MeasureKind.LINEAR, None, lambda a, b: 0.0))
 
     @pytest.mark.parametrize(
-        "name, kind, message",
+        "name, func, kind, message",
         [
-            ("plugin-kind-str", "linear",
+            ("plugin-kind-str", minkowski3, "linear",
              "measure 'plugin-kind-str': kind must be a MeasureKind, got 'linear'"),
-            ("", MeasureKind.NONLINEAR, "a measure name must be a non-empty string, got ''"),
-            (3, MeasureKind.NONLINEAR, "a measure name must be a non-empty string, got 3"),
+            ("", minkowski3, MeasureKind.NONLINEAR,
+             "a measure name must be a non-empty string, got ''"),
+            (3, minkowski3, MeasureKind.NONLINEAR,
+             "a measure name must be a non-empty string, got 3"),
+            ("plugin-func-int", 5, MeasureKind.NONLINEAR,
+             "measure 'plugin-func-int': the kernel or function must be callable, got 5"),
         ],
-        ids=["kind-str", "name-empty", "name-int"],
+        ids=["kind-str", "name-empty", "name-int", "func-int"],
     )
-    def test_bad_name_or_kind_is_not_registered(self, name, kind, message):
+    def test_bad_name_or_kind_is_not_registered(self, name, func, kind, message):
         before = available_measures()
         with pytest.raises(DomainError, match=f"^{message}$"):
-            register_function(name, minkowski3, kind=kind)
+            register_function(name, func, kind=kind)
         assert available_measures() == before
 
     def test_plugin_function_round_trip(self):
-        name = "plugin-half-hamming"
-        if name not in available_measures():
-            from ifhv import register_function
-
-            register_function(name, lambda a, b: 0.5 * hamming(a, b))
-        measure = get_measure(name)
+        measure = registered("plugin-half-hamming", lambda a, b: 0.5 * hamming(a, b))
         a = IFS.from_pairs([(0.2, 0.4)])
         b = IFS.from_pairs([(0.6, 0.1)])
         assert measure(a, b) == pytest.approx(0.5 * hamming(a, b))
@@ -744,22 +717,14 @@ class TestCheckAxioms:
             "check_axioms(euclidean3, samples=100_000, seed=7)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = str(Path(distances.__file__).resolve().parents[1])
-        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_="262144")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        done = run_python(
+            "-c", code, env={"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "262144"}
         )
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) < 5_000
 
     def test_memory_is_flat_in_samples(self):
         check_axioms(hausdorff, samples=1_000)
-        tracemalloc.start()
-        try:
-            report = check_axioms(hausdorff, samples=300_000, seed=25)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(check_axioms, hausdorff, samples=300_000, seed=25)
         assert report.all_ok
         assert peak < 8 * 2**20

@@ -7,6 +7,7 @@ import pytest
 
 from ifhv import (
     IFN,
+    IFS,
     CompareConfig,
     CriterionKind,
     CriterionSpec,
@@ -16,17 +17,24 @@ from ifhv import (
     HVConfig,
     IfhvError,
     MeasureKind,
+    ReferenceKind,
     ValidationError,
     audit,
     build_ranking,
     check_axioms,
     hamming,
     hv_set,
+    ifa_aggregate,
     iso_nis_pairs,
     mc_oracle,
     problem_from_dict,
+    rank_by_reference,
+    robustness_check,
 )
 from ifhv.report import render
+
+
+SETS = [IFS.from_pairs([(0.2, 0.4)]), IFS.from_pairs([(0.3, 0.6)])]
 
 
 @pytest.mark.parametrize(
@@ -43,6 +51,15 @@ from ifhv.report import render
         pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=0.0), id="iso_nis_pairs-tol-zero"),
         pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=math.nan), id="iso_nis_pairs-tol-nan"),
         pytest.param(lambda: iso_nis_pairs(hamming, 5, tol=math.inf), id="iso_nis_pairs-tol-inf"),
+        # a measure passed by its registered name, and a reference by its value
+        pytest.param(lambda: audit("hamming"), id="audit-measure-name"),
+        pytest.param(lambda: check_axioms("hamming"), id="check_axioms-measure-name"),
+        pytest.param(lambda: robustness_check(SETS, "hamming"), id="robustness_check-measure-name"),
+        pytest.param(lambda: rank_by_reference(SETS, "hamming", ReferenceKind.PIS),
+                     id="rank_by_reference-measure-name"),
+        pytest.param(lambda: iso_nis_pairs("hamming", 5), id="iso_nis_pairs-measure-name"),
+        pytest.param(lambda: rank_by_reference(SETS, hamming, "PIS"),
+                     id="rank_by_reference-ref-str"),
     ],
 )
 def test_bad_argument_is_an_ifhv_error(call):
@@ -91,6 +108,12 @@ def test_bad_argument_is_an_ifhv_error(call):
                      id="mc_oracle-samples-bool"),
         pytest.param(lambda: HVConfig(alpha=np.True_), "alpha", id="HVConfig-alpha-numpy-bool"),
         pytest.param(lambda: IFN(True, 0.0), "mu", id="IFN-mu-bool"),
+        pytest.param(lambda: ifa_aggregate([IFN(0.5, 0.3)], ["x"]), "weights",
+                     id="ifa_aggregate-weight-str"),
+        pytest.param(lambda: ifa_aggregate([IFN(0.5, 0.3)], [None]), "weights",
+                     id="ifa_aggregate-weight-None"),
+        pytest.param(lambda: ifa_aggregate([IFN(0.5, 0.3)], [True]), "weights",
+                     id="ifa_aggregate-weight-bool"),
     ],
 )
 def test_non_numeric_argument_is_a_domain_error_naming_it(call, name):
@@ -163,6 +186,8 @@ def _problem(alternatives=("A1",), criteria=("c1",), dms=("dm1",)):
                      "reference must have at least one coordinate", id="HVConfig-reference-empty"),
         pytest.param(lambda: HVConfig(reference=(-1.0, math.nan)), DomainError,
                      "reference coordinates must be finite", id="HVConfig-reference-nan"),
+        pytest.param(lambda: HVConfig(reference=5), DomainError,
+                     "reference must be a sequence of numbers, got 5", id="HVConfig-reference-int"),
         pytest.param(lambda: hv_set([(0.5, 0.5)], (0.0, math.inf)), DomainError,
                      r"reference must be a non-empty sequence of finite numbers: \(0.0, inf\)",
                      id="hv_set-reference-inf"),

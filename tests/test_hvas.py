@@ -20,26 +20,10 @@ from ifhv import (
 )
 import ifhv.hvas as hvas_mod
 from exact import weighted_of
-from gen import random_ifn, random_problem
+from gen import permuted, random_ifn, random_problem, single_dm_problem
 
 B = CriterionKind.BENEFIT
 C = CriterionKind.COST
-
-
-def single_dm_problem(rows, kinds=None, importance=None, alternatives=None):
-    """One DM, unit expertise; rows are criteria x alternatives (mu, nu) pairs."""
-    m = len(rows)
-    n = len(rows[0])
-    kinds = kinds or [B] * m
-    importance = importance or [(1.0, 0.0)] * m
-    return DecisionProblem(
-        alternatives=tuple(alternatives or (f"X{i + 1}" for i in range(n))),
-        criteria=tuple(CriterionSpec(f"c{j + 1}", kinds[j]) for j in range(m)),
-        dms=("dm1",),
-        evaluations=(tuple(tuple(IFN(*pair) for pair in row) for row in rows),),
-        importance=(tuple(IFN(*pair) for pair in importance),),
-        expertise=((1.0,) * m,),
-    )
 
 
 @pytest.fixture
@@ -50,7 +34,8 @@ def three_set_problem():
         [
             [(0.2, 0.4), (0.3, 0.6), (0.2, 0.7)],
             [(0.1, 0.2), (0.4, 0.4), (0.6, 0.3)],
-        ]
+        ],
+        alternatives=("X1", "X2", "X3"),
     )
 
 
@@ -267,7 +252,7 @@ class TestRank:
             assert hvas_mod.ranking(problem, cfg, scores) == rank(problem, cfg)
 
     def test_single_alternative(self):
-        problem = single_dm_problem([[(0.4, 0.2)]])
+        problem = single_dm_problem([[(0.4, 0.2)]], alternatives=("X1",))
         result = rank(problem)
         assert result.order == (("X1",),)
 
@@ -276,7 +261,8 @@ class TestRank:
             [
                 [(0.9, 0.05), (0.3, 0.4), (0.2, 0.6)],
                 [(0.8, 0.1), (0.4, 0.3), (0.3, 0.5)],
-            ]
+            ],
+            alternatives=("X1", "X2", "X3"),
         )
         assert rank(problem).order[0] == ("X1",)
 
@@ -324,15 +310,7 @@ class TestPipelineInvariances:
             problem = random_problem(rng)
             base = rank(problem)
             perm = list(rng.permutation(problem.n_alternatives))
-            permuted = DecisionProblem.from_arrays(
-                alternatives=tuple(problem.alternatives[i] for i in perm),
-                criteria=problem.criteria,
-                dms=problem.dms,
-                evaluations=problem.evaluation_array[:, :, perm],
-                importance=problem.importance_array,
-                expertise=problem.expertise_array,
-            )
-            result = rank(permuted)
+            result = rank(permuted(problem, perm))
             for label in problem.alternatives:
                 assert result.scores[label] == pytest.approx(base.scores[label], abs=1e-12)
             assert [sorted(g) for g in result.order] == [sorted(g) for g in base.order]

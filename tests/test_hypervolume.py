@@ -2,7 +2,6 @@
 
 import math
 import time
-import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -20,6 +19,7 @@ from ifhv import (
     hv_set,
     mc_oracle,
 )
+from gen import traced_peak
 
 
 def mc_reference(points, r, samples, seed, chunk=997):
@@ -62,15 +62,6 @@ def check_front_against_monte_carlo(points, samples, seed):
     assert 0.0 < fraction < 1.0
     stderr = box * math.sqrt(fraction * (1.0 - fraction) / samples)
     assert abs(value - estimate) <= 4.0 * stderr
-
-
-def peak_bytes(func, *args):
-    tracemalloc.start()
-    try:
-        func(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestHvPoint:
@@ -206,7 +197,7 @@ class TestHvSet:
         monkeypatch.setattr(hypervolume, "PARETO_BLOCK_ELEMENTS", 2**12)
         k, m = 300, 5
         points = front(np.random.default_rng(46), k, m)
-        assert peak_bytes(hv_set, points, np.zeros(m)) < (k - 1) ** 2 * (m - 1)
+        assert traced_peak(hv_set, points, np.zeros(m))[1] < (k - 1) ** 2 * (m - 1)
 
     @pytest.mark.parametrize("cap", (1, 7, 100, None))
     def test_pareto_max_matches_unblocked(self, monkeypatch, cap):
@@ -221,7 +212,7 @@ class TestHvSet:
 
     def test_pareto_max_memory_is_bounded(self):
         v = np.random.default_rng(41).random((4000, 4))
-        assert peak_bytes(hypervolume._pareto_max, v) < 16 * 2**20
+        assert traced_peak(hypervolume._pareto_max, v)[1] < 16 * 2**20
 
     def test_pareto_max_keeps_first_of_equal_rows(self):
         v = np.array([[1.0, 1.0], [0.5, 2.0], [1.0, 1.0], [0.5, 1.0], [0.5, 2.0], [2.0, 0.5]])
@@ -331,7 +322,7 @@ class TestMcOracle:
 
     def test_memory_is_bounded_on_a_large_cloud(self):
         points = np.random.default_rng(42).random((20_000, 3))
-        assert peak_bytes(mc_oracle, points, (0.0, 0.0, 0.0), 50_000, 1) < 8 * 2**20
+        assert traced_peak(mc_oracle, points, (0.0, 0.0, 0.0), 50_000, 1)[1] < 8 * 2**20
 
     @pytest.mark.parametrize("cap", (1, 50, 1001))
     def test_chunk_cap_keeps_the_sample_stream(self, monkeypatch, cap):

@@ -3,13 +3,12 @@ Its modules keep no leftovers: no unused import and no private name that
 nothing references."""
 
 import ast
-import os
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import ifhv
+from gen import run_python
 
 # Modules the interpreter has loaded before the import (site hooks and .pth
 # files of the environment) are not the package's doing, so they are left out.
@@ -22,15 +21,9 @@ print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - bef
 
 
 def test_import_loads_only_declared_dependencies():
-    src = str(Path(ifhv.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    loaded = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.split()
+    done = run_python("-c", SCRIPT)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
     assert "ifhv" in loaded and "numpy" in loaded
     assert set(loaded) - set(sys.stdlib_module_names) - {"numpy", "click", "ifhv"} == set()
 

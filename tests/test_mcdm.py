@@ -11,7 +11,6 @@ from ifhv import (
     IFS,
     CompareConfig,
     CriterionKind,
-    CriterionSpec,
     DecisionProblem,
     DegenerateError,
     DomainError,
@@ -30,7 +29,7 @@ import ifhv.hvas as hvas_mod
 import ifhv.mcdm as mcdm_mod
 import exact
 from exact import pairwise_codas
-from gen import random_problem, spread_problem
+from gen import permuted, random_problem, single_dm_problem, spread_problem
 
 B = CriterionKind.BENEFIT
 
@@ -39,18 +38,6 @@ def solution_profiles(problem):
     """Positive and negative solution profiles of `problem`'s weighted matrix, as IFS."""
     _, ps, ns = exact.solution_profiles(exact.weighted_of(problem, float))
     return IFS.from_pairs(ps), IFS.from_pairs(ns)
-
-
-def single_dm_problem(rows, alternatives=None):
-    m, n = len(rows), len(rows[0])
-    return DecisionProblem(
-        alternatives=tuple(alternatives or (f"A{i + 1}" for i in range(n))),
-        criteria=tuple(CriterionSpec(f"c{j + 1}", B) for j in range(m)),
-        dms=("dm1",),
-        evaluations=(tuple(tuple(IFN(*pair) for pair in row) for row in rows),),
-        importance=(tuple(IFN(1.0, 0.0) for _ in range(m)),),
-        expertise=((1.0,) * m,),
-    )
 
 
 @pytest.fixture
@@ -418,15 +405,7 @@ class TestRunMethods:
             except DegenerateError:
                 continue
             perm = list(rng.permutation(problem.n_alternatives))
-            permuted = DecisionProblem.from_arrays(
-                alternatives=tuple(problem.alternatives[i] for i in perm),
-                criteria=problem.criteria,
-                dms=problem.dms,
-                evaluations=problem.evaluation_array[:, :, perm],
-                importance=problem.importance_array,
-                expertise=problem.expertise_array,
-            )
-            for result in run_methods(permuted, ["topsis", "vikor", "codas"]):
+            for result in run_methods(permuted(problem, perm), ["topsis", "vikor", "codas"]):
                 reference = base[result.method]
                 for label in problem.alternatives:
                     assert result.scores[label] == pytest.approx(

@@ -3,7 +3,6 @@
 import json
 import re
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from ifhv import (
 from ifhv import hvas as hvas_mod
 from ifhv import problemfile as problemfile_mod
 from ifhv.fixtures import table1_path
-from gen import random_problem
+from gen import random_problem, traced_peak
 
 
 @pytest.fixture
@@ -358,10 +357,5 @@ class TestMemory:
         size = path.stat().st_size
         assert size >= 500_000
         parse_problem(path)  # imports and caches before the measurement
-        tracemalloc.start()
-        try:
-            parse_problem(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(parse_problem, path)
         assert peak < 3 * size, (peak, size)

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,14 +23,13 @@ from ifhv import (
     iso_nis_pairs,
     parse_problem,
     rank_by_reference,
-    register_function,
     robustness_check,
 )
-from ifhv.distances import SAMPLE_CHUNK, available_measures, get_measure, sample_simplex
+from ifhv.distances import SAMPLE_CHUNK, get_measure, sample_simplex
 from ifhv.fixtures import table1_path
 from ifhv.ranking import build_ranking
 
-from gen import hausdorff_squared, minkowski3
+from gen import hausdorff_squared, minkowski3, registered, traced_peak
 
 BUILTINS = (hamming, euclidean2, euclidean3, hausdorff)
 
@@ -82,11 +80,9 @@ class TestRankByReference:
 LOOP_PLUGIN = "plugin-scaled-hausdorff"
 
 
-def loop_plugin() -> DistanceMeasure:
-    """A per-pair plugin measure, registered on first use."""
-    if LOOP_PLUGIN not in available_measures():
-        register_function(LOOP_PLUGIN, lambda a, b: 0.5 * hausdorff(a, b))
-    return get_measure(LOOP_PLUGIN)
+def scaled_hausdorff(a, b):
+    """A per-pair plugin measure, registered as LOOP_PLUGIN on first use."""
+    return 0.5 * hausdorff(a, b)
 
 
 def looped_ranking(sets, measure, ref):
@@ -106,7 +102,7 @@ def looped_verdict(sets, measure) -> bool:
 class TestOneBatchCall:
     @pytest.mark.parametrize("name", ["hamming", "euclidean2", "euclidean3", "hausdorff", LOOP_PLUGIN])
     def test_bit_equal_to_per_set_loop(self, name):
-        measure = loop_plugin() if name == LOOP_PLUGIN else get_measure(name)
+        measure = registered(name, scaled_hausdorff) if name == LOOP_PLUGIN else get_measure(name)
         rng = np.random.default_rng(43)
         for n in (1, 5, 13, 40):
             count = 30 if name == LOOP_PLUGIN else 400
@@ -198,7 +194,7 @@ RAISING = DistanceMeasure("raising", MeasureKind.NONLINEAR, _func=_raise)
 class TestRobustnessCheckByTieGroups:
     @pytest.mark.parametrize("name", ["hamming", "euclidean2", "euclidean3", "hausdorff", LOOP_PLUGIN])
     def test_agrees_with_the_two_ranking_oracle(self, name, grid_collections):
-        measure = loop_plugin() if name == LOOP_PLUGIN else get_measure(name)
+        measure = registered(name, scaled_hausdorff) if name == LOOP_PLUGIN else get_measure(name)
         for sets in grid_collections:
             assert robustness_check(sets, measure) is looped_verdict(sets, measure)
 
@@ -634,12 +630,7 @@ class TestClosedFormScan:
 
     def test_memory_is_flat_in_budget(self):
         audit(hamming, budget=1_000)
-        tracemalloc.start()
-        try:
-            report = audit(hamming, budget=2_000_000, delta=1e-6, seed=4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(audit, hamming, budget=2_000_000, delta=1e-6, seed=4)
         assert report.is_robust_on_budget
         assert peak < 8 * 2**20
 
