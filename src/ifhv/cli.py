@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import gc
 import inspect
+import io
 import math
 import sys
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 
 import click
@@ -237,16 +239,31 @@ def audit(measure, budget, eps, delta, seed, fmt, output):
     _run(build, fmt, output)
 
 
-def _walk_points(path: Path, lines: list[str]) -> None:
+def _point_lines(path: Path, text: str | None):
+    """The lines of a points file, split at universal newlines only: those of
+    `text` if given, else streamed from the file. A file that cannot be read
+    or decoded raises ParseError naming it, as `_read_text` does."""
+    try:
+        with (path.open(encoding="utf-8") if text is None else io.StringIO(text)) as file:
+            yield from file
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+
+
+def _walk_points(path: Path, lines) -> None:
     """Read a points file's lines one at a time, with the rule of the bulk
-    parse, so that the first bad line raises with its file:line."""
+    parse, so that the first bad line raises with its file:line. A line of
+    whitespace is skipped; each field, stripped of whitespace, must be ASCII,
+    hold no `_`, and be read by `float`."""
     width = None
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
+        if line.isspace():
             continue
+        fields = [field.strip() for field in line.split(",")]
         try:
-            row = tuple(float(part) for part in stripped.split(","))
+            if "_" in line or not all(map(str.isascii, fields)):
+                raise ValueError
+            row = tuple(map(float, fields))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected comma-separated numbers") from None
         if width is None:
@@ -261,27 +278,27 @@ def _read_points(
     """The points of a points file as a (k, m) array, and the reference
     (default -1 per dimension). A bad row is reported as file:line.
 
-    All fields are parsed with `float` into one array; only when that fails,
-    or the rows differ in length, does `_walk_points` read the lines one at a
-    time to report the first bad one.
+    The non-blank lines are streamed into one `np.loadtxt`; only when that
+    fails does `_walk_points` read the lines again to name the first bad one.
+    A regular file is read again for that, and to name a bad point's line;
+    any other path, such as a pipe, is read once and its text kept.
     """
-    lines = _read_text(path).splitlines()
-    rows = [line for line in map(str.strip, lines) if line]
-    if not rows:
+    text = None if path.is_file() else _read_text(path)
+    rows = filterfalse(str.isspace, _point_lines(path, text))
+    first = next(rows, None)
+    if first is None:
         raise ParseError(f"{path}: no points found")
     try:
-        if len({row.count(",") for row in rows}) > 1:
-            raise ValueError("rows differ in length")
-        fields = ",".join(rows).split(",")
-        points = np.fromiter(map(float, fields), float, len(fields)).reshape(len(rows), -1)
-    except ValueError:  # a field that is not a number, or a ragged row
-        _walk_points(path, lines)
-        raise  # the walk accepted what the bulk parse rejected: a bug, not bad input
+        points = np.loadtxt(chain((first,), rows), delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # a field that is not a number, a ragged row, or a decode error
+        _walk_points(path, _point_lines(path, text))
+        raise  # the walk accepted what loadtxt rejected: a bug, not bad input
     ref = reference if reference is not None else (DEFAULT_REFERENCE_COORD,) * points.shape[1]
 
     def row_name(i: int) -> str:
-        linenos = [lineno for lineno, line in enumerate(lines, start=1) if line.strip()]
-        return f"{path}:{linenos[i]}"
+        lines = enumerate(_point_lines(path, text), start=1)
+        linenos = (lineno for lineno, line in lines if not line.isspace())
+        return f"{path}:{next(islice(linenos, i, None))}"
 
     points, _ = _points_array(points, ref, row_name)
     return points, ref

@@ -19,16 +19,17 @@ puts -1 in every coordinate so a value of 0 contributes a factor of exactly
 (m, n) mu and nu arrays: `hv_net` is its one-column call, and `ifhv.hvas`
 calls it on the weighted decision matrix.
 
-`hv_set` is exact: the HV3D dimension sweep, O(k log k) in the number of
-points, in up to 3 dimensions, and above that WFG's sum of exclusive
-contributions, one per level of the last coordinate, whose limit sets
-recurse one dimension down to HV3D; its nondominance filter compares at most
-`PARETO_BLOCK_ELEMENTS` pairs at a time. `hv_inclusion_exclusion` and
-`mc_oracle` are independent cross-checks for it. `mc_oracle` holds each
-chunk of samples as an (m, chunk) array, one contiguous row per coordinate,
-tests it against blocks of points, largest boxes first, one coordinate at a
-time along those rows, and retires each sample at its first hit; its memory
-is O(`MC_CHUNK_ELEMENTS` + k * m) whatever the point or sample count.
+`hv_set` is exact: the HV3D dimension sweep in up to 3 dimensions, O(k log k)
+comparisons for k points but O(k^2) list shifts when most points stay on the
+staircase, and above that WFG's sum of exclusive contributions, one per level
+of the last coordinate, whose limit sets recurse one dimension down to HV3D;
+its nondominance filter compares at most `PARETO_BLOCK_ELEMENTS` pairs at a
+time. `hv_inclusion_exclusion` and `mc_oracle` are independent cross-checks
+for it. `mc_oracle` holds each chunk of samples as an (m, chunk) array, one
+contiguous row per coordinate, tests it against blocks of points, largest
+boxes first, one coordinate at a time along those rows, and retires each
+sample at its first hit; its memory is O(`MC_CHUNK_ELEMENTS` + k * m)
+whatever the point or sample count.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def _pareto_max(v: np.ndarray) -> np.ndarray:
 
 def _hv3d(v: np.ndarray) -> float:
     """Measure of the union of boxes [0, row] for non-negative rows of 2 or 3
-    columns, by the HV3D dimension sweep in O(k log k).
+    columns, by the HV3D dimension sweep: O(k log k) comparisons, but O(k^2)
+    time when the staircase keeps most rows, as each insertion shifts two lists.
 
     Rows are swept by descending last coordinate. The (x, y) staircase of the
     rows seen so far is kept in two lists, x ascending and y descending, with
@@ -229,16 +231,17 @@ def hv_set(points: Sequence[Point], r: Point) -> float:
     """Exact hypervolume of a point set: measure of the union of boxes [r, p].
 
     In up to 3 dimensions this is the HV3D sweep (Beume, Fonseca,
-    Lopez-Ibanez, Paquete and Vahrenhold, IEEE TEC 2009), O(k log k) in the
-    number of points. In m >= 4 dimensions it drops dominated points and
-    sums exclusive contributions by WFG (While, Bradstreet and Barone, IEEE
-    TEC 2012) over the levels of the last coordinate, ascending: a level of
-    one point adds its box less the hypervolume of its limit set, the higher
-    points clipped to its box, taken one dimension down; a level z of tied
-    points adds z times the hypervolume, one dimension down, of the points
-    at or above z less that of the points above z, and a tied level next
-    above reuses the second term, so ties cost one call per level, not per
-    point.
+    Lopez-Ibanez, Paquete and Vahrenhold, IEEE TEC 2009): O(k log k)
+    comparisons for k points, but O(k^2) time when most points stay on the
+    staircase, as each insertion shifts two Python lists. In m >= 4
+    dimensions it drops dominated points and sums exclusive contributions by
+    WFG (While, Bradstreet and Barone, IEEE TEC 2012) over the levels of the
+    last coordinate, ascending: a level of one point adds its box less the
+    hypervolume of its limit set, the higher points clipped to its box, taken
+    one dimension down; a level z of tied points adds z times the
+    hypervolume, one dimension down, of the points at or above z less that of
+    the points above z, and a tied level next above reuses the second term,
+    so ties cost one call per level, not per point.
     Limit sets are filtered to their nondominated points above 3 dimensions
     and measured by HV3D at 3.
     """

@@ -96,7 +96,7 @@ def _render_audit_md(machine: dict) -> str:
         else "NOT robust"
     )
     lines = [
-        f"# robustness audit: {machine['measure']}",
+        f"# robustness audit: {_one_line(machine['measure'])}",
         "",
         f"Verdict: {verdict} "
         f"(budget {machine['budget']}, eps {_fmt(machine['eps'])}, "
@@ -145,7 +145,7 @@ def _render_axioms_md(machine: dict) -> str:
         ["triangle", str(machine["triangle_ok"])],
     ]
     lines = [
-        f"# metric axioms: {machine['measure']}",
+        f"# metric axioms: {_one_line(machine['measure'])}",
         "",
         f"Checked on {machine['samples']} random triples (seed {machine['seed']}).",
         "",
@@ -186,46 +186,26 @@ def _render_compare_csv(machine: dict) -> str:
 
 
 def _render_audit_csv(machine: dict) -> str:
+    head = [machine["measure"], machine["is_robust_on_budget"], machine["samples_used"]]
+    distances = ("d_nis_a", "d_nis_b", "d_pis_a", "d_pis_b")
     rows = [
-        [
-            machine["measure"],
-            machine["is_robust_on_budget"],
-            machine["samples_used"],
-            index,
-            repr(c["a"][0]),
-            repr(c["a"][1]),
-            repr(c["b"][0]),
-            repr(c["b"][1]),
-            repr(c["d_nis_a"]),
-            repr(c["d_nis_b"]),
-            repr(c["d_pis_a"]),
-            repr(c["d_pis_b"]),
-        ]
+        head + [index, *map(repr, [*c["a"], *c["b"], *(c[key] for key in distances)])]
         for index, c in enumerate(machine["counterexamples"])
-    ] or [
-        [machine["measure"], machine["is_robust_on_budget"], machine["samples_used"]]
-        + [""] * 9
-    ]
+    ] or [head + [""] * 9]
     return _csv_text(
         [
             "measure", "robust_on_budget", "samples_used", "index",
-            "a_mu", "a_nu", "b_mu", "b_nu",
-            "d_nis_a", "d_nis_b", "d_pis_a", "d_pis_b",
+            "a_mu", "a_nu", "b_mu", "b_nu", *distances,
         ],
         rows,
     )
 
 
 def _render_hv_csv(machine: dict) -> str:
+    estimates = ("hypervolume", "mc_estimate", "mc_stderr")
     return _csv_text(
-        ["hypervolume", "mc_estimate", "mc_stderr", "mc_samples", "seed"],
-        [[
-            repr(machine["hypervolume"]),
-            repr(machine["mc_estimate"]),
-            repr(machine["mc_stderr"]),
-            machine["mc_samples"],
-            machine["seed"],
-        ]],
+        [*estimates, "mc_samples", "seed"],
+        [[*(repr(machine[key]) for key in estimates), machine["mc_samples"], machine["seed"]]],
     )
 
 

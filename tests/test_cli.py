@@ -251,6 +251,13 @@ class TestRankCommand:
             assert cells == header
         assert tables == (1 if command == "rank" else 2)
 
+    @pytest.mark.parametrize("command, flag", [("audit", "--budget"), ("axioms", "--samples")])
+    def test_line_break_in_a_measure_name_keeps_the_heading_whole(self, runner, command, flag):
+        name = registered("cli-hausdorff\nsquared", hausdorff_squared).name
+        result = runner.invoke(main, [command, "--measure", name, flag, "100"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0].endswith(": cli-hausdorff\\nsquared")
+
     def test_no_line_separator_survives_the_markdown_escape(self):
         every_char = "".join(map(chr, range(sys.maxunicode + 1)))
         assert len(_one_line(every_char).splitlines()) == 1
@@ -386,6 +393,25 @@ class TestHvCommand:
         assert result.exit_code == 2
         assert "must be finite" in result.output
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,0.2\r\n\r\n \t\n0.2,0.5", None),
+            ("0.5,0.2\n\n0.1,x\n", "3: expected comma-separated numbers"),
+            ("0.5,0.2\n \n-0.5,0.2\n", "3: point does not dominate the reference"),
+        ],
+        ids=["reads", "bad-field", "below-reference"],
+    )
+    def test_points_piped_in(self, text, message):
+        # a pipe is read once, so the walk and the row lookup read its kept text
+        done = run_cli("hv", "/dev/stdin", "--reference", "0,0", "--format", "json", stdin=text)
+        if message is None:
+            assert done.returncode == 0
+            assert json.loads(done.stdout)["hypervolume"] == pytest.approx(0.16, abs=1e-12)
+        else:
+            assert done.returncode == 3
+            assert done.stderr.splitlines() == [f"error: /dev/stdin:{message}"]
+
     def test_bad_point_line(self, runner, tmp_path):
         path = tmp_path / "points.txt"
         path.write_text("0.5,0.2\nnot-a-number\n")
@@ -423,14 +449,18 @@ class TestHvCommand:
 
 
 def read_points_by_lines(path, reference):
-    """_read_points as one walk over the lines, parsing each line on its own."""
+    """_read_points as one walk over the lines, parsing each line on its own
+    with loadtxt's rule: lines end at universal newlines only, and each field,
+    stripped of whitespace, must be ASCII, hold no `_`, and be read by float."""
     rows, lines = [], []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
             continue
+        fields = [field.strip() for field in line.split(",")]
         try:
-            row = tuple(float(part) for part in stripped.split(","))
+            if any(not field.isascii() or "_" in field for field in fields):
+                raise ValueError
+            row = tuple(float(field) for field in fields)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected comma-separated numbers") from None
         if rows and len(row) != len(rows[0]):
@@ -448,25 +478,31 @@ def read_points_by_lines(path, reference):
 
 def points_field(rng):
     """One field of a points file: mostly a number in one of several spellings,
-    with spaces around it; sometimes a value the reader must reject."""
+    with spaces around it; sometimes a value the reader must reject, among
+    them `1_0` and a non-ASCII digit, which float reads and loadtxt does not."""
     x = float(rng.random())
     spellings = [
         repr(x), f"{x:.3e}", f"{x * 1e3:.2E}", f"{x:.0f}", f"+{x}", "inf", "nan", "-inf",
-        "x1", "", repr(-1.5 - x),
+        "x1", "", repr(-1.5 - x), "1_0", "\u0661",
     ]
-    weights = [0.3, 0.2, 0.15, 0.1, 0.225, 0.003, 0.003, 0.003, 0.003, 0.003, 0.01]
-    before, after = (["", " ", "  ", "\t"][i] for i in rng.integers(4, size=2))
+    weights = [0.3, 0.2, 0.15, 0.1, 0.219, 0.003, 0.003, 0.003, 0.003, 0.003, 0.01, 0.003, 0.003]
+    before, after = (["", " ", "  ", "\t", "\xa0"][i] for i in rng.integers(5, size=2))
     return before + spellings[rng.choice(len(spellings), p=weights)] + after
 
 
 def points_file_text(rng):
-    """A points file with blank lines, CRLF or LF line ends and now and then a
-    ragged row."""
+    """A points file with blank lines, CRLF or LF line ends, now and then a
+    ragged row, and now and then a line separator that universal newlines do
+    not split at, `\\x0c` or `\\u2028`, inside a line."""
     m = int(rng.integers(1, 5))
     lines = []
     for _ in range(int(rng.integers(0, 10))):
         width = m + int(rng.choice([-1, 1])) if rng.random() < 0.04 else m
-        lines.append(",".join(points_field(rng) for _ in range(max(width, 1))))
+        line = ",".join(points_field(rng) for _ in range(max(width, 1)))
+        if rng.random() < 0.05:
+            tail = ",".join(points_field(rng) for _ in range(m)) if rng.random() < 0.5 else ""
+            line += "\x0c\u2028"[rng.integers(2)] + tail
+        lines.append(line)
         while rng.random() < 0.2:
             lines.append(["", "  ", "\t"][rng.integers(3)])
     end = "\r\n" if rng.random() < 0.5 else "\n"
@@ -483,10 +519,11 @@ class TestReadPointsInBulk:
         return points.shape, points.dtype, points.tobytes(), ref
 
     def test_same_arrays_and_errors_as_the_line_walk(self, tmp_path):
-        kinds = set()
+        kinds, texts = set(), []
         for seed in range(400):
             rng = np.random.default_rng(seed)
             text, m = points_file_text(rng)
+            texts.append(text)
             path = tmp_path / f"points{seed}.txt"
             path.write_bytes(text.encode("utf-8"))
             reference = [None, (0.0,) * m, (-2.0,) * (m + 1)][rng.choice(3, p=[0.45, 0.45, 0.1])]
@@ -502,6 +539,18 @@ class TestReadPointsInBulk:
         }
         assert any("coordinates, got" in kind for kind in kinds)
         assert any(kind.startswith("reference has") for kind in kinds)
+        # drawn: fields that float reads and loadtxt does not, padding that
+        # both strip, and separators inside a line that only splitlines splits at
+        parts = ("1_0", "\u0661", "\xa0", "\x0c", "\u2028")
+        assert all(any(part in text for text in texts) for part in parts)
+
+    def test_peak_stays_below_one_and_a_half_times_the_array(self, tmp_path):
+        points = np.random.default_rng(36).random((100_000, 3))
+        path = tmp_path / "points.txt"
+        path.write_text("".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in points.tolist()))
+        (read, _), peak = traced_peak(_read_points, path, None)
+        assert read.tobytes() == points.tobytes()
+        assert peak < 1.5 * points.nbytes
 
 
 class TestAxiomsCommand:

@@ -351,3 +351,15 @@ class TestPipelineInvariances:
                         label_b = problem.alternatives[b]
                         assert result.scores[label_a] >= result.scores[label_b] - 1e-12
         assert checked > 0  # random problems produce some dominating pairs
+
+    def test_dominance_can_lose_once_alpha_passes_two_to_the_one_minus_m(self):
+        # README's --alpha caveat: with the default reference, (0.1, 0) on both
+        # criteria dominates (0, 0), yet at alpha -1 it scores
+        # 1.21 - 1 + 1.9 ** 2 = 3.82 against 1 - 1 + 2 ** 2 = 4; at |alpha| up
+        # to 2 ** (1 - m) = 0.5 the dominating alternative still scores higher
+        problem = single_dm_problem([[(0.1, 0.0), (0.0, 0.0)]] * 2, alternatives=("A", "B"))
+        alphas = (-1, -0.5, 0, 0.5)
+        scores = {alpha: rank(problem, HVConfig(alpha=alpha)).scores for alpha in alphas}
+        assert scores[-1]["A"] == pytest.approx(3.82, abs=1e-12)
+        assert scores[-1]["B"] == pytest.approx(4.0, abs=1e-12)
+        assert all(scores[alpha]["A"] > scores[alpha]["B"] for alpha in alphas[1:])
