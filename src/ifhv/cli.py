@@ -281,7 +281,8 @@ def _read_points(
     The non-blank lines are streamed into one `np.loadtxt`; only when that
     fails does `_walk_points` read the lines again to name the first bad one.
     A regular file is read again for that, and to name a bad point's line;
-    any other path, such as a pipe, is read once and its text kept.
+    any other path, such as a pipe, is read once and its text kept. A reading
+    that finds the line gone names the file as changed.
     """
     text = None if path.is_file() else _read_text(path)
     rows = filterfalse(str.isspace, _point_lines(path, text))
@@ -298,7 +299,10 @@ def _read_points(
     def row_name(i: int) -> str:
         lines = enumerate(_point_lines(path, text), start=1)
         linenos = (lineno for lineno, line in lines if not line.isspace())
-        return f"{path}:{next(islice(linenos, i, None))}"
+        lineno = next(islice(linenos, i, None), None)
+        if lineno is None:  # the file lost lines since loadtxt read it
+            raise ParseError(f"{path}: the file changed while it was read")
+        return f"{path}:{lineno}"
 
     points, _ = _points_array(points, ref, row_name)
     return points, ref

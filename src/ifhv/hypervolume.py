@@ -19,25 +19,29 @@ puts -1 in every coordinate so a value of 0 contributes a factor of exactly
 (m, n) mu and nu arrays: `hv_net` is its one-column call, and `ifhv.hvas`
 calls it on the weighted decision matrix.
 
-`hv_set` is exact: the HV3D dimension sweep in up to 3 dimensions, O(k log k)
-comparisons for k points but O(k^2) list shifts when most points stay on the
-staircase, and above that WFG's sum of exclusive contributions, one per level
-of the last coordinate, whose limit sets recurse one dimension down to HV3D;
-its nondominance filter compares at most `PARETO_BLOCK_ELEMENTS` pairs at a
-time. `hv_inclusion_exclusion` and `mc_oracle` are independent cross-checks
-for it. `mc_oracle` holds each chunk of samples as an (m, chunk) array, one
-contiguous row per coordinate, tests it against blocks of points, largest
-boxes first, one coordinate at a time along those rows, and retires each
-sample at its first hit; its memory is O(`MC_CHUNK_ELEMENTS` + k * m)
-whatever the point or sample count.
+`hv_set` is exact. Up to 3 dimensions it is the HV3D sweep (Beume, Fonseca,
+Lopez-Ibanez, Paquete and Vahrenhold, IEEE TEC 2009): a sort, then O(k log k)
+comparisons for k points, but O(k^2) time when most points stay on the
+staircase, as each insertion shifts two Python lists. It holds the offsets
+from the reference and the sort order, 4/3 of a 3-D array (5/3 while sorting),
+one block of rows as Python floats of at most `PARETO_BLOCK_ELEMENTS` bytes,
+and its staircase, 64 bytes a step: 1.8 times the array at 10^5 points that
+leave few on the staircase. Above 3 dimensions it sums WFG's exclusive
+contributions, one per level of the last coordinate, whose limit sets recurse
+one dimension down to HV3D; its nondominance filter compares at most
+`PARETO_BLOCK_ELEMENTS` pairs at a time. `hv_inclusion_exclusion` and
+`mc_oracle` are independent cross-checks for it; `mc_oracle`'s memory is
+O(`MC_CHUNK_ELEMENTS` + k * m) whatever the point or sample count.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -48,16 +52,14 @@ from .ranking import DEFAULT_TIE_TOLERANCE, check_tie_tolerance
 DEFAULT_REFERENCE_COORD = -1.0
 
 # Cap on the coordinate comparisons of one mc_oracle chunk against one
-# point block, (chunk, block, m): chunks hold
-# max(1, MC_CHUNK_ELEMENTS // (MC_POINT_BLOCK * m)) samples, so memory stays
-# flat in k and in the sample count.
+# point block, (chunk, block, m), which keeps its memory flat in k and samples.
 MC_CHUNK_ELEMENTS = 2**22
 
 # Points mc_oracle tests a chunk against at a time; samples that hit a block
 # are counted and leave the chunk before the next block.
 MC_POINT_BLOCK = 64
 
-# Element cap on _pareto_max's (rows, k) comparison arrays.
+# Element cap on _pareto_max's (rows, k) comparison arrays; byte cap on one HV3D block.
 PARETO_BLOCK_ELEMENTS = 2**20
 
 Point = Sequence[float]
@@ -108,43 +110,46 @@ def _pareto_max(v: np.ndarray) -> np.ndarray:
 
 
 def _hv3d(v: np.ndarray) -> float:
-    """Measure of the union of boxes [0, row] for non-negative rows of 2 or 3
-    columns, by the HV3D dimension sweep: O(k log k) comparisons, but O(k^2)
-    time when the staircase keeps most rows, as each insertion shifts two lists.
-
-    Rows are swept by descending last coordinate. The (x, y) staircase of the
-    rows seen so far is kept in two lists, x ascending and y descending, with
-    its area updated on each insertion; every gap down to the next z level
-    adds a slab of that area. A 2-column set is the slab z in [0, 1].
+    """Measure of the union of boxes [0, row] for one or more non-negative rows
+    of 2 or 3 columns, by the HV3D sweep: by descending last coordinate,
+    stable, or for 2 columns one level at z = 1 in input order. The (x, y)
+    staircase of the rows seen so far is kept in two lists, x ascending and y
+    descending, with its area updated on each insertion; each drop to a lower
+    level, and the last one down to 0, adds a slab of that area.
     """
-    if v.shape[1] == 2:
-        v = np.column_stack((v, np.ones(v.shape[0])))
-    rows = v[np.argsort(-v[:, 2], kind="stable")].tolist()
+    order = np.argsort(-v[:, 2], kind="stable") if v.shape[1] == 3 else None
+    ones = (repeat(1.0),) if order is None else ()
+    # a row: 3 coordinates, each 8 bytes gathered, then a 24-byte float in an 8-byte list slot
+    step = max(1, PARETO_BLOCK_ELEMENTS // 120)
     xs: list[float] = []
     ys: list[float] = []
-    area = 0.0
-    total = 0.0
-    for index, (px, py, pz) in enumerate(rows):
-        j = bisect_left(xs, px)
-        if j == len(xs) or ys[j] < py:  # not dominated in (x, y) by a higher row
-            hi = bisect_right(xs, px)
-            # The gain is the area under py that the staircase left uncovered:
-            # walk left over the steps py covers, summing non-negative strips.
-            right, height = px, ys[hi] if hi < len(ys) else 0.0
-            i = hi - 1
-            gain = 0.0
-            while i >= 0 and ys[i] <= py:
-                gain += (right - xs[i]) * (py - height)
-                right, height = xs[i], ys[i]
-                i -= 1
-            gain += (right - (xs[i] if i >= 0 else 0.0)) * (py - height)
-            area += gain
-            xs[i + 1 : hi] = [px]
-            ys[i + 1 : hi] = [py]
-        z_next = rows[index + 1][2] if index + 1 < len(rows) else 0.0
-        if z_next < pz:
-            total += (pz - z_next) * area
-    return total
+    area = total = 0.0
+    level = sys.float_info.max  # above every row; the first drop adds (level - z) * 0.0
+    for start in range(0, len(v), step):
+        rows = slice(start, start + step)
+        block = v[rows] if order is None else v.take(order[rows], axis=0)
+        # the zip alone holds the block's floats, so they are freed before the next block's
+        for px, py, pz in zip(*block.T.tolist(), *ones):
+            if pz < level:
+                total += (level - pz) * area
+                level = pz
+            j = bisect_left(xs, px)
+            if j == len(xs) or ys[j] < py:  # not dominated in (x, y) by a higher row
+                hi = bisect_right(xs, px)
+                # The gain is the area under py that the staircase left uncovered:
+                # walk left over the steps py covers, summing non-negative strips.
+                right, height = px, ys[hi] if hi < len(ys) else 0.0
+                i = hi - 1
+                gain = 0.0
+                while i >= 0 and ys[i] <= py:
+                    gain += (right - xs[i]) * (py - height)
+                    right, height = xs[i], ys[i]
+                    i -= 1
+                gain += (right - (xs[i] if i >= 0 else 0.0)) * (py - height)
+                area += gain
+                xs[i + 1 : hi] = [px]
+                ys[i + 1 : hi] = [py]
+    return total + level * area
 
 
 def _union_volume(v: np.ndarray) -> float:
@@ -160,8 +165,8 @@ def _union_volume(v: np.ndarray) -> float:
     once dominated rows are filtered. A tied level takes them unclipped and
     hands its second term to a tied level just above as that level's first.
     """
-    if v.shape[1] == 1:
-        return float(v.max())
+    if v.shape[1] == 1 or len(v) == 0:
+        return float(v.max(initial=0.0))  # 0.0 for no rows
     if v.shape[1] <= 3:
         return _hv3d(v)
     v = _pareto_max(v)
@@ -230,24 +235,19 @@ def _points_array(
 def hv_set(points: Sequence[Point], r: Point) -> float:
     """Exact hypervolume of a point set: measure of the union of boxes [r, p].
 
-    In up to 3 dimensions this is the HV3D sweep (Beume, Fonseca,
-    Lopez-Ibanez, Paquete and Vahrenhold, IEEE TEC 2009): O(k log k)
-    comparisons for k points, but O(k^2) time when most points stay on the
-    staircase, as each insertion shifts two Python lists. In m >= 4
-    dimensions it drops dominated points and sums exclusive contributions by
-    WFG (While, Bradstreet and Barone, IEEE TEC 2012) over the levels of the
-    last coordinate, ascending: a level of one point adds its box less the
-    hypervolume of its limit set, the higher points clipped to its box, taken
-    one dimension down; a level z of tied points adds z times the
-    hypervolume, one dimension down, of the points at or above z less that of
-    the points above z, and a tied level next above reuses the second term,
-    so ties cost one call per level, not per point.
+    In up to 3 dimensions this is the HV3D sweep, costed in the module
+    docstring. In m >= 4 dimensions it drops dominated points and sums
+    exclusive contributions by WFG (While, Bradstreet and Barone, IEEE TEC
+    2012) over the levels of the last coordinate, ascending: a level of one
+    point adds its box less the hypervolume of its limit set, the higher
+    points clipped to its box, taken one dimension down; a level z of tied
+    points adds z times the hypervolume, one dimension down, of the points at
+    or above z less that of the points above z, and a tied level next above
+    reuses the second term, so ties cost one call per level, not per point.
     Limit sets are filtered to their nondominated points above 3 dimensions
     and measured by HV3D at 3.
     """
     arr, ra = _points_array(points, r)
-    if arr.shape[0] == 0:
-        return 0.0
     return float(_union_volume(arr - ra))
 
 

@@ -308,7 +308,9 @@ def parse_problem(path: str | Path) -> DecisionProblem:
     """Load and validate a problem file. A file that fails is decoded again,
     without compaction, to name its first error. A regular file is read
     again for that, so that its text is not held through the first parse;
-    any other path, such as a pipe, is read once and its text kept."""
+    any other path, such as a pipe, is read once and its text kept. A second
+    reading can only name an error: one that validates means the file changed
+    in between, which is a ParseError naming it."""
     path = Path(path)
     unique = partial(_unique_keys, path=path)
     text = None if path.is_file() else _read_text(path)
@@ -318,7 +320,8 @@ def parse_problem(path: str | Path) -> DecisionProblem:
     except IfhvError:
         pass
     del data  # so that the two documents are never held at once
-    return problem_from_dict(_decode(path, unique, text), source=path.name)
+    problem_from_dict(_decode(path, unique, text), source=path.name)
+    raise ParseError(f"{path}: the file changed while it was read")
 
 
 def serialize_problem(problem: DecisionProblem) -> dict:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ifhv.cli as cli_mod
 import ifhv.hvas as hvas_mod
 from gen import hausdorff_squared, registered, run_python, traced_peak
 from ifhv import (
@@ -441,6 +442,25 @@ class TestHvCommand:
         result = runner.invoke(main, ["hv", str(path), "--reference", "0,0"])
         assert result.exit_code == 3
         assert f"{path}{message}" in result.output
+
+    def test_a_file_that_loses_its_bad_line_is_named_as_changed(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # the re-read that names the bad point's line finds only one line
+        path = tmp_path / "points.txt"
+        path.write_text("0.5,0.2\n0.2,0.5\nnan,0.1\n")
+        reads = []
+        original = cli_mod._point_lines
+
+        def point_lines(p, text):
+            reads.append(p)
+            return original(p, text) if len(reads) == 1 else iter(["0.5,0.2\n"])
+
+        monkeypatch.setattr(cli_mod, "_point_lines", point_lines)
+        result = runner.invoke(main, ["hv", str(path)])
+        assert len(reads) == 2
+        assert result.exit_code == 3
+        assert result.output == f"error: {path}: the file changed while it was read\n"
 
     def test_reference_dimension_mismatch_is_data_error(self, runner, points_file):
         result = runner.invoke(main, ["hv", points_file, "--reference", "0,0,0"])

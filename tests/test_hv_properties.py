@@ -58,6 +58,16 @@ def test_agrees_with_inclusion_exclusion(points):
     assert hv_set(points, r) == pytest.approx(hv_inclusion_exclusion(points, r), rel=1e-9, abs=1e-9)
 
 
+@derandomized
+@given(point_sets(max_points=20), st.sampled_from([1, 2, 3]))
+def test_sweep_blocks_keep_every_bit(points, rows):
+    # HV3D reads PARETO_BLOCK_ELEMENTS // 120 rows a block
+    r = np.zeros(points.shape[1])
+    expected = hv_set(points, r).hex()
+    with mock.patch.object(hypervolume, "PARETO_BLOCK_ELEMENTS", 120 * rows):
+        assert hv_set(points, r).hex() == expected
+
+
 @st.composite
 def oracle_cases(draw):
     """A point set, a reference, and patched block and chunk caps with a sample

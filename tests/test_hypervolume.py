@@ -176,8 +176,8 @@ class TestHvSet:
 
     def test_tied_last_coordinate_costs_one_sweep_per_level(self, monkeypatch):
         # 2000 points whose heads form a 3-D front and whose last coordinate
-        # takes two values: one HV3D sweep per level, plus the empty set above
-        # the top, not one per point.
+        # takes two values: one HV3D sweep per level, not one per point, and
+        # none for the empty set above the top.
         k = 2000
         levels = np.tile([0.5, 1.0], k // 2)
         points = np.column_stack((front(np.random.default_rng(47), k, 3), levels))
@@ -185,10 +185,33 @@ class TestHvSet:
         sweep = hypervolume._hv3d
         monkeypatch.setattr(hypervolume, "_hv3d", lambda v: sweeps.append(len(v)) or sweep(v))
         value = hv_set(points, np.zeros(4))
-        assert sweeps == [k, k // 2, 0]
+        assert sweeps == [k, k // 2]
         high = points[points[:, 3] == 1.0, :3]
         expected = 0.5 * hv_set(points[:, :3], np.zeros(3)) + 0.5 * hv_set(high, np.zeros(3))
         assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", (1, 2, 3))
+    def test_sweep_blocks_keep_every_bit(self, monkeypatch, rows):
+        # HV3D reads PARETO_BLOCK_ELEMENTS // 120 rows a block; blocks of 1 to
+        # 3 rows split its levels and its runs of tied z at every place
+        rng = np.random.default_rng(48)
+        sets = []
+        for k in (1, 2, 3, 4, 7, 40, 300):
+            sets.append(np.column_stack((front(rng, k, 2), rng.integers(1, 4, k) / 2.0)))
+            sets.append(rng.integers(0, 3, (k, 3)) / 2.0)
+            sets.append(front(rng, k, 2))
+            sets.append(rng.integers(0, 3, (k, 2)) / 2.0)
+        expected = [hv_set(points, np.zeros(points.shape[1])).hex() for points in sets]
+        monkeypatch.setattr(hypervolume, "PARETO_BLOCK_ELEMENTS", 120 * rows)
+        assert [hv_set(points, np.zeros(points.shape[1])).hex() for points in sets] == expected
+
+    @pytest.mark.parametrize("shape", ("cloud", "front"))
+    def test_sweep_peak_stays_below_twice_the_array(self, shape):
+        # the offsets from the reference are one array; the sort order and a
+        # block of Python floats stay under one more
+        rng = np.random.default_rng(49)
+        points = rng.random((100_000, 3)) if shape == "cloud" else front(rng, 100_000, 3)
+        assert traced_peak(hv_set, points, np.zeros(3))[1] < 2 * points.nbytes
 
     def test_recursion_keeps_comparisons_within_the_block_cap(self, monkeypatch):
         # Every limit set of a 5-D front goes through _pareto_max. With a

@@ -88,6 +88,21 @@ class TestParse:
             parse_problem(path)
         assert reads[1:] == [path, path]
 
+    def test_a_file_that_validates_when_read_again_is_named_as_changed(
+        self, table1_doc, tmp_path, monkeypatch
+    ):
+        # the second reading only names the first's error, so a file that
+        # became valid in between is an error, not a problem
+        bad = json.loads(json.dumps(table1_doc))
+        bad["evaluations"]["dm1"]["c1"]["X2"] = [0.7, 0.5]
+        texts = iter([json.dumps(bad), json.dumps(table1_doc)])
+        monkeypatch.setattr(problemfile_mod, "_read_text", lambda p: next(texts))
+        path = tmp_path / "table1.problem"
+        path.write_text("")
+        with pytest.raises(ParseError, match=r"table1\.problem: the file changed while it was read$"):
+            parse_problem(path)
+        assert next(texts, None) is None
+
 
 class TestValidation:
     def test_invalid_ifn_cites_cell(self, table1_doc, tmp_path):
